@@ -3,11 +3,9 @@
 //! minutes on the paper's 2005 workstation; milliseconds here, but the
 //! *ratio* is the reproducible quantity).
 //!
-//! Both planners additionally run over the skyline and naive engines (so
+//! Both planners additionally run over the skyline and naive engines, so
 //! the skyline path's end-to-end effect on full planning runs is tracked,
-//! not just its effect on single schedules) plus the engine-portfolio
-//! race, whose overhead over the skyline alone is the price of its
-//! never-worse makespan guarantee.
+//! not just its effect on single schedules.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -16,8 +14,7 @@ use msoc_core::planner::PlannerOptions;
 use msoc_core::{CostWeights, MixedSignalSoc, Planner};
 use msoc_tam::{Effort, Engine};
 
-const ENGINES: [(&str, Engine); 3] =
-    [("skyline", Engine::Skyline), ("naive", Engine::Naive), ("portfolio", Engine::Portfolio)];
+const ENGINES: [(&str, Engine); 2] = [("skyline", Engine::Skyline), ("naive", Engine::Naive)];
 
 /// Fresh planner per iteration so caching does not hide the evaluation
 /// count difference.

@@ -1,18 +1,13 @@
 //! Benchmarks for the `msoc-par` dispatch path: the persistent
-//! work-stealing pool versus the pre-pool reference that spawns fresh
-//! scoped threads on every call.
+//! work-stealing pool.
 //!
 //! The workload mirrors the planner's hot shape — a ~26-item map (one item
 //! per surviving sharing configuration) whose items each do a small bounded
-//! amount of arithmetic — so the numbers isolate *dispatch* cost: thread
-//! spawn/join for the reference versus unpark/claim/steal for the pool.
-//! `par/dispatch` also runs a hand-timed A/B guard asserting the pool is
-//! no slower than spawn-per-map once warm; a regression here means the
-//! pool's handoff path has picked up overhead the spawn path never had.
+//! amount of arithmetic — so the numbers isolate *dispatch* cost:
+//! unpark/claim/steal in the pool.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use std::time::Instant;
 
 /// One planner-candidate-sized work item: bounded arithmetic, no
 /// allocation, long enough that the map is not pure dispatch noise.
@@ -44,61 +39,8 @@ fn dispatch(c: &mut Criterion) {
             .sum::<u64>()
         })
     });
-    group.bench_function(format!("spawn_per_map_w{WIDTH}_n{ITEMS}"), |b| {
-        b.iter(|| {
-            msoc_par::with_threads(WIDTH, || {
-                msoc_par::map_unpooled(black_box(&input), |_, &seed| evaluate(seed))
-            })
-            .iter()
-            .sum::<u64>()
-        })
-    });
     group.finish();
 }
 
-/// Hand-timed A/B guard: warm both paths, then assert the pool's mean
-/// dispatch time is no worse than spawn-per-map. The 1.10 margin absorbs
-/// scheduler noise on loaded hosts; the pool's structural win (no thread
-/// creation per call) is far larger than that in practice.
-fn dispatch_guard(c: &mut Criterion) {
-    let input = items();
-    let time = |f: &dyn Fn() -> u64| {
-        for _ in 0..20 {
-            black_box(f());
-        }
-        let rounds = 200;
-        let start = Instant::now();
-        for _ in 0..rounds {
-            black_box(f());
-        }
-        start.elapsed().as_secs_f64() / rounds as f64
-    };
-    let pool = time(&|| {
-        msoc_par::with_threads(WIDTH, || msoc_par::map(&input, |_, &s| evaluate(s)))
-            .iter()
-            .sum::<u64>()
-    });
-    let spawn = time(&|| {
-        msoc_par::with_threads(WIDTH, || msoc_par::map_unpooled(&input, |_, &s| evaluate(s)))
-            .iter()
-            .sum::<u64>()
-    });
-    println!(
-        "par/dispatch guard: pool {:.1} us/map vs spawn-per-map {:.1} us/map ({:.2}x)",
-        pool * 1e6,
-        spawn * 1e6,
-        spawn / pool,
-    );
-    assert!(
-        pool <= spawn * 1.10,
-        "persistent pool dispatch regressed: {:.1} us/map vs {:.1} us/map spawn-per-map",
-        pool * 1e6,
-        spawn * 1e6,
-    );
-    // Keep the `Criterion` signature so `criterion_group!` accepts this
-    // guard alongside the measured benches.
-    let _ = c;
-}
-
-criterion_group!(benches, dispatch, dispatch_guard);
+criterion_group!(benches, dispatch);
 criterion_main!(benches);

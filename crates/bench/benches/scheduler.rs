@@ -1,12 +1,9 @@
 //! Benchmarks for the TAM scheduler: the inner loop of every planning run
 //! (each cost evaluation schedules the full SOC once).
 //!
-//! Every scenario runs across the full packer engine roster: the
-//! event-skyline hot path and the naive rebuild-sort-scan reference
-//! produce identical schedules (a pure data-structure and pruning
-//! comparison), while MaxRects, guillotine and the portfolio race trade
-//! placement policy for packing quality — the portfolio's makespan is
-//! never above the skyline's.
+//! Every scenario runs on both packer engines: the event-skyline hot path
+//! and the naive rebuild-sort-scan reference produce identical schedules,
+//! so the comparison isolates the data structure and the pruning.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -15,13 +12,7 @@ use msoc_core::{MixedSignalSoc, Planner, SharingConfig};
 use msoc_itc02::synth;
 use msoc_tam::{schedule_with_engine, Effort, Engine, ScheduleProblem};
 
-const ENGINES: [(&str, Engine); 5] = [
-    ("skyline", Engine::Skyline),
-    ("naive", Engine::Naive),
-    ("maxrects", Engine::MaxRects),
-    ("guillotine", Engine::Guillotine),
-    ("portfolio", Engine::Portfolio),
-];
+const ENGINES: [(&str, Engine); 2] = [("skyline", Engine::Skyline), ("naive", Engine::Naive)];
 
 fn digital_scheduling(c: &mut Criterion) {
     let soc = synth::p93791s();

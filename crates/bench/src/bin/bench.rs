@@ -47,19 +47,6 @@
 //!   a fresh service; the section records jobs/sec (concurrent and
 //!   1-thread), p50/p99/max latency, per-shard lookup spread and lock
 //!   contention, and the persistent pool's dispatch/steal/park counters.
-//! * `portfolio` — the engine race: two synthetic fleets with opposite
-//!   dominance profiles (chain-dominated: a few long pattern-heavy scan
-//!   chains make tall serial jobs; area-dominated: many short chains make
-//!   malleable jobs where 2D packing quality decides) are swept through
-//!   the full candidate batch twice, once skyline-only and once with
-//!   `Engine::Portfolio` racing skyline, MaxRects and guillotine behind a
-//!   shared frozen incumbent. Every `(config, width)` cell asserts
-//!   portfolio makespan ≤ skyline makespan (the race's structural
-//!   guarantee), and the per-engine win/prune counters plus the
-//!   test-time speedup (summed skyline cycles over summed portfolio
-//!   cycles — test application time is the paper's objective, so ≥ 1.0×
-//!   by construction and > 1.0× whenever a non-skyline engine wins a
-//!   race) land in the report's `engine_wins` entries.
 //!
 //! Flags: `--quick` drops to one repetition per cell, a single sweep
 //! width and a smaller fleet (CI smoke), `--out <path>` overrides the
@@ -89,10 +76,6 @@ const MIN_TABLE_SPEEDUP: f64 = 1.2;
 /// Required fleet advantage of a two-cores-revised re-plan over the cold
 /// fleet plan (the incremental-revision API's reason to exist).
 const MIN_REVISION_SPEEDUP: f64 = 1.2;
-/// The portfolio must win at least this many races with a non-skyline
-/// engine across the two synthetic fleets — otherwise the extra engines
-/// are dead weight and the race degenerates to the skyline alone.
-const MIN_NON_SKYLINE_WINS: u64 = 1;
 
 struct Cell {
     tam_width: u32,
@@ -910,43 +893,6 @@ fn run_load(quick: bool) -> LoadCell {
     }
 }
 
-/// One fleet's trip through the engine race: the same full candidate
-/// batch, once skyline-only and once through `Engine::Portfolio`.
-struct RaceProfile {
-    name: &'static str,
-    socs: usize,
-    /// `(config, width)` cells compared between the two runs.
-    cells: u64,
-    /// Races run (one per portfolio delta pack); the per-engine wins
-    /// below sum to exactly this.
-    races: u64,
-    wins_skyline: u64,
-    wins_maxrects: u64,
-    wins_guillotine: u64,
-    /// Improvement passes cut short because another engine's frozen
-    /// incumbent was tighter than the member's own best.
-    race_prunes: u64,
-    /// Summed 1-based index of the check boundary where each race's
-    /// winning makespan was first published (race convergence speed).
-    checks_to_best: u64,
-    /// Cells where the portfolio's makespan is *strictly* below the
-    /// skyline's (ties go to the skyline by rank).
-    improved_cells: u64,
-    skyline_cycles: u128,
-    portfolio_cycles: u128,
-    skyline_ms: f64,
-    portfolio_ms: f64,
-}
-
-impl RaceProfile {
-    /// Test-application-time speedup of the portfolio over skyline-only —
-    /// makespan is the paper's objective, and the race's guarantee makes
-    /// this ≥ 1.0 by construction.
-    fn test_time_speedup(&self) -> f64 {
-        self.skyline_cycles as f64 / self.portfolio_cycles as f64
-    }
-}
-
 struct ResilienceCell {
     fault_percent: u32,
     rounds: usize,
@@ -1145,117 +1091,6 @@ fn run_resilience(quick: bool) -> ResilienceCell {
         panic_failed_jobs,
         shed_jobs,
     }
-}
-
-/// Two deterministic synthetic fleets with opposite dominance profiles.
-///
-/// *Chain-dominated* is anchored on `p93791s`, whose dominant core holds
-/// about two thirds of the test data: its tall job chain sets the
-/// makespan, most races tie (ties go to the skyline by rank), and
-/// MaxRects wins only at the wide TAMs where the dominant job leaves
-/// awkward corners. *Area-dominated* is anchored on `p22810s`, whose
-/// flat data distribution makes the schedule capacity-limited — the
-/// free-rectangle geometry finds placements the skyline's earliest-fit
-/// misses at the narrow widths. Seeded `random_fleet` members ride along
-/// in each fleet so the counters also cover unstructured instances.
-fn race_fleets(quick: bool) -> (Vec<MixedSignalSoc>, Vec<MixedSignalSoc>) {
-    use msoc_itc02::synth::{p22810s, random_fleet, RandomSocParams};
-    let extras = if quick { 1 } else { 2 };
-    let chain_params = RandomSocParams {
-        cores: 10,
-        chains: (1, 3),
-        chain_len: (250, 400),
-        patterns: (150, 300),
-        terminals: (4, 40),
-    };
-    let area_params = RandomSocParams {
-        cores: 14,
-        chains: (8, 14),
-        chain_len: (20, 70),
-        patterns: (40, 160),
-        terminals: (16, 120),
-    };
-    let extend = |fleet: &mut Vec<MixedSignalSoc>, prefix: &str, seed: u64, params| {
-        for digital in random_fleet(seed, extras, params) {
-            let name = format!("{prefix}-{}", digital.name);
-            fleet.push(MixedSignalSoc::new(name, digital, paper_cores()));
-        }
-    };
-    let mut chain = vec![MixedSignalSoc::p93791m()];
-    extend(&mut chain, "chain", 1913, chain_params);
-    let mut area = vec![MixedSignalSoc::new("p22810m", p22810s(), paper_cores())];
-    extend(&mut area, "area", 2005, area_params);
-    (chain, area)
-}
-
-/// Sweeps one fleet's full candidate batch at every width, skyline-only
-/// and portfolio, then compares the two cell by cell: the portfolio must
-/// never lose a single `(config, width)` makespan.
-fn run_race_profile(
-    name: &'static str,
-    fleet: &[MixedSignalSoc],
-    widths: &[u32],
-    effort: Effort,
-) -> RaceProfile {
-    let opts = |engine| PlannerOptions { effort, engine, ..PlannerOptions::default() };
-    let sweep = |engine: Engine| -> (Vec<Planner<'_>>, f64) {
-        let t0 = Instant::now();
-        let mut planners: Vec<Planner<'_>> =
-            fleet.iter().map(|soc| Planner::with_options(soc, opts(engine))).collect();
-        for planner in &mut planners {
-            let candidates = planner.candidates();
-            for &w in widths {
-                planner.schedule_batch(&candidates, w).expect("race fleet is feasible");
-            }
-        }
-        (planners, t0.elapsed().as_secs_f64() * 1e3)
-    };
-    let (mut skyline, skyline_ms) = sweep(Engine::Skyline);
-    let (mut portfolio, portfolio_ms) = sweep(Engine::Portfolio);
-
-    let mut out = RaceProfile {
-        name,
-        socs: fleet.len(),
-        cells: 0,
-        races: 0,
-        wins_skyline: 0,
-        wins_maxrects: 0,
-        wins_guillotine: 0,
-        race_prunes: 0,
-        checks_to_best: 0,
-        improved_cells: 0,
-        skyline_cycles: 0,
-        portfolio_cycles: 0,
-        skyline_ms,
-        portfolio_ms,
-    };
-    for (sky, race) in skyline.iter_mut().zip(&mut portfolio) {
-        let candidates = sky.candidates();
-        for &w in widths {
-            for config in &candidates {
-                let s = sky.makespan(config, w).expect("cached by the skyline sweep");
-                let r = race.makespan(config, w).expect("cached by the portfolio sweep");
-                assert!(r <= s, "portfolio lost to the skyline for {config} at w={w}: {r} vs {s}");
-                out.cells += 1;
-                out.improved_cells += u64::from(r < s);
-                out.skyline_cycles += u128::from(s);
-                out.portfolio_cycles += u128::from(r);
-            }
-        }
-        let stats: PlanStats = race.stats();
-        out.races += stats.delta_packs;
-        out.wins_skyline += stats.portfolio_wins_skyline;
-        out.wins_maxrects += stats.portfolio_wins_maxrects;
-        out.wins_guillotine += stats.portfolio_wins_guillotine;
-        out.race_prunes += stats.portfolio_race_prunes;
-        out.checks_to_best += stats.portfolio_checks_to_best;
-    }
-    assert_eq!(
-        out.wins_skyline + out.wins_maxrects + out.wins_guillotine,
-        out.races,
-        "every race records exactly one winner ({name})"
-    );
-    out
 }
 
 /// The `server` section: the `msocd` daemon under concurrent TCP load,
@@ -1625,49 +1460,6 @@ fn main() {
         srv.warm_replay_misses,
     );
 
-    // The engine portfolio race on two opposite-profile synthetic fleets.
-    // Both width bands matter: MaxRects beats the skyline on the
-    // chain-dominated profile at wide TAMs and on the area-dominated
-    // profile at narrow ones.
-    let race_widths: &[u32] =
-        if quick { &[16, ACCEPTANCE_WIDTH] } else { &[16, 24, ACCEPTANCE_WIDTH, 48] };
-    let race_effort = if quick { Effort::Quick } else { Effort::Standard };
-    let (chain_fleet, area_fleet) = race_fleets(quick);
-    let profiles = [
-        run_race_profile("chain-dominated", &chain_fleet, race_widths, race_effort),
-        run_race_profile("area-dominated", &area_fleet, race_widths, race_effort),
-    ];
-    let mut non_skyline_wins = 0u64;
-    let (mut race_sky_cycles, mut race_pf_cycles) = (0u128, 0u128);
-    for p in &profiles {
-        non_skyline_wins += p.wins_maxrects + p.wins_guillotine;
-        race_sky_cycles += p.skyline_cycles;
-        race_pf_cycles += p.portfolio_cycles;
-        println!(
-            "portfolio {:<15} {} SOCs  {} cells  {} races  wins sky/maxrects/guillotine={}/{}/{}  \
-             race prunes={}  improved cells={}  test-time speedup={:.4}x  \
-             skyline-only={:.2} ms  portfolio={:.2} ms",
-            p.name,
-            p.socs,
-            p.cells,
-            p.races,
-            p.wins_skyline,
-            p.wins_maxrects,
-            p.wins_guillotine,
-            p.race_prunes,
-            p.improved_cells,
-            p.test_time_speedup(),
-            p.skyline_ms,
-            p.portfolio_ms,
-        );
-    }
-    let portfolio_speedup = race_sky_cycles as f64 / race_pf_cycles as f64;
-    println!(
-        "portfolio acceptance: {} non-skyline wins (target >= {MIN_NON_SKYLINE_WINS}), \
-         test-time speedup {portfolio_speedup:.4}x vs skyline-only, never worse per cell",
-        non_skyline_wins,
-    );
-
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"benchmark\": \"p93791m\",\n");
@@ -1843,35 +1635,7 @@ fn main() {
         srv.warm_replay_misses,
     ));
     json.push_str(&format!(
-        "  \"portfolio\": {{\"effort\": \"{:?}\", \"widths\": {race_widths:?}, \"engine_wins\": [\n",
-        race_effort,
-    ));
-    for (i, p) in profiles.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"profile\": \"{}\", \"socs\": {}, \"cells\": {}, \"races\": {}, \"wins_skyline\": {}, \"wins_maxrects\": {}, \"wins_guillotine\": {}, \"race_prunes\": {}, \"checks_to_best\": {}, \"improved_cells\": {}, \"skyline_cycles\": {}, \"portfolio_cycles\": {}, \"test_time_speedup\": {:.4}, \"skyline_ms\": {:.3}, \"portfolio_ms\": {:.3}}}{}\n",
-            p.name,
-            p.socs,
-            p.cells,
-            p.races,
-            p.wins_skyline,
-            p.wins_maxrects,
-            p.wins_guillotine,
-            p.race_prunes,
-            p.checks_to_best,
-            p.improved_cells,
-            p.skyline_cycles,
-            p.portfolio_cycles,
-            p.test_time_speedup(),
-            p.skyline_ms,
-            p.portfolio_ms,
-            if i + 1 == profiles.len() { "" } else { "," },
-        ));
-    }
-    json.push_str(&format!(
-        "  ], \"non_skyline_wins\": {non_skyline_wins}, \"portfolio_speedup\": {portfolio_speedup:.4}, \"portfolio_never_worse\": true}},\n",
-    ));
-    json.push_str(&format!(
-        "  \"acceptance\": {{\"tam_width\": {ACCEPTANCE_WIDTH}, \"speedup\": {speedup:.3}, \"sweep_speedup\": {sweep_speedup:.3}, \"warm_sweep_speedup\": {warm_sweep_speedup:.3}, \"fleet_warm_speedup\": {fleet_speedup:.3}, \"table_speedup\": {table_speedup:.3}, \"table_cross_width_prunes\": {}, \"warm_revision_speedup\": {revision_speedup:.3}, \"non_skyline_wins\": {non_skyline_wins}, \"portfolio_speedup\": {portfolio_speedup:.4}, \"load_jobs_per_sec\": {:.1}, \"load_p99_us\": {}, \"load_pool_steals\": {}, \"load_serial_replay_identical\": true, \"snapshot_compression_ratio\": {:.3}, \"snapshot_disk_over_ram\": {:.3}, \"snapshot_rebuild_packs\": {}, \"snapshot_prefix_hits\": {}, \"identical_makespans\": true}}\n",
+        "  \"acceptance\": {{\"tam_width\": {ACCEPTANCE_WIDTH}, \"speedup\": {speedup:.3}, \"sweep_speedup\": {sweep_speedup:.3}, \"warm_sweep_speedup\": {warm_sweep_speedup:.3}, \"fleet_warm_speedup\": {fleet_speedup:.3}, \"table_speedup\": {table_speedup:.3}, \"table_cross_width_prunes\": {}, \"warm_revision_speedup\": {revision_speedup:.3}, \"load_jobs_per_sec\": {:.1}, \"load_p99_us\": {}, \"load_pool_steals\": {}, \"load_serial_replay_identical\": true, \"snapshot_compression_ratio\": {:.3}, \"snapshot_disk_over_ram\": {:.3}, \"snapshot_rebuild_packs\": {}, \"snapshot_prefix_hits\": {}, \"identical_makespans\": true}}\n",
         ts.cross_width_prunes,
         load.jobs_per_sec,
         load.p99_us,
@@ -1915,16 +1679,6 @@ fn main() {
     assert!(
         fleet.revision_cache_hits > 0,
         "the revised fleet re-plan recorded no revision cache hits"
-    );
-    assert!(
-        non_skyline_wins >= MIN_NON_SKYLINE_WINS,
-        "MaxRects and guillotine won no races on either synthetic fleet \
-         (want >= {MIN_NON_SKYLINE_WINS}): the portfolio degenerated to the skyline"
-    );
-    assert!(
-        portfolio_speedup >= 1.0,
-        "the portfolio's test-time speedup fell below 1.0x vs skyline-only: \
-         {portfolio_speedup:.4}x (the never-worse guarantee is broken)"
     );
     assert!(load.jobs_per_sec > 0.0, "the load harness recorded no throughput");
     assert!(load.p99_us > 0, "the load harness recorded no latency");

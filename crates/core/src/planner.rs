@@ -243,16 +243,6 @@ pub struct PlanStats {
     pub width_bound_prunes: u64,
     /// `(config, width)` pairs skipped by the blended-cost bound prune.
     pub cost_bound_prunes: u64,
-    /// Portfolio races won by the skyline engine.
-    pub portfolio_wins_skyline: u64,
-    /// Portfolio races won by the MaxRects engine.
-    pub portfolio_wins_maxrects: u64,
-    /// Portfolio races won by the guillotine engine.
-    pub portfolio_wins_guillotine: u64,
-    /// Passes pruned by a cross-engine frozen bound in portfolio races.
-    pub portfolio_race_prunes: u64,
-    /// Cumulative check boundaries until each race's winner was published.
-    pub portfolio_checks_to_best: u64,
 }
 
 /// A session the planner acquired from its service, with the counter
@@ -454,16 +444,6 @@ impl<'a> Planner<'a> {
                 out.max_prefix_depth = out.max_prefix_depth.max(now.max_prefix_depth);
             }
             out.checkpoint_evictions += now.evictions.saturating_sub(base.evictions);
-            out.portfolio_wins_skyline +=
-                now.portfolio_wins_skyline.saturating_sub(base.portfolio_wins_skyline);
-            out.portfolio_wins_maxrects +=
-                now.portfolio_wins_maxrects.saturating_sub(base.portfolio_wins_maxrects);
-            out.portfolio_wins_guillotine +=
-                now.portfolio_wins_guillotine.saturating_sub(base.portfolio_wins_guillotine);
-            out.portfolio_race_prunes +=
-                now.portfolio_race_prunes.saturating_sub(base.portfolio_race_prunes);
-            out.portfolio_checks_to_best +=
-                now.portfolio_checks_to_best.saturating_sub(base.portfolio_checks_to_best);
         }
         out
     }

@@ -696,11 +696,6 @@ impl PlanService {
                     sessions.evictions += s.evictions;
                     sessions.import_restored += s.import_restored;
                     sessions.import_dropped += s.import_dropped;
-                    sessions.portfolio_wins_skyline += s.portfolio_wins_skyline;
-                    sessions.portfolio_wins_maxrects += s.portfolio_wins_maxrects;
-                    sessions.portfolio_wins_guillotine += s.portfolio_wins_guillotine;
-                    sessions.portfolio_race_prunes += s.portfolio_race_prunes;
-                    sessions.portfolio_checks_to_best += s.portfolio_checks_to_best;
                     out.live_sessions += 1;
                 }
             }

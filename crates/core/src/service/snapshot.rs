@@ -612,8 +612,8 @@ fn decode_v2(r: &mut Reader) -> Result<ServiceSnapshot, SnapshotError> {
     for (i, session) in sessions.iter().enumerate() {
         let corrupt = |what: String| SnapshotError::Corrupt(format!("session {i} tries: {what}"));
         let member_count = r.uv()?;
-        if member_count > 8 {
-            return Err(corrupt(format!("{member_count} portfolio members")));
+        if member_count > 1 {
+            return Err(corrupt(format!("{member_count} checkpoint tries")));
         }
         let mut export = CheckpointExport::default();
         for _ in 0..member_count {
@@ -1078,9 +1078,6 @@ fn engine_code(engine: Engine) -> u8 {
     match engine {
         Engine::Skyline => 0,
         Engine::Naive => 1,
-        Engine::MaxRects => 2,
-        Engine::Guillotine => 3,
-        Engine::Portfolio => 4,
     }
 }
 
@@ -1088,9 +1085,6 @@ fn decode_engine(code: u8) -> Result<Engine, SnapshotError> {
     match code {
         0 => Ok(Engine::Skyline),
         1 => Ok(Engine::Naive),
-        2 => Ok(Engine::MaxRects),
-        3 => Ok(Engine::Guillotine),
-        4 => Ok(Engine::Portfolio),
         other => Err(SnapshotError::Corrupt(format!("unknown engine code {other}"))),
     }
 }
@@ -1461,6 +1455,14 @@ mod tests {
         }
     }
 
+    /// Rewrites the trailer checksum of hand-patched snapshot bytes, so
+    /// decoding reaches the patched field instead of failing the checksum.
+    fn reseal(bytes: &mut [u8]) {
+        let len = bytes.len();
+        let fixed = fnv(&bytes[..len - 8]);
+        bytes[len - 8..].copy_from_slice(&fixed.to_le_bytes());
+    }
+
     #[test]
     fn version_and_magic_are_enforced() {
         let (service, _) = warm_service();
@@ -1469,19 +1471,60 @@ mod tests {
         wrong_magic[0] = b'X';
         // The checksum sees the magic flip first; patch the checksum to
         // prove the magic check itself fires.
-        let len = wrong_magic.len();
-        let fixed = fnv(&wrong_magic[..len - 8]);
-        wrong_magic[len - 8..].copy_from_slice(&fixed.to_le_bytes());
+        reseal(&mut wrong_magic);
         assert_eq!(ServiceSnapshot::from_bytes(&wrong_magic), Err(SnapshotError::BadMagic));
 
         let mut wrong_version = bytes;
         wrong_version[8..12].copy_from_slice(&99u32.to_le_bytes());
-        let len = wrong_version.len();
-        let fixed = fnv(&wrong_version[..len - 8]);
-        wrong_version[len - 8..].copy_from_slice(&fixed.to_le_bytes());
+        reseal(&mut wrong_version);
         assert_eq!(
             ServiceSnapshot::from_bytes(&wrong_version),
             Err(SnapshotError::UnsupportedVersion(99))
         );
+    }
+
+    #[test]
+    fn removed_engine_codes_and_extra_trie_members_are_corrupt() {
+        // One session with an empty skeleton and one empty trie: after the
+        // header come single-byte varints for the content count, the
+        // session count, then the session's width, effort code, engine
+        // code and skeleton length, then its trie section's member count.
+        let snapshot = ServiceSnapshot {
+            sessions: vec![SessionRecord {
+                tam_width: 8,
+                effort: Effort::Quick,
+                engine: Engine::Skyline,
+                skeleton: Vec::new(),
+            }],
+            tries: vec![CheckpointExport { tries: vec![TrieExport::default()] }],
+            schedules: Vec::new(),
+        };
+        let bytes = snapshot.to_bytes();
+        assert_eq!(ServiceSnapshot::from_bytes(&bytes), Ok(snapshot));
+        let engine_at = MAGIC.len() + 4 + 4;
+        let members_at = engine_at + 2;
+        assert_eq!((bytes[engine_at], bytes[members_at]), (0, 1), "layout drifted");
+
+        // Codes 2, 3 and 4 named the MaxRects, guillotine and portfolio
+        // engines, which no longer exist.
+        for code in [2u8, 3, 4] {
+            let mut bad = bytes.clone();
+            bad[engine_at] = code;
+            reseal(&mut bad);
+            match ServiceSnapshot::from_bytes(&bad) {
+                Err(SnapshotError::Corrupt(what)) => assert!(what.contains("engine"), "{what}"),
+                other => panic!("engine code {code} must be corrupt, got {other:?}"),
+            }
+        }
+        // A session exports at most one trie.
+        for members in [2u8, 3] {
+            let mut bad = bytes.clone();
+            bad[members_at] = members;
+            reseal(&mut bad);
+            match ServiceSnapshot::from_bytes(&bad) {
+                Err(SnapshotError::Corrupt(what)) => assert!(what.contains("tries"), "{what}"),
+                other => panic!("{members} trie members must be corrupt, got {other:?}"),
+            }
+        }
     }
 }

@@ -797,9 +797,6 @@ fn engine_code(engine: Engine) -> u8 {
     match engine {
         Engine::Skyline => 0,
         Engine::Naive => 1,
-        Engine::MaxRects => 2,
-        Engine::Guillotine => 3,
-        Engine::Portfolio => 4,
     }
 }
 
@@ -807,9 +804,6 @@ fn decode_engine(code: u8) -> Result<Engine, WireError> {
     Ok(match code {
         0 => Engine::Skyline,
         1 => Engine::Naive,
-        2 => Engine::MaxRects,
-        3 => Engine::Guillotine,
-        4 => Engine::Portfolio,
         other => return Err(WireError::Corrupt(format!("unknown engine code {other}"))),
     })
 }
@@ -1747,6 +1741,23 @@ mod tests {
         // expected.
         let bytes = frame_response(&Response::ShuttingDown);
         assert!(matches!(read_request(&mut &bytes[..]), Err(WireError::UnexpectedKind(2))));
+        // Engine codes 2, 3 and 4 named the MaxRects, guillotine and
+        // portfolio engines, which no longer exist.
+        let submit = |engine| {
+            let mut job = demo_job();
+            job.engine = engine;
+            frame_request(&Request::Submit { tenant: "acme".into(), jobs: vec![job] })
+        };
+        let (skyline, naive) = (submit(Engine::Skyline), submit(Engine::Naive));
+        let at = (0..skyline.len()).find(|&i| skyline[i] != naive[i]).expect("engine byte");
+        for code in [2u8, 3, 4] {
+            let mut bytes = skyline.clone();
+            bytes[at] = code;
+            match read_request(&mut &bytes[..]) {
+                Err(WireError::Corrupt(what)) => assert!(what.contains("engine"), "{what}"),
+                other => panic!("engine code {code} must be corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]

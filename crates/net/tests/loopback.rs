@@ -3,16 +3,18 @@
 //! replay — plus the full register→submit→revise→stats→shutdown
 //! round trip and boot recovery from persisted snapshots.
 
-use std::net::{SocketAddr, TcpListener};
+use std::io::Write;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
 use msoc_analog::paper_cores;
 use msoc_core::MixedSignalSoc;
-use msoc_net::wire::WireEdit;
+use msoc_net::wire::{frame_request, read_response, Request, Response, WireEdit};
 use msoc_net::{
     build_trace, run_loopback, Client, ServerConfig, ServerReport, WireAnalogCore, WireJob,
     WireOutcome, WireSoc, WireSocRef, WireSpec,
 };
+use msoc_tam::Engine;
 
 /// Boots a server on an ephemeral loopback port and runs `f` against
 /// it; shuts down through the protocol and returns what the server
@@ -108,6 +110,29 @@ fn register_submit_revise_stats_round_trip() {
             "{:?}",
             outcomes[0],
         );
+
+        // Engine codes 2, 3 and 4 named the MaxRects, guillotine and
+        // portfolio engines, which no longer exist: a Submit naming one is
+        // answered with an error frame, and the server keeps serving.
+        let submit = |engine| {
+            let mut job =
+                WireJob::new(WireSocRef::Registered(soc_id), WireSpec::Single { width: 16 });
+            job.engine = engine;
+            frame_request(&Request::Submit { tenant: "tenant-a".into(), jobs: vec![job] })
+        };
+        let (skyline, naive) = (submit(Engine::Skyline), submit(Engine::Naive));
+        let at = (0..skyline.len()).find(|&i| skyline[i] != naive[i]).expect("engine byte");
+        for code in [2u8, 3, 4] {
+            let mut frame = skyline.clone();
+            frame[at] = code;
+            let mut raw = TcpStream::connect(addr).expect("raw connect");
+            raw.write_all(&frame).expect("send hostile frame");
+            match read_response(&mut raw) {
+                Ok(Response::Error { message }) => assert!(message.contains("engine"), "{message}"),
+                other => panic!("engine code {code} must be answered with an error, got {other:?}"),
+            }
+        }
+        assert_eq!(client.stats().expect("stats after hostile frames").jobs_submitted, 3);
     });
     // The unknown-id job was rejected at wire validation, before the
     // service ever saw it — only the three real jobs were submitted.

@@ -54,7 +54,6 @@
 #![warn(missing_docs)]
 
 use std::cell::Cell;
-use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
 thread_local! {
@@ -188,54 +187,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "opaque panic payload (not a string)".to_string()
     }
-}
-
-/// The pre-pool reference implementation: spawns fresh scoped threads on
-/// every call. Semantically identical to [`map`]; kept only so the
-/// `par/dispatch` bench can measure what the persistent pool saves.
-/// Do not use in new code.
-pub fn map_unpooled<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    use std::sync::atomic::AtomicUsize;
-
-    let threads = max_threads().min(items.len());
-    if threads <= 1 || IN_PARALLEL_REGION.with(Cell::get) {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, R)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || {
-                    IN_PARALLEL_REGION.with(|flag| flag.set(true));
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        local.push((i, f(i, &items[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| match h.join() {
-                Ok(local) => local,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-    indexed.sort_by_key(|&(i, _)| i);
-    indexed.into_iter().map(|(_, r)| r).collect()
 }
 
 /// The persistent worker pool. This is the only module allowed to use
@@ -691,13 +642,5 @@ mod tests {
             after.assignments > before.assignments,
             "dispatches must inject assignments: {after:?}"
         );
-    }
-
-    #[test]
-    fn unpooled_reference_map_matches_the_pool() {
-        let input: Vec<u64> = (0..128).collect();
-        let pooled = with_threads(4, || map(&input, |i, &x| x * 7 + i as u64));
-        let unpooled = with_threads(4, || map_unpooled(&input, |i, &x| x * 7 + i as u64));
-        assert_eq!(pooled, unpooled);
     }
 }

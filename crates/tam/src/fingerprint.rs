@@ -173,9 +173,6 @@ pub(crate) fn write_engine(h: &mut StableHasher, engine: Engine) {
     h.write_u8(match engine {
         Engine::Skyline => 0,
         Engine::Naive => 1,
-        Engine::MaxRects => 2,
-        Engine::Guillotine => 3,
-        Engine::Portfolio => 4,
     });
 }
 

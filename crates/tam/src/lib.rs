@@ -41,24 +41,6 @@
 //! are result-preserving: both engines return bit-identical schedules for
 //! any `(problem, effort)` pair.
 //!
-//! # The engine portfolio
-//!
-//! Earliest feasible start is not the only reasonable placement policy.
-//! Two more engines implement the crate-private `PackEngine` trait behind
-//! the same search layer: [`Engine::MaxRects`] keeps the list of maximal
-//! free rectangles of the open-topped strip and places each staircase
-//! point at the best-fitting rectangle (min start, then min leftover
-//! width), and [`Engine::Guillotine`] packs onto guillotine shelves
-//! scored by the diagonal-length-aware rule of Hsu et al.
-//! (arXiv 1008.4446) — the snuggest corner by squared height and width
-//! slack wins. [`Engine::Portfolio`] races all three per pack over
-//! `msoc_par`, sharing one atomic makespan incumbent whose cross-engine
-//! bound is frozen at fixed check boundaries; ties resolve by engine
-//! rank (skyline first), and the skyline member never sees the shared
-//! bound, so the portfolio is bit-identical at any thread count and its
-//! makespan is never above the skyline's for the same
-//! `(problem, effort)`.
-//!
 //! # Incremental pack sessions
 //!
 //! Sweeps that evaluate many scheduling problems sharing one invariant job

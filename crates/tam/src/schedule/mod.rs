@@ -23,10 +23,7 @@
 //! session delta-packs and from-scratch packs are bit-identical by
 //! construction.
 
-mod guillotine;
-mod maxrects;
 mod naive;
-mod portfolio;
 mod search;
 mod session;
 mod skyline;
@@ -330,19 +327,11 @@ impl Effort {
 
 /// Which packing engine answers placement queries.
 ///
-/// All engines share the search layer (multi-start orderings, incumbent
-/// pruning, the improvement loop) and every engine's schedules validate;
-/// they differ in *placement policy*. [`Engine::Skyline`] and
-/// [`Engine::Naive`] implement the identical earliest-start rule and
-/// return bit-identical schedules for any `(problem, effort)` — the naive
-/// engine exists for differential tests and A/B benchmarks.
-/// [`Engine::MaxRects`] and [`Engine::Guillotine`] place by
-/// free-rectangle and shelf geometry respectively, producing genuinely
-/// different schedules that win on different fleet shapes.
-/// [`Engine::Portfolio`] races skyline, MaxRects and guillotine per pack
-/// behind one shared incumbent and keeps the deterministic
-/// `(makespan, engine rank)` winner — never worse than
-/// [`Engine::Skyline`] by construction.
+/// Both engines run the same search (multi-start orderings, the
+/// improvement loop) with the identical earliest-start placement rule, so
+/// they return bit-identical schedules for any `(problem, effort)`.
+/// [`Engine::Naive`] exists only as the reference oracle for differential
+/// tests and A/B benchmarks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// Incremental event skyline: O(log n) placement queries, lower-bound
@@ -351,13 +340,6 @@ pub enum Engine {
     Skyline,
     /// The original rebuild-sort-scan reference path, serial and unpruned.
     Naive,
-    /// MaxRects free-rectangle engine: best-width-fit lane reuse.
-    MaxRects,
-    /// Guillotine shelf engine with diagonal-length-aware scoring.
-    Guillotine,
-    /// Race skyline, MaxRects and guillotine behind a shared incumbent;
-    /// keep the best. Bit-identical at any thread count.
-    Portfolio,
 }
 
 /// Schedules `problem` with [`Effort::Standard`].
@@ -397,13 +379,8 @@ pub fn schedule_with_engine(
     engine: Engine,
 ) -> Result<Schedule, ScheduleError> {
     match engine {
-        Engine::Skyline => search::run::<skyline::SkylineIndex>(problem, effort, true, true),
-        Engine::Naive => search::run::<naive::NaiveIndex>(problem, effort, false, false),
-        Engine::MaxRects => search::run::<maxrects::MaxRectsIndex>(problem, effort, true, true),
-        Engine::Guillotine => {
-            search::run::<guillotine::GuillotineIndex>(problem, effort, true, true)
-        }
-        Engine::Portfolio => portfolio::run(problem, effort),
+        Engine::Skyline => search::run::<skyline::SkylineIndex>(problem, effort),
+        Engine::Naive => search::run::<naive::NaiveIndex>(problem, effort),
     }
 }
 
@@ -626,32 +603,6 @@ mod tests {
                 let reference = schedule_with_engine(&p, effort, Engine::Naive).unwrap();
                 assert_eq!(fast, reference, "engines diverged on {} at w={w}", soc.name);
                 fast.validate(&p).expect("skyline schedule must validate");
-            }
-        }
-    }
-
-    #[test]
-    fn every_engine_validates_and_the_portfolio_never_loses() {
-        // MaxRects and guillotine pack genuinely different geometries, so
-        // they only owe validity; the portfolio additionally owes a
-        // makespan no worse than its skyline member.
-        for (soc, w) in [(msoc_itc02::synth::d695s(), 16), (msoc_itc02::synth::p22810s(), 32)] {
-            let p = ScheduleProblem::from_soc(&soc, w);
-            let sky = schedule_with_engine(&p, Effort::Quick, Engine::Skyline).unwrap();
-            for engine in [Engine::MaxRects, Engine::Guillotine, Engine::Portfolio] {
-                let s = schedule_with_engine(&p, Effort::Quick, engine).unwrap();
-                s.validate(&p).unwrap_or_else(|e| {
-                    panic!("{engine:?} schedule must validate on {} at w={w}: {e}", soc.name)
-                });
-                if engine == Engine::Portfolio {
-                    assert!(
-                        s.makespan() <= sky.makespan(),
-                        "portfolio ({}) lost to skyline ({}) on {} at w={w}",
-                        s.makespan(),
-                        sky.makespan(),
-                        soc.name
-                    );
-                }
             }
         }
     }

@@ -18,7 +18,9 @@ use super::ScheduledTest;
 pub(crate) struct NaiveIndex;
 
 impl PackEngine for NaiveIndex {
-    fn new(_tam_width: u32) -> Self {
+    const REFERENCE: bool = true;
+
+    fn new() -> Self {
         NaiveIndex
     }
 
@@ -29,7 +31,7 @@ impl PackEngine for NaiveIndex {
     /// Earliest start for a `width × time` rectangle respecting capacity and
     /// the `forbidden` intervals.
     fn place_start(
-        &mut self,
+        &self,
         entries: &[ScheduledTest],
         tam_width: u32,
         width: u32,

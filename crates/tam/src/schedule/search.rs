@@ -1,13 +1,10 @@
-//! Phase-partitioned multi-start greedy search over packing engines.
+//! Phase-partitioned multi-start greedy search over a packing engine.
 //!
 //! The search logic — candidate placement choice, greedy list passes, the
-//! rip-up-and-replace improvement loop, multi-start orderings — is shared
-//! between every packing engine through the [`PackEngine`] trait. The
-//! skyline and naive engines implement the *same* earliest-start policy
-//! (so they produce identical schedules and differ only in query speed),
-//! while the MaxRects and guillotine engines implement genuinely
-//! different placement geometries behind the same trait — different
-//! schedules, same feasibility guarantees.
+//! rip-up-and-replace improvement loop, multi-start orderings — is written
+//! once against the [`PackEngine`] trait. The skyline engine and the naive
+//! reference oracle implement the *same* earliest-start policy behind it,
+//! so they produce identical schedules and differ only in query speed.
 //!
 //! # The skeleton → snapshot → delta-pack pipeline
 //!
@@ -94,30 +91,24 @@ const INTERNER_CAP: usize = 8192;
 /// A packing engine answers "where does this rectangle go" queries for
 /// the greedy packer and observes every placement.
 ///
-/// Each engine chooses starts by its own *deterministic* placement
-/// policy; the only hard contract is feasibility: the returned start must
-/// keep the job under the TAM capacity over its whole window and overlap
-/// none of the forbidden intervals, and a feasible start must exist for
-/// every `width <= tam_width` (placing after everything already placed is
-/// always legal). The skyline and naive engines both implement the exact
-/// earliest-start policy (candidate starts are time 0, every placed
-/// entry's end and every forbidden interval's end, probed in ascending
-/// order) and therefore stay bit-identical to each other; the MaxRects
-/// and guillotine engines place by free-rectangle / shelf geometry and
-/// produce genuinely different schedules.
-///
-/// `place_start` takes `&mut self` so an engine may memoize the geometry
-/// decision behind a returned start; [`on_place`](Self::on_place) is
-/// guaranteed to be called (with one of the queried `width × time`
-/// rectangles) before the next `place_start`, or not at all for the
-/// current job. `Clone` must snapshot the full incremental state (it is
-/// the checkpoint operation of the session pipeline);
-/// [`reset`](Self::reset)/[`copy_from`](Self::copy_from) are the
-/// allocation-reusing forms of `new`/`clone` that let the session recycle
-/// retired engines instead of re-allocating per pass.
+/// Every engine implements the exact earliest-start policy: candidate
+/// starts are time 0, every placed entry's end and every forbidden
+/// interval's end, probed in ascending order, and the first start that
+/// keeps the job under the TAM capacity over its whole window and
+/// overlaps none of the forbidden intervals wins (placing after
+/// everything already placed is always legal). `Clone` must snapshot the
+/// full incremental state (it is the checkpoint operation of the session
+/// pipeline); [`reset`](Self::reset)/[`copy_from`](Self::copy_from) are
+/// the allocation-reusing forms of `new`/`clone` that let the session
+/// recycle retired engines instead of re-allocating per pass.
 pub(crate) trait PackEngine: Clone + Send + Sync {
+    /// Reference engines pack serially and without the incumbent prune,
+    /// so the oracle shares none of the fast path's machinery beyond the
+    /// placement rule.
+    const REFERENCE: bool = false;
+
     /// A fresh engine for an empty schedule.
-    fn new(tam_width: u32) -> Self;
+    fn new() -> Self;
 
     /// Clears back to the empty-schedule state, keeping allocations.
     /// Must be indistinguishable from a fresh [`Self::new`] engine.
@@ -126,12 +117,12 @@ pub(crate) trait PackEngine: Clone + Send + Sync {
     /// Allocation-reusing checkpoint restore (`clone_from` semantics).
     fn copy_from(&mut self, other: &Self);
 
-    /// A feasible start for a `width × time` rectangle, chosen by this
-    /// engine's placement policy. `scratch` is a reusable buffer the
-    /// implementation may clear and use freely (callers thread one per
-    /// pass so the hot query allocates nothing).
+    /// The earliest feasible start for a `width × time` rectangle.
+    /// `scratch` is a reusable buffer the implementation may clear and
+    /// use freely (callers thread one per pass so the hot query
+    /// allocates nothing).
     fn place_start(
-        &mut self,
+        &self,
         entries: &[ScheduledTest],
         tam_width: u32,
         width: u32,
@@ -208,11 +199,11 @@ pub(crate) struct PackState<C> {
 }
 
 impl<C: PackEngine> PackState<C> {
-    fn new(tam_width: u32, capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         PackState {
             entries: Vec::with_capacity(capacity),
             group_intervals: HashMap::new(),
-            index: C::new(tam_width),
+            index: C::new(),
             placed_area: 0,
             latest_end: 0,
         }
@@ -251,7 +242,7 @@ impl<C: PackEngine> PackState<C> {
     /// core whose time flattens once every wrapper chain holds two scan
     /// chains), and taking them greedily starves every other core.
     fn best_placement(
-        &mut self,
+        &self,
         jobs: &JobSet<'_>,
         tam_width: u32,
         job_idx: usize,
@@ -265,7 +256,7 @@ impl<C: PackEngine> PackState<C> {
     /// this, so restored checkpoints are the deterministic pack of their
     /// prefix by construction.
     fn best_placement_for(
-        &mut self,
+        &self,
         job: &TestJob,
         tam_width: u32,
         scratch: &mut PassScratch,
@@ -618,7 +609,7 @@ pub struct CheckpointNode {
     pub lru: u32,
 }
 
-/// One engine trie's exported checkpoints: the delta-job contents its
+/// A session trie's exported checkpoints: the delta-job contents its
 /// steps intern plus the kept nodes in parent-before-child order.
 ///
 /// Only paths leading to a stored checkpoint are exported — structure
@@ -632,24 +623,22 @@ pub struct TrieExport {
     pub nodes: Vec<CheckpointNode>,
 }
 
-/// A whole session's exported checkpoint tries — one [`TrieExport`] per
-/// member engine (three for [`Engine::Portfolio`] sessions, one
-/// otherwise).
-///
-/// [`Engine::Portfolio`]: super::Engine
+/// A whole session's exported checkpoints: one [`TrieExport`] for a
+/// session export, none for a session that was never exported (a cold
+/// snapshot record).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CheckpointExport {
-    /// Per-member-engine tries, in the session's fixed member order.
+    /// The session's tries: at most one.
     pub tries: Vec<TrieExport>,
 }
 
 impl CheckpointExport {
-    /// Total exported nodes across the member tries.
+    /// Total exported nodes across the tries.
     pub fn node_count(&self) -> usize {
         self.tries.iter().map(|t| t.nodes.len()).sum()
     }
 
-    /// Total stored checkpoint states across the member tries.
+    /// Total stored checkpoint states across the tries.
     pub fn checkpoint_count(&self) -> usize {
         self.tries.iter().map(|t| t.nodes.iter().filter(|n| n.stored).count()).sum()
     }
@@ -721,10 +710,6 @@ pub(crate) struct SessionCore<C> {
     /// Retired pack states whose allocations (entry vectors, treap
     /// arenas) future passes reuse instead of re-allocating.
     retired_states: Mutex<Vec<PackState<C>>>,
-    /// Fan the multi-start delta passes out over `msoc_par`.
-    parallel: bool,
-    /// Abandon delta passes whose lower bound exceeds the incumbent.
-    prune: bool,
 }
 
 /// Upper bound on recycled [`PackState`]s retained per session. Each
@@ -753,8 +738,6 @@ impl<C: PackEngine> SessionCore<C> {
             interner: Mutex::new(HashMap::new()),
             pass_scratch: Mutex::new(Vec::new()),
             retired_states: Mutex::new(Vec::new()),
-            parallel: true,
-            prune: true,
         }
     }
 
@@ -777,7 +760,7 @@ impl<C: PackEngine> SessionCore<C> {
                 state.reset();
                 state
             }
-            None => PackState::new(self.tam_width, capacity),
+            None => PackState::new(capacity),
         }
     }
 
@@ -789,12 +772,6 @@ impl<C: PackEngine> SessionCore<C> {
         if pool.len() < RETIRED_STATE_CAP {
             pool.push(state);
         }
-    }
-
-    pub(crate) fn serial_unpruned(mut self) -> Self {
-        self.parallel = false;
-        self.prune = false;
-        self
     }
 
     /// Maps an order of combined job indices to its trie step path —
@@ -1129,10 +1106,10 @@ impl<C: PackEngine> SessionCore<C> {
                 Arc::new(state)
             })
         };
-        let packed: Vec<Arc<PackState<C>>> = if self.parallel {
-            msoc_par::map(&missing, |_, order| pack_one(order))
-        } else {
+        let packed: Vec<Arc<PackState<C>>> = if C::REFERENCE {
             missing.iter().map(pack_one).collect()
+        } else {
+            msoc_par::map(&missing, |_, order| pack_one(order))
         };
         counters.skeleton_misses.fetch_add(missing.len() as u64, Ordering::Relaxed);
         let mut trie = self.trie.lock().expect("checkpoint trie lock");
@@ -1291,16 +1268,20 @@ impl<C: PackEngine> SessionCore<C> {
         }
     }
 
-    /// Begins a staged pack of the session skeleton plus `delta`:
-    /// validates feasibility and prepares the multi-start orderings, but
-    /// runs no passes yet. [`Self::pack`] drives the stages to completion
-    /// with an unbounded cutoff; the portfolio race drives the same
-    /// stages across engines with frozen cross-engine cutoffs.
-    pub(crate) fn begin<'s>(
-        &'s self,
-        delta: &'s [TestJob],
-        counters: &'s SessionCounters,
-    ) -> Result<StagedPack<'s, C>, ScheduleError> {
+    /// Packs the session skeleton plus `delta` into a full schedule: the
+    /// three deterministic base orderings, the seeded shuffles, the joint
+    /// passes, then the improvement rounds, each stage pruning against
+    /// the best makespan of the stages before it.
+    ///
+    /// Job indices in the returned schedule address the combined
+    /// `skeleton ++ delta` job list. Deterministic for a given
+    /// `(session, delta)`; bit-identical to a from-scratch
+    /// [`super::schedule_with_engine`] call on the combined problem.
+    pub(crate) fn pack(
+        &self,
+        delta: &[TestJob],
+        counters: &SessionCounters,
+    ) -> Result<Schedule, ScheduleError> {
         let jobs = JobSet { skeleton: &self.skeleton, delta };
         let w = self.tam_width;
         for i in 0..jobs.len() {
@@ -1313,6 +1294,7 @@ impl<C: PackEngine> SessionCore<C> {
                 });
             }
         }
+        counters.delta_packs.fetch_add(1, Ordering::Relaxed);
 
         let skeleton_indices: Vec<usize> = (0..self.skeleton.len()).collect();
         let delta_indices: Vec<usize> =
@@ -1328,197 +1310,74 @@ impl<C: PackEngine> SessionCore<C> {
                 sk
             })
             .collect();
-
         let prune_ctx = PruneCtx::new(&jobs);
-        Ok(StagedPack {
-            core: self,
-            jobs,
-            counters,
-            prune_ctx,
-            phase_orders,
-            best: None,
-            round: 0,
-            tried: std::collections::HashSet::new(),
-        })
-    }
 
-    /// Packs the session skeleton plus `delta` into a full schedule.
-    ///
-    /// Job indices in the returned schedule address the combined
-    /// `skeleton ++ delta` job list. Deterministic for a given
-    /// `(session, delta)`; bit-identical to a from-scratch
-    /// [`super::schedule_with_engine`] call on the combined problem.
-    pub(crate) fn pack(
-        &self,
-        delta: &[TestJob],
-        counters: &SessionCounters,
-    ) -> Result<Schedule, ScheduleError> {
-        let mut staged = self.begin(delta, counters)?;
-        counters.delta_packs.fetch_add(1, Ordering::Relaxed);
-        staged.base_stage(u64::MAX);
-        staged.shuffle_stage(u64::MAX);
-        staged.joint_stage(u64::MAX);
-        while staged.improve_rounds(u64::MAX, usize::MAX).0 {}
-        Ok(staged.take_schedule().expect("an un-pruned ordering always survives"))
-    }
-}
-
-/// One engine's in-flight pack, split into the race's fixed check
-/// boundaries: the three deterministic base orderings, the shuffled
-/// restarts, the joint passes, and chunked improvement rounds. Driving
-/// every stage with `cutoff == u64::MAX` is *exactly* the standalone
-/// [`SessionCore::pack`]; a finite cutoff seeds each stage's incumbent
-/// with a frozen cross-engine bound, pruning passes that provably cannot
-/// beat another engine's published best. Stage results are deterministic
-/// for a given cutoff sequence: the prune is strict, so any pass tying
-/// the stage's best always survives, and the `(makespan, order index)`
-/// reduction is order-fixed — which is what makes the portfolio race
-/// bit-identical at any thread count.
-pub(crate) struct StagedPack<'s, C: PackEngine> {
-    core: &'s SessionCore<C>,
-    jobs: JobSet<'s>,
-    counters: &'s SessionCounters,
-    prune_ctx: PruneCtx,
-    /// Remaining phase-partitioned orderings; `base_stage` drains the
-    /// three deterministic heads, `shuffle_stage` takes the rest.
-    phase_orders: Vec<Vec<usize>>,
-    best: Option<PackState<C>>,
-    /// Next improvement round (persists across chunks).
-    round: usize,
-    /// Memoized rip-up orders (persists across chunks).
-    tried: std::collections::HashSet<Vec<usize>>,
-}
-
-/// The stage-by-stage surface the portfolio race drives, object-safe so
-/// heterogeneous engines race side by side. Every stage returns how many
-/// of its passes the *cross-engine* cutoff pruned (its own incumbent's
-/// prunes are not counted — those happen standalone too).
-pub(crate) trait RaceMember: Send {
-    /// The three deterministic multi-start orderings.
-    fn base_stage(&mut self, cutoff: u64) -> u64;
-    /// The seeded shuffle orderings.
-    fn shuffle_stage(&mut self, cutoff: u64) -> u64;
-    /// The joint chains-first + shuffled interleaved orderings.
-    fn joint_stage(&mut self, cutoff: u64) -> u64;
-    /// Up to `rounds` improvement rounds; returns `(more remain, prunes)`.
-    fn improve_rounds(&mut self, cutoff: u64, rounds: usize) -> (bool, u64);
-    /// Best makespan so far; `None` when every pass was cut off.
-    fn best_makespan(&self) -> Option<u64>;
-    /// Finishes: the packed schedule, or `None` when every pass was cut
-    /// off (a race loser whose bound never beat the frozen incumbent).
-    fn take_schedule(&mut self) -> Option<Schedule>;
-    /// Retires the best state without building a schedule (race losers).
-    fn abandon(&mut self);
-}
-
-impl<C: PackEngine> StagedPack<'_, C> {
-    /// The incumbent seed of a stage: the engine's own best so far,
-    /// tightened by the frozen cross-engine cutoff.
-    fn seed(&self, cutoff: u64) -> u64 {
-        cutoff.min(self.best.as_ref().map_or(u64::MAX, |b| b.latest_end))
-    }
-
-    /// Whether `cutoff` is strictly tighter than everything this engine
-    /// knew on its own — passes pruned under it count as race prunes.
-    fn cutoff_is_tighter(&self, cutoff: u64) -> bool {
-        cutoff < self.best.as_ref().map_or(u64::MAX, |b| b.latest_end)
-    }
-
-    /// Runs one batch of orderings against a shared incumbent seeded with
-    /// `seed`, folds the surviving passes into `self.best`, and returns
-    /// the number of pruned passes.
-    fn run_batch(&mut self, orders: &[Vec<usize>], seed: u64, snapshot_deltas: bool) -> u64 {
-        if orders.is_empty() {
-            return 0;
-        }
-        let core = self.core;
-        let jobs = self.jobs;
-        let counters = self.counters;
-        let incumbent = AtomicU64::new(seed);
-        let prune_ctx = &self.prune_ctx;
-        let run_pass = |order: &Vec<usize>| {
-            core.pack_via_prefix(
-                &jobs,
-                order,
-                core.prune.then_some((&incumbent, prune_ctx)),
-                snapshot_deltas,
-                counters,
-            )
-        };
-        let passes: Vec<Option<PackState<C>>> = if core.parallel {
-            msoc_par::map(orders, |_, order| run_pass(order))
-        } else {
-            orders.iter().map(run_pass).collect()
-        };
-        let pruned = passes.iter().filter(|p| p.is_none()).count() as u64;
-        if let Some(state) = core.reduce_passes(passes) {
-            self.best = Some(match self.best.take() {
-                Some(b) => core.keep_better(b, state),
-                None => state,
-            });
-        }
-        pruned
-    }
-}
-
-impl<C: PackEngine> RaceMember for StagedPack<'_, C> {
-    fn base_stage(&mut self, cutoff: u64) -> u64 {
-        let take = self.phase_orders.len().min(3);
-        let orders: Vec<Vec<usize>> = self.phase_orders.drain(..take).collect();
-        let race = self.cutoff_is_tighter(cutoff);
-        let seed = self.seed(cutoff);
         // Phase-partitioned orders snapshot their delta steps: their delta
         // sub-orderings are candidate-independent, so the snapshots form
-        // the cross-candidate prefix paths of the trie.
-        let pruned = self.run_batch(&orders, seed, true);
-        if race {
-            pruned
-        } else {
-            0
+        // the cross-candidate prefix paths of the trie. The deterministic
+        // heads run first so the shuffles start against their incumbent.
+        let (base, shuffles) = phase_orders.split_at(phase_orders.len().min(3));
+        let mut best = None;
+        self.run_batch(&jobs, base, true, &prune_ctx, counters, &mut best);
+        self.run_batch(&jobs, shuffles, true, &prune_ctx, counters, &mut best);
+
+        // *Joint* passes interleave delta jobs ahead of (or among) the
+        // skeleton — coverage the phase-partitioned cached passes cannot
+        // provide. The chains-first joint order packs chain-dominated
+        // candidates (the all-share normalization baseline in particular)
+        // as tightly as the pre-session search did; the shuffled joint
+        // orders recover the interleaved random restarts the phase split
+        // removed. Their reusable prefixes are empty-to-short — these are
+        // the few from-scratch packs per candidate — and the incumbent
+        // from the earlier stages prunes them early when they cannot win.
+        if !delta.is_empty() && !self.skeleton.is_empty() {
+            let all_indices: Vec<usize> = (0..jobs.len()).collect();
+            let mut joint_orders = vec![chains_first_order(&jobs, &all_indices, w)];
+            let mut rng = XorShift64::new(0x2545_f491_4f6c_dd1d);
+            for _ in 0..self.effort.joint_shuffles() {
+                let mut order = all_indices.clone();
+                rng.shuffle(&mut order);
+                joint_orders.push(order);
+            }
+            self.run_batch(&jobs, &joint_orders, false, &prune_ctx, counters, &mut best);
         }
+
+        let best = best.expect("an un-pruned base ordering always survives");
+        let best = self.improve(&jobs, best, &prune_ctx, counters);
+        let mut schedule = Schedule::from_parts(w, best.latest_end, best.entries);
+        schedule.sort_entries();
+        Ok(schedule)
     }
 
-    fn shuffle_stage(&mut self, cutoff: u64) -> u64 {
-        let orders = std::mem::take(&mut self.phase_orders);
-        let race = self.cutoff_is_tighter(cutoff);
-        let seed = self.seed(cutoff);
-        let pruned = self.run_batch(&orders, seed, true);
-        if race {
-            pruned
+    /// Runs one batch of orderings against an incumbent seeded with the
+    /// best makespan so far and folds the surviving passes into `best`.
+    fn run_batch(
+        &self,
+        jobs: &JobSet<'_>,
+        orders: &[Vec<usize>],
+        snapshot_deltas: bool,
+        prune_ctx: &PruneCtx,
+        counters: &SessionCounters,
+        best: &mut Option<PackState<C>>,
+    ) {
+        if orders.is_empty() {
+            return;
+        }
+        let incumbent = AtomicU64::new(best.as_ref().map_or(u64::MAX, |b| b.latest_end));
+        let prune = (!C::REFERENCE).then_some((&incumbent, prune_ctx));
+        let run_pass = |order: &Vec<usize>| {
+            self.pack_via_prefix(jobs, order, prune, snapshot_deltas, counters)
+        };
+        let passes: Vec<Option<PackState<C>>> = if C::REFERENCE {
+            orders.iter().map(run_pass).collect()
         } else {
-            0
-        }
-    }
-
-    /// *Joint* passes interleave delta jobs ahead of (or among) the
-    /// skeleton — coverage the phase-partitioned cached passes cannot
-    /// provide. The chains-first joint order packs chain-dominated
-    /// candidates (the all-share normalization baseline in particular)
-    /// as tightly as the pre-session search did; the shuffled joint
-    /// orders recover the interleaved random restarts the phase split
-    /// removed. Their reusable prefixes are empty-to-short — these are
-    /// the few from-scratch packs per candidate — and the incumbent
-    /// from the earlier stages prunes them early when they cannot win.
-    fn joint_stage(&mut self, cutoff: u64) -> u64 {
-        if self.jobs.delta.is_empty() || self.jobs.skeleton.is_empty() {
-            return 0;
-        }
-        let all_indices: Vec<usize> = (0..self.jobs.len()).collect();
-        let mut joint_orders =
-            vec![chains_first_order(&self.jobs, &all_indices, self.core.tam_width)];
-        let mut rng = XorShift64::new(0x2545_f491_4f6c_dd1d);
-        for _ in 0..self.core.effort.joint_shuffles() {
-            let mut order = all_indices.clone();
-            rng.shuffle(&mut order);
-            joint_orders.push(order);
-        }
-        let race = self.cutoff_is_tighter(cutoff);
-        let seed = self.seed(cutoff);
-        let pruned = self.run_batch(&joint_orders, seed, false);
-        if race {
-            pruned
-        } else {
-            0
+            msoc_par::map(orders, |_, order| run_pass(order))
+        };
+        if let Some(state) = self.reduce_passes(passes) {
+            *best = Some(match best.take() {
+                Some(b) => self.keep_better(b, state),
+                None => state,
+            });
         }
     }
 
@@ -1540,28 +1399,21 @@ impl<C: PackEngine> RaceMember for StagedPack<'_, C> {
     /// the current one — re-running it is a no-op, and long plateaus
     /// would otherwise spend most of their rounds on exactly those
     /// no-ops.
-    fn improve_rounds(&mut self, cutoff: u64, rounds: usize) -> (bool, u64) {
-        let total = self.core.effort.improvement_rounds();
-        let mut prunes = 0u64;
-        for _ in 0..rounds {
-            if self.round >= total {
-                break;
-            }
-            let Some(best) = self.best.as_ref() else {
-                // Every pass was cut off: this engine lost the race and
-                // has no incumbent to improve.
-                self.round = total;
-                break;
-            };
-            let round = self.round;
-            self.round += 1;
+    fn improve(
+        &self,
+        jobs: &JobSet<'_>,
+        mut best: PackState<C>,
+        prune_ctx: &PruneCtx,
+        counters: &SessionCounters,
+    ) -> PackState<C> {
+        let mut tried: std::collections::HashSet<Vec<usize>> = std::collections::HashSet::new();
+        for round in 0..self.effort.improvement_rounds() {
             let makespan = best.latest_end;
             let mut criticals: Vec<usize> =
                 best.entries.iter().filter(|e| e.end == makespan).map(|e| e.job).collect();
             criticals.sort_unstable();
             criticals.dedup();
             let Some(&critical) = criticals.get((round / 2) % criticals.len().max(1)) else {
-                self.round = total;
                 break;
             };
             // Re-run the greedy with the critical job moved to the front
@@ -1573,87 +1425,37 @@ impl<C: PackEngine> RaceMember for StagedPack<'_, C> {
             } else {
                 order.push(critical);
             }
-            if !self.tried.insert(order.clone()) {
+            if !tried.insert(order.clone()) {
                 continue;
             }
 
-            let race = cutoff < makespan;
-            let incumbent = AtomicU64::new(makespan.min(cutoff));
-            let candidate = self.core.pack_via_prefix(
-                &self.jobs,
-                &order,
-                self.core.prune.then_some((&incumbent, &self.prune_ctx)),
-                false,
-                self.counters,
-            );
-            match candidate {
-                Some(state) => {
-                    if state.latest_end < makespan {
-                        let superseded = self.best.replace(state);
-                        if let Some(superseded) = superseded {
-                            self.core.retire_state(superseded);
-                        }
-                    } else {
-                        self.core.retire_state(state);
-                    }
+            let incumbent = AtomicU64::new(makespan);
+            let prune = (!C::REFERENCE).then_some((&incumbent, prune_ctx));
+            match self.pack_via_prefix(jobs, &order, prune, false, counters) {
+                Some(state) if state.latest_end < makespan => {
+                    self.retire_state(std::mem::replace(&mut best, state));
                 }
-                None if race => prunes += 1,
+                Some(state) => self.retire_state(state),
                 None => {}
             }
         }
-        (self.round < total && self.best.is_some(), prunes)
-    }
-
-    fn best_makespan(&self) -> Option<u64> {
-        self.best.as_ref().map(|b| b.latest_end)
-    }
-
-    fn take_schedule(&mut self) -> Option<Schedule> {
-        let best = self.best.take()?;
-        let mut schedule = Schedule::from_parts(self.core.tam_width, best.latest_end, best.entries);
-        schedule.sort_entries();
-        Some(schedule)
-    }
-
-    fn abandon(&mut self) {
-        if let Some(state) = self.best.take() {
-            self.core.retire_state(state);
-        }
+        best
     }
 }
 
 /// Full from-scratch search with engine `C`: builds a transient session
 /// for the problem's skeleton jobs and packs its delta jobs once.
 ///
-/// Problems whose jobs interleave skeleton and delta entries are packed in
-/// the session's canonical skeleton-first layout and the resulting entries
+/// Feasibility is validated against the *original* job order. Problems
+/// whose jobs interleave skeleton and delta entries are packed in the
+/// session's canonical skeleton-first layout and the resulting entries
 /// are mapped back to the original job indices, so the emitted schedule
 /// always addresses `problem.jobs`.
 pub(crate) fn run<C: PackEngine>(
     problem: &ScheduleProblem,
     effort: Effort,
-    parallel: bool,
-    prune: bool,
-) -> Result<Schedule, ScheduleError> {
-    run_with(problem, |skeleton, delta| {
-        let mut core = SessionCore::<C>::new(problem.tam_width, skeleton, effort);
-        if !parallel || !prune {
-            core = core.serial_unpruned();
-        }
-        core.pack(&delta, &SessionCounters::default())
-    })
-}
-
-/// The shared from-scratch scaffolding of [`run`] and the portfolio's
-/// transient path: validates against the *original* job order, splits the
-/// problem into its skeleton/delta phases, delegates the combined pack to
-/// `pack`, and maps the emitted entries back to the problem's indices.
-pub(crate) fn run_with(
-    problem: &ScheduleProblem,
-    pack: impl FnOnce(Vec<TestJob>, Vec<TestJob>) -> Result<Schedule, ScheduleError>,
 ) -> Result<Schedule, ScheduleError> {
     let w = problem.tam_width;
-    // Feasibility is reported against the original job order.
     for (i, job) in problem.jobs.iter().enumerate() {
         if job.staircase.min_width() > w {
             return Err(ScheduleError::JobTooWide {
@@ -1671,7 +1473,8 @@ pub(crate) fn run_with(
     let skeleton: Vec<TestJob> = skeleton_idx.iter().map(|&i| problem.jobs[i].clone()).collect();
     let delta: Vec<TestJob> = delta_idx.iter().map(|&i| problem.jobs[i].clone()).collect();
 
-    let schedule = pack(skeleton, delta)?;
+    let schedule =
+        SessionCore::<C>::new(w, skeleton, effort).pack(&delta, &SessionCounters::default())?;
 
     // Map combined session indices back to the problem's job indices.
     let combined_to_orig: Vec<usize> =

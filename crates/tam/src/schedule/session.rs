@@ -32,10 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::problem::{JobKind, TestJob};
 
-use super::guillotine::GuillotineIndex;
-use super::maxrects::MaxRectsIndex;
 use super::naive::NaiveIndex;
-use super::portfolio::PortfolioCore;
 use super::search::{CheckpointExport, CheckpointImportStats, SessionCore};
 use super::skyline::SkylineIndex;
 use super::{Effort, Engine, Schedule, ScheduleError};
@@ -53,11 +50,6 @@ pub(crate) struct SessionCounters {
     pub(crate) evictions: AtomicU64,
     pub(crate) import_restored: AtomicU64,
     pub(crate) import_dropped: AtomicU64,
-    pub(crate) portfolio_wins_skyline: AtomicU64,
-    pub(crate) portfolio_wins_maxrects: AtomicU64,
-    pub(crate) portfolio_wins_guillotine: AtomicU64,
-    pub(crate) portfolio_race_prunes: AtomicU64,
-    pub(crate) portfolio_checks_to_best: AtomicU64,
 }
 
 /// A snapshot of a session's reuse counters.
@@ -72,13 +64,6 @@ pub(crate) struct SessionCounters {
 /// `pruned_passes` counts delta passes abandoned by the incumbent
 /// lower-bound prune; `evictions` counts checkpoints dropped by the LRU
 /// cap.
-///
-/// The `portfolio_*` counters are only advanced by [`Engine::Portfolio`]
-/// sessions: per-engine pack wins (the deterministic `(makespan, engine
-/// rank)` winner of each race), passes pruned specifically by a *cross-
-/// engine* frozen bound (tighter than the engine's own incumbent), and
-/// the cumulative number of check boundaries each race needed before its
-/// final best makespan was first published.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SessionStats {
     /// Skeleton checkpoint lookups served from the cache.
@@ -105,18 +90,6 @@ pub struct SessionStats {
     /// the deterministic re-pack of their own prefix (or their structure
     /// was malformed).
     pub import_dropped: u64,
-    /// Portfolio races won by the skyline engine.
-    pub portfolio_wins_skyline: u64,
-    /// Portfolio races won by the MaxRects engine.
-    pub portfolio_wins_maxrects: u64,
-    /// Portfolio races won by the guillotine engine.
-    pub portfolio_wins_guillotine: u64,
-    /// Passes pruned by a cross-engine frozen bound (strictly tighter
-    /// than the pruned engine's own incumbent at the check boundary).
-    pub portfolio_race_prunes: u64,
-    /// Cumulative check boundaries until each race's winning makespan was
-    /// first published.
-    pub portfolio_checks_to_best: u64,
 }
 
 impl SessionCounters {
@@ -132,11 +105,6 @@ impl SessionCounters {
             evictions: self.evictions.load(Ordering::Relaxed),
             import_restored: self.import_restored.load(Ordering::Relaxed),
             import_dropped: self.import_dropped.load(Ordering::Relaxed),
-            portfolio_wins_skyline: self.portfolio_wins_skyline.load(Ordering::Relaxed),
-            portfolio_wins_maxrects: self.portfolio_wins_maxrects.load(Ordering::Relaxed),
-            portfolio_wins_guillotine: self.portfolio_wins_guillotine.load(Ordering::Relaxed),
-            portfolio_race_prunes: self.portfolio_race_prunes.load(Ordering::Relaxed),
-            portfolio_checks_to_best: self.portfolio_checks_to_best.load(Ordering::Relaxed),
         }
     }
 }
@@ -144,11 +112,6 @@ impl SessionCounters {
 enum EngineCore {
     Skyline(SessionCore<SkylineIndex>),
     Naive(SessionCore<NaiveIndex>),
-    MaxRects(SessionCore<MaxRectsIndex>),
-    Guillotine(SessionCore<GuillotineIndex>),
-    // Boxed: the portfolio core holds three engine cores, dwarfing the
-    // single-engine variants.
-    Portfolio(Box<PortfolioCore>),
 }
 
 /// An incremental pack session (see the module docs).
@@ -218,18 +181,8 @@ impl PackSession {
             Engine::Skyline => EngineCore::Skyline(SessionCore::with_checkpoint_cap(
                 tam_width, skeleton, effort, cap,
             )),
-            Engine::Naive => EngineCore::Naive(
-                SessionCore::with_checkpoint_cap(tam_width, skeleton, effort, cap)
-                    .serial_unpruned(),
-            ),
-            Engine::MaxRects => EngineCore::MaxRects(SessionCore::with_checkpoint_cap(
+            Engine::Naive => EngineCore::Naive(SessionCore::with_checkpoint_cap(
                 tam_width, skeleton, effort, cap,
-            )),
-            Engine::Guillotine => EngineCore::Guillotine(SessionCore::with_checkpoint_cap(
-                tam_width, skeleton, effort, cap,
-            )),
-            Engine::Portfolio => EngineCore::Portfolio(Box::new(
-                PortfolioCore::with_checkpoint_cap(tam_width, skeleton, effort, cap),
             )),
         };
         PackSession { core, engine, counters: SessionCounters::default() }
@@ -255,9 +208,6 @@ impl PackSession {
         match &self.core {
             EngineCore::Skyline(c) => c.skeleton(),
             EngineCore::Naive(c) => c.skeleton(),
-            EngineCore::MaxRects(c) => c.skeleton(),
-            EngineCore::Guillotine(c) => c.skeleton(),
-            EngineCore::Portfolio(c) => c.skeleton(),
         }
     }
 
@@ -266,9 +216,6 @@ impl PackSession {
         match &self.core {
             EngineCore::Skyline(c) => c.tam_width(),
             EngineCore::Naive(c) => c.tam_width(),
-            EngineCore::MaxRects(c) => c.tam_width(),
-            EngineCore::Guillotine(c) => c.tam_width(),
-            EngineCore::Portfolio(c) => c.tam_width(),
         }
     }
 
@@ -277,9 +224,6 @@ impl PackSession {
         match &self.core {
             EngineCore::Skyline(c) => c.effort(),
             EngineCore::Naive(c) => c.effort(),
-            EngineCore::MaxRects(c) => c.effort(),
-            EngineCore::Guillotine(c) => c.effort(),
-            EngineCore::Portfolio(c) => c.effort(),
         }
     }
 
@@ -298,9 +242,6 @@ impl PackSession {
         match &self.core {
             EngineCore::Skyline(c) => c.warm(&self.counters),
             EngineCore::Naive(c) => c.warm(&self.counters),
-            EngineCore::MaxRects(c) => c.warm(&self.counters),
-            EngineCore::Guillotine(c) => c.warm(&self.counters),
-            EngineCore::Portfolio(c) => c.warm(&self.counters),
         }
     }
 
@@ -320,9 +261,6 @@ impl PackSession {
         match &self.core {
             EngineCore::Skyline(c) => c.pack(delta, &self.counters),
             EngineCore::Naive(c) => c.pack(delta, &self.counters),
-            EngineCore::MaxRects(c) => c.pack(delta, &self.counters),
-            EngineCore::Guillotine(c) => c.pack(delta, &self.counters),
-            EngineCore::Portfolio(c) => c.pack(delta, &self.counters),
         }
     }
 
@@ -343,17 +281,13 @@ impl PackSession {
     /// trie paths, each step's interned `(job position, job content)`
     /// pair and the placement it committed, in deterministic order.
     ///
-    /// Portfolio sessions export one trie per member engine. The export is
-    /// plain data — a snapshot codec compresses it — and feeds
-    /// [`Self::import_checkpoints`] on a session with the same skeleton,
-    /// width, effort and engine.
+    /// The export is plain data — a snapshot codec compresses it — and
+    /// feeds [`Self::import_checkpoints`] on a session with the same
+    /// skeleton, width, effort and engine.
     pub fn export_checkpoints(&self) -> CheckpointExport {
         let tries = match &self.core {
             EngineCore::Skyline(c) => vec![c.export_trie()],
             EngineCore::Naive(c) => vec![c.export_trie()],
-            EngineCore::MaxRects(c) => vec![c.export_trie()],
-            EngineCore::Guillotine(c) => vec![c.export_trie()],
-            EngineCore::Portfolio(c) => c.export_tries(),
         };
         CheckpointExport { tries }
     }
@@ -369,22 +303,15 @@ impl PackSession {
     ///
     /// Checkpoints are committed in the export's LRU order, so a restored
     /// session evicts in the order the exporting one would have. Importing
-    /// an export whose member-trie count does not match the session's
-    /// engine drops everything (counted, not an error).
+    /// an export that does not hold exactly one trie drops everything
+    /// (counted, not an error).
     pub fn import_checkpoints(&self, export: &CheckpointExport) -> CheckpointImportStats {
-        let expected = match self.engine {
-            Engine::Portfolio => 3,
-            _ => 1,
-        };
-        let (restored, dropped) = if export.tries.len() != expected {
+        let (restored, dropped) = if export.tries.len() != 1 {
             (0, export.checkpoint_count() as u64)
         } else {
             match &self.core {
                 EngineCore::Skyline(c) => c.import_trie(&export.tries[0]),
                 EngineCore::Naive(c) => c.import_trie(&export.tries[0]),
-                EngineCore::MaxRects(c) => c.import_trie(&export.tries[0]),
-                EngineCore::Guillotine(c) => c.import_trie(&export.tries[0]),
-                EngineCore::Portfolio(c) => c.import_tries(&export.tries),
             }
         };
         self.counters.import_restored.fetch_add(restored, Ordering::Relaxed);
@@ -445,13 +372,7 @@ mod tests {
 
     #[test]
     fn session_packs_match_from_scratch_for_every_engine() {
-        for engine in [
-            Engine::Skyline,
-            Engine::Naive,
-            Engine::MaxRects,
-            Engine::Guillotine,
-            Engine::Portfolio,
-        ] {
+        for engine in [Engine::Skyline, Engine::Naive] {
             for effort in [Effort::Quick, Effort::Standard] {
                 let session = PackSession::new(6, skeleton(), effort, engine);
                 for delta in deltas() {
@@ -556,7 +477,7 @@ mod tests {
 
     #[test]
     fn checkpoint_roundtrip_restores_prefix_reuse_without_rebuild_packs() {
-        for engine in [Engine::Skyline, Engine::MaxRects, Engine::Portfolio] {
+        for engine in [Engine::Skyline, Engine::Naive] {
             let warm = PackSession::new(6, skeleton(), Effort::Standard, engine);
             let baselines: Vec<Schedule> =
                 deltas().iter().map(|d| warm.pack(d).expect("feasible")).collect();
@@ -622,12 +543,14 @@ mod tests {
         for delta in deltas() {
             warm.pack(&delta).expect("feasible");
         }
-        let export = warm.export_checkpoints();
+        let mut export = warm.export_checkpoints();
         assert_eq!(export.tries.len(), 1);
-        let portfolio = PackSession::new(6, skeleton(), Effort::Standard, Engine::Portfolio);
-        let stats = portfolio.import_checkpoints(&export);
+        export.tries.push(export.tries[0].clone());
+        let restored = PackSession::new(6, skeleton(), Effort::Standard, Engine::Skyline);
+        let stats = restored.import_checkpoints(&export);
         assert_eq!(stats.restored, 0);
         assert_eq!(stats.dropped as usize, export.checkpoint_count());
+        assert_eq!(restored.stats().import_dropped, stats.dropped);
     }
 
     #[test]

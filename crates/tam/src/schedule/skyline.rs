@@ -321,7 +321,7 @@ pub(crate) struct SkylineIndex {
 }
 
 impl PackEngine for SkylineIndex {
-    fn new(_tam_width: u32) -> Self {
+    fn new() -> Self {
         SkylineIndex { skyline: Skyline::new(), starts: vec![0] }
     }
 
@@ -337,7 +337,7 @@ impl PackEngine for SkylineIndex {
     }
 
     fn place_start(
-        &mut self,
+        &self,
         _entries: &[ScheduledTest],
         tam_width: u32,
         width: u32,

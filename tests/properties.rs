@@ -121,56 +121,6 @@ proptest! {
     }
 
     #[test]
-    fn every_engine_packs_valid_schedules_and_the_portfolio_never_loses(
-        jobs in prop::collection::vec(
-            (1u32..=6, 2u64..=400, prop::option::of(0u32..3), prop::option::of(0u32..2)),
-            1..=16,
-        ),
-        tam_width in 8u32..=24,
-    ) {
-        let problem = ScheduleProblem {
-            tam_width,
-            jobs: jobs
-                .into_iter()
-                .enumerate()
-                .map(|(i, (w, t, g, wide))| {
-                    let mut points = vec![StaircasePoint { width: w, time: t }];
-                    if wide.is_some() {
-                        points.push(StaircasePoint { width: w * 2, time: t.div_ceil(2) });
-                    }
-                    TestJob {
-                        label: format!("j{i}"),
-                        staircase: Staircase::from_points(points),
-                        group: g,
-                        kind: JobKind::Skeleton,
-                    }
-                })
-                .collect(),
-        };
-        let sky = schedule_with_engine(&problem, Effort::Quick, Engine::Skyline)
-            .expect("feasible");
-        // MaxRects and guillotine pack genuinely different geometries: a
-        // valid schedule is all they owe. The portfolio races them behind
-        // its skyline member, so it additionally owes a makespan that
-        // never loses to the standalone skyline — and bit-identical
-        // results at any thread count.
-        for engine in [Engine::MaxRects, Engine::Guillotine, Engine::Portfolio] {
-            let s = schedule_with_engine(&problem, Effort::Quick, engine).expect("feasible");
-            prop_assert!(s.validate(&problem).is_ok(),
-                "{:?} schedule invalid: {:?}", engine, s.validate(&problem));
-            if engine == Engine::Portfolio {
-                prop_assert!(s.makespan() <= sky.makespan(),
-                    "portfolio ({}) lost to skyline ({})", s.makespan(), sky.makespan());
-                let serial = msoc_par::with_threads(1, || {
-                    schedule_with_engine(&problem, Effort::Quick, Engine::Portfolio)
-                        .expect("feasible")
-                });
-                prop_assert_eq!(&s, &serial, "portfolio race not thread-count invariant");
-            }
-        }
-    }
-
-    #[test]
     fn pack_sessions_are_bit_identical_to_from_scratch_packs(
         skeleton in prop::collection::vec(
             // Digital-like skeleton jobs: width w at time t, optionally a
