@@ -60,9 +60,8 @@ pub use planner::{
 pub use service::{
     blob_name, parse_blob_name, recover, recover_with_caps, CancelToken, CoreEdit, DaemonConfig,
     DaemonStats, Deadline, DirStore, ExportCache, ExportOutcome, FaultCounters, FaultyStore, Job,
-    JobBuilder, JobOutcome, JobReport, JobResult, JobSpec, MemStore, PlanRequest, PlanService,
-    Priority, RecoveryReport, SectionSizes, ServiceSnapshot, ServiceStats, ShardStats,
-    SnapshotDaemon, SnapshotError, SnapshotStats, SnapshotStore, SocHandle, StoreError,
-    TableRequest,
+    JobBuilder, JobOutcome, JobReport, JobResult, JobSpec, MemStore, PlanService, Priority,
+    RecoveryReport, SectionSizes, ServiceSnapshot, ServiceStats, ShardStats, SnapshotDaemon,
+    SnapshotError, SnapshotStats, SnapshotStore, SocHandle, StoreError,
 };
 pub use soc::MixedSignalSoc;

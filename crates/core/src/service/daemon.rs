@@ -500,7 +500,7 @@ pub fn recover_with_caps(
 #[cfg(test)]
 mod tests {
     use super::super::store::{FaultyStore, MemStore};
-    use super::super::PlanRequest;
+    use super::super::JobBuilder;
     use super::*;
     use crate::cost::CostWeights;
     use crate::planner::PlannerOptions;
@@ -512,9 +512,13 @@ mod tests {
     }
 
     fn warm(service: &PlanService, width: u32) {
-        let req = PlanRequest::new(MixedSignalSoc::d695m(), width, CostWeights::balanced())
-            .with_opts(quick_opts());
-        service.plan(&req).unwrap();
+        let job = JobBuilder::new(MixedSignalSoc::d695m())
+            .single(width)
+            .weights(CostWeights::balanced())
+            .opts(quick_opts())
+            .build()
+            .unwrap();
+        assert!(service.submit(&[job])[0].report().is_some());
     }
 
     fn fast_config() -> DaemonConfig {

@@ -6,10 +6,9 @@
 //! is one [`Job`]: a [`JobSpec`] plus the SOC (owned or a registered
 //! [`SocHandle`](super::SocHandle)), cost weights, planner options, and
 //! optional [`Deadline`], [`CancelToken`] and [`Priority`]. Jobs are built
-//! by [`JobBuilder`], which owns **all** request validation (the checks
-//! that used to be duplicated between the legacy `PlanRequest` and
-//! `TableRequest` front-ends), and run by [`PlanService::submit`], which
-//! returns one typed [`JobOutcome`] per job in input order.
+//! by [`JobBuilder`], which owns **all** request validation, and run by
+//! [`PlanService::submit`], which returns one typed [`JobOutcome`] per job
+//! in input order.
 //!
 //! **Determinism under interruption.** Deadlines and cancellation are
 //! checked only at deterministic progress boundaries — between candidate
@@ -37,14 +36,12 @@ use super::{PlanService, SocHandle};
 /// What one [`Job`] computes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobSpec {
-    /// One `Cost_Optimizer` run at a single TAM width (the legacy
-    /// [`PlanRequest`](super::PlanRequest) shape).
+    /// One `Cost_Optimizer` run at a single TAM width.
     Single {
         /// SOC-level TAM width.
         width: u32,
     },
-    /// A full config × width table through the shared-incumbent engine
-    /// (the legacy [`TableRequest`](super::TableRequest) shape).
+    /// A full config × width table through the shared-incumbent engine.
     Table {
         /// The table's TAM-width columns.
         widths: Vec<u32>,
@@ -201,10 +198,9 @@ impl Job {
 ///
 /// This is the *single* owner of request validation: width positivity,
 /// width-set non-emptiness and distinctness, and candidate-set
-/// non-emptiness are all checked here (with error payloads identical to
-/// the checks the legacy front-ends used to duplicate), so every entry
-/// point — `submit` and all four legacy shims — rejects malformed input
-/// identically and never panics on it.
+/// non-emptiness are all checked here, so every job [`PlanService::submit`]
+/// runs has passed one validator, and malformed input is rejected as
+/// [`PlanError::InvalidRequest`] instead of panicking.
 #[derive(Debug, Clone)]
 pub struct JobBuilder {
     soc: SocSource,
@@ -333,8 +329,7 @@ impl JobBuilder {
     ///
     /// Returns [`PlanError::InvalidRequest`] for a missing spec,
     /// non-positive widths, an empty or duplicate-bearing width set, or
-    /// an explicitly empty candidate set. Error payloads for the table
-    /// checks are identical to the legacy `plan_table` front-end's.
+    /// an explicitly empty candidate set.
     pub fn build(self) -> Result<Job, PlanError> {
         let invalid = |what: &str| Err(PlanError::InvalidRequest(what.into()));
         let Some(spec) = self.spec else {
@@ -803,24 +798,18 @@ mod tests {
     }
 
     #[test]
-    fn single_jobs_match_the_legacy_plan_entry_point() {
+    fn single_jobs_match_a_direct_cost_optimizer() {
         let service = PlanService::new();
         let job = quick_single(16);
         let via_submit = match service.submit(std::slice::from_ref(&job)).pop().unwrap() {
             JobOutcome::Completed(r) => r,
             other => panic!("expected completion, got {other:?}"),
         };
-        let legacy = PlanService::new()
-            .plan(
-                &super::super::PlanRequest::new(
-                    MixedSignalSoc::d695m(),
-                    16,
-                    CostWeights::balanced(),
-                )
-                .with_opts(quick_opts()),
-            )
+        let soc = MixedSignalSoc::d695m();
+        let direct = Planner::with_options(&soc, quick_opts())
+            .cost_optimizer(16, CostWeights::balanced(), 0.0)
             .unwrap();
-        assert_eq!(via_submit.result.plan().unwrap(), &legacy);
+        assert_eq!(via_submit.result.plan().unwrap(), &direct);
         assert!(via_submit.wall > Duration::ZERO);
     }
 

@@ -20,9 +20,7 @@
 //!   built by one [`JobBuilder`] that owns all request validation) over
 //!   the available cores via `msoc_par`, honoring per-job
 //!   [`Deadline`]s, [`CancelToken`]s and [`Priority`], and returns one
-//!   typed [`JobOutcome`] per job. The legacy entry points
-//!   ([`PlanService::plan`], [`plan_batch`], [`plan_table`],
-//!   [`plan_table_batch`]) are thin shims over `submit`.
+//!   typed [`JobOutcome`] per job.
 //! * **Incremental revisions** — [`PlanService::register`] issues a
 //!   [`SocHandle`]; [`SocHandle::revise`] applies [`CoreEdit`]s and
 //!   re-fingerprints only the dirty core subtrees, so re-planning a
@@ -92,14 +90,6 @@ use msoc_tam::{
     fingerprint_jobs, Effort, Engine, PackSession, Schedule, ScheduleError, SessionStats,
     StableHasher, TestJob,
 };
-
-use crate::cost::CostWeights;
-use crate::planner::table::TableReport;
-use crate::planner::{PlanError, PlanReport, PlannerOptions};
-use crate::soc::MixedSignalSoc;
-
-#[cfg(test)]
-use crate::planner::Planner;
 
 /// Default bound on retained schedules in the service's schedule cache.
 const SCHEDULE_CACHE_CAP: usize = 4096;
@@ -373,11 +363,11 @@ pub struct PlanService {
     /// Per-shard session LRU bound (`with_caps` divided over shards).
     session_cap: usize,
     /// Most jobs one `submit` batch may dispatch (`None` = unbounded);
-    /// the excess is shed as [`PlanError::Overloaded`] rejections.
+    /// the excess is shed as [`PlanError::Overloaded`](crate::PlanError::Overloaded) rejections.
     pub(crate) admission_cap: Option<usize>,
     /// Most jobs in flight across *all* concurrent `submit` batches
     /// (`None` = unbounded); arrivals beyond the free depth are shed as
-    /// [`PlanError::Overloaded`] rejections, lowest priority first.
+    /// [`PlanError::Overloaded`](crate::PlanError::Overloaded) rejections, lowest priority first.
     pub(crate) queue_depth_cap: Option<usize>,
     /// Jobs currently dispatched and not yet finished (the queue-depth
     /// reservation counter).
@@ -446,7 +436,7 @@ impl PlanService {
     /// Caps how many jobs one [`submit`](Self::submit) batch may
     /// dispatch: the highest-priority `cap` jobs (ties to input order)
     /// run, the rest are shed immediately as
-    /// [`JobOutcome::Rejected`]\([`PlanError::Overloaded`]) and counted
+    /// [`JobOutcome::Rejected`]\([`PlanError::Overloaded`](crate::PlanError::Overloaded)) and counted
     /// in [`ServiceStats::jobs_shed`]. Admission control bounds the
     /// latency cost of an oversized batch instead of queueing it
     /// unboundedly; shed jobs can simply be resubmitted in a batch
@@ -461,7 +451,7 @@ impl PlanService {
     /// slots from the shared depth budget before dispatching, and
     /// whatever does not fit — the lowest-priority tail of that batch,
     /// ties to input order — is shed immediately as
-    /// [`JobOutcome::Rejected`]\([`PlanError::Overloaded`]) and counted
+    /// [`JobOutcome::Rejected`]\([`PlanError::Overloaded`](crate::PlanError::Overloaded)) and counted
     /// in [`ServiceStats::jobs_shed`]. Slots are released as soon as the
     /// batch's dispatched jobs finish, so a shed job can simply be
     /// resubmitted.
@@ -494,7 +484,7 @@ impl PlanService {
     ///
     /// `skeleton` is built by the caller (it is also the content key);
     /// the returned session may have been created by an earlier planner —
-    /// possibly for a *different* [`MixedSignalSoc`] value with the same
+    /// possibly for a *different* [`MixedSignalSoc`](crate::MixedSignalSoc) value with the same
     /// digital part — and already carry warm checkpoints.
     pub fn session(
         &self,
@@ -724,195 +714,13 @@ impl PlanService {
             })
             .collect()
     }
-
-    /// Plans one request with this service's shared caches (the paper's
-    /// `Cost_Optimizer` heuristic) — a thin shim building one
-    /// [`JobSpec::Single`] job and running it through
-    /// [`PlanService::submit`].
-    ///
-    /// # Errors
-    ///
-    /// As `Planner::cost_optimizer`, plus [`PlanError::InvalidRequest`]
-    /// for malformed request data (the [`JobBuilder`] validator).
-    pub fn plan(&self, request: &PlanRequest) -> Result<PlanReport, PlanError> {
-        let job = request.to_job()?;
-        unwrap_plan(self.submit(std::slice::from_ref(&job)).pop().expect("one outcome per job"))
-    }
-
-    /// Plans a batch of requests, fanning them out over the available
-    /// cores while every worker shares this service's caches — a shim
-    /// submitting one [`JobSpec::Single`] job per request.
-    ///
-    /// Results come back in request order; each request fails or succeeds
-    /// independently. Identical requests in one batch are deduplicated by
-    /// the caches, not by the front-end — both still return full reports.
-    pub fn plan_batch(&self, requests: &[PlanRequest]) -> Vec<Result<PlanReport, PlanError>> {
-        self.submit_shim(requests, PlanRequest::to_job, unwrap_plan)
-    }
-
-    /// Plans a full config × width table through this service's shared
-    /// caches (one incumbent across the whole matrix, per-width sessions
-    /// and cached schedules reused across requests) — a shim building one
-    /// [`JobSpec::Table`] job.
-    ///
-    /// # Errors
-    ///
-    /// As `Planner::plan_table`, plus [`PlanError::InvalidRequest`] for
-    /// malformed request data (empty candidate set, empty or duplicate
-    /// widths) — the service boundary handles untrusted input and must
-    /// never panic on it. All validation lives in the [`JobBuilder`].
-    pub fn plan_table(&self, request: &TableRequest) -> Result<TableReport, PlanError> {
-        let job = request.to_job()?;
-        unwrap_table(self.submit(std::slice::from_ref(&job)).pop().expect("one outcome per job"))
-    }
-
-    /// Plans a batch of table requests concurrently over the shared
-    /// caches; results come back in request order.
-    pub fn plan_table_batch(
-        &self,
-        requests: &[TableRequest],
-    ) -> Vec<Result<TableReport, PlanError>> {
-        self.submit_shim(requests, TableRequest::to_job, unwrap_table)
-    }
-
-    /// The common legacy-shim shape: build one job per request (carrying
-    /// builder rejections through as errors), submit the valid ones as one
-    /// batch, and unwrap outcomes back into request-order `Result`s.
-    ///
-    /// Legacy requests own their SOC by value, so `to_job` copies it into
-    /// the job's shared `Arc` once per call — jobs built directly against
-    /// a [`SocHandle`] (or a [`JobBuilder`]-owned SOC) skip that copy,
-    /// which is one more reason new code should use [`Self::submit`].
-    fn submit_shim<Req, Out>(
-        &self,
-        requests: &[Req],
-        to_job: impl Fn(&Req) -> Result<Job, PlanError>,
-        unwrap: impl Fn(JobOutcome) -> Result<Out, PlanError>,
-    ) -> Vec<Result<Out, PlanError>> {
-        let mut jobs: Vec<Job> = Vec::with_capacity(requests.len());
-        let rejections: Vec<Option<PlanError>> = requests
-            .iter()
-            .map(|request| match to_job(request) {
-                Ok(job) => {
-                    jobs.push(job);
-                    None
-                }
-                Err(e) => Some(e),
-            })
-            .collect();
-        let mut outcomes = self.submit(&jobs).into_iter();
-        rejections
-            .into_iter()
-            .map(|rejection| match rejection {
-                None => unwrap(outcomes.next().expect("one outcome per submitted job")),
-                Some(e) => Err(e),
-            })
-            .collect()
-    }
-}
-
-/// Unwraps a shim job's outcome into the legacy `Result<PlanReport, _>`.
-fn unwrap_plan(outcome: JobOutcome) -> Result<PlanReport, PlanError> {
-    match outcome.into_result()? {
-        JobReport { result: JobResult::Plan(report), .. } => Ok(report),
-        other => unreachable!("single jobs return plan reports: {other:?}"),
-    }
-}
-
-/// Unwraps a shim job's outcome into the legacy `Result<TableReport, _>`.
-fn unwrap_table(outcome: JobOutcome) -> Result<TableReport, PlanError> {
-    match outcome.into_result()? {
-        JobReport { result: JobResult::Table(report), .. } => Ok(report),
-        other => unreachable!("table jobs return table reports: {other:?}"),
-    }
-}
-
-/// One table-sweep request for [`PlanService::plan_table`].
-#[derive(Debug, Clone)]
-pub struct TableRequest {
-    /// The SOC to plan.
-    pub soc: MixedSignalSoc,
-    /// Candidate configurations; `None` uses the planner's enumeration
-    /// (the paper's 26-candidate set by default).
-    pub configs: Option<Vec<crate::SharingConfig>>,
-    /// The TAM widths of the table's columns.
-    pub widths: Vec<u32>,
-    /// Cost blend weights (winner evaluation and cost-bound prunes).
-    pub weights: CostWeights,
-    /// Planner options (effort, engine, area model, …).
-    pub opts: PlannerOptions,
-}
-
-impl TableRequest {
-    /// A request over the planner's default candidate enumeration.
-    pub fn new(soc: MixedSignalSoc, widths: Vec<u32>, weights: CostWeights) -> Self {
-        TableRequest { soc, configs: None, widths, weights, opts: PlannerOptions::default() }
-    }
-
-    /// Overrides the planner options.
-    pub fn with_opts(mut self, opts: PlannerOptions) -> Self {
-        self.opts = opts;
-        self
-    }
-
-    /// The [`JobSpec::Table`] job this legacy request describes; all
-    /// validation is the [`JobBuilder`]'s.
-    pub(crate) fn to_job(&self) -> Result<Job, PlanError> {
-        let mut builder = JobBuilder::new(self.soc.clone())
-            .table(self.widths.clone())
-            .weights(self.weights)
-            .opts(self.opts.clone());
-        if let Some(configs) = &self.configs {
-            builder = builder.configs(configs.clone());
-        }
-        builder.build()
-    }
-}
-
-/// One planning request for [`PlanService::plan`]/[`plan_batch`].
-///
-/// [`plan_batch`]: PlanService::plan_batch
-#[derive(Debug, Clone)]
-pub struct PlanRequest {
-    /// The SOC to plan.
-    pub soc: MixedSignalSoc,
-    /// SOC-level TAM width.
-    pub tam_width: u32,
-    /// Cost blend weights.
-    pub weights: CostWeights,
-    /// The `Cost_Optimizer` pruning slack (0 reproduces the paper).
-    pub delta: f64,
-    /// Planner options (effort, engine, area model, …).
-    pub opts: PlannerOptions,
-}
-
-impl PlanRequest {
-    /// A request with the paper's defaults (`delta = 0`, default options).
-    pub fn new(soc: MixedSignalSoc, tam_width: u32, weights: CostWeights) -> Self {
-        PlanRequest { soc, tam_width, weights, delta: 0.0, opts: PlannerOptions::default() }
-    }
-
-    /// Overrides the planner options.
-    pub fn with_opts(mut self, opts: PlannerOptions) -> Self {
-        self.opts = opts;
-        self
-    }
-
-    /// The [`JobSpec::Single`] job this legacy request describes; all
-    /// validation is the [`JobBuilder`]'s.
-    pub(crate) fn to_job(&self) -> Result<Job, PlanError> {
-        JobBuilder::new(self.soc.clone())
-            .single(self.tam_width)
-            .weights(self.weights)
-            .cost_optimizer_delta(self.delta)
-            .opts(self.opts.clone())
-            .build()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CostWeights, MixedSignalSoc, PlanError, PlanReport, Planner, PlannerOptions};
+    use crate::{SharingConfig, TableReport};
 
     fn quick_opts() -> PlannerOptions {
         PlannerOptions { effort: Effort::Quick, ..PlannerOptions::default() }
@@ -925,8 +733,8 @@ mod tests {
         let soc_b = MixedSignalSoc::d695m();
         let mut a = Planner::with_service(&soc_a, quick_opts(), &service);
         let mut b = Planner::with_service(&soc_b, quick_opts(), &service);
-        a.makespan(&crate::SharingConfig::all_shared(5), 16).unwrap();
-        b.makespan(&crate::SharingConfig::all_shared(5), 16).unwrap();
+        a.makespan(&SharingConfig::all_shared(5), 16).unwrap();
+        b.makespan(&SharingConfig::all_shared(5), 16).unwrap();
         let stats = service.stats();
         assert_eq!(stats.session_misses, 1, "same digital skeleton, one session: {stats:?}");
         assert_eq!(stats.session_hits, 1, "second planner must reuse it: {stats:?}");
@@ -937,7 +745,7 @@ mod tests {
     fn distinct_widths_or_efforts_get_distinct_sessions() {
         let service = PlanService::new();
         let soc = MixedSignalSoc::d695m();
-        let all = crate::SharingConfig::all_shared(5);
+        let all = SharingConfig::all_shared(5);
         let mut p = Planner::with_service(&soc, quick_opts(), &service);
         p.makespan(&all, 16).unwrap();
         p.makespan(&all, 24).unwrap();
@@ -947,14 +755,40 @@ mod tests {
         assert_eq!(service.stats().session_hits, 0);
     }
 
+    /// A quick-effort single-width job on d695m.
+    fn single(width: u32, weights: CostWeights) -> Job {
+        JobBuilder::new(MixedSignalSoc::d695m())
+            .single(width)
+            .weights(weights)
+            .opts(quick_opts())
+            .build()
+            .unwrap()
+    }
+
+    /// Submits `jobs` as one batch and unwraps each outcome's plan.
+    fn plans(service: &PlanService, jobs: &[Job]) -> Vec<Result<PlanReport, PlanError>> {
+        let plan = |outcome: JobOutcome| match outcome.into_result()?.result {
+            JobResult::Plan(report) => Ok(report),
+            other => panic!("single jobs return plans: {other:?}"),
+        };
+        service.submit(jobs).into_iter().map(plan).collect()
+    }
+
+    /// Submits one table job and unwraps its table.
+    fn table(service: &PlanService, job: &Job) -> TableReport {
+        match service.submit(std::slice::from_ref(job)).pop().unwrap().into_result() {
+            Ok(JobReport { result: JobResult::Table(report), .. }) => report,
+            other => panic!("expected a table, got {other:?}"),
+        }
+    }
+
     #[test]
     fn warm_service_replays_a_plan_from_the_schedule_cache() {
         let service = PlanService::new();
-        let req = PlanRequest::new(MixedSignalSoc::d695m(), 16, CostWeights::balanced())
-            .with_opts(quick_opts());
-        let cold = service.plan(&req).unwrap();
+        let job = [single(16, CostWeights::balanced())];
+        let cold = plans(&service, &job).remove(0).unwrap();
         let misses_after_cold = service.stats().schedule_misses;
-        let warm = service.plan(&req).unwrap();
+        let warm = plans(&service, &job).remove(0).unwrap();
         assert_eq!(cold.best, warm.best);
         assert_eq!(cold.schedule, warm.schedule);
         let stats = service.stats();
@@ -966,36 +800,26 @@ mod tests {
     }
 
     #[test]
-    fn plan_batch_matches_individual_plans_and_reports_in_order() {
+    fn batches_match_individual_plans_and_report_in_order() {
         let service = PlanService::new();
-        let reqs = vec![
-            PlanRequest::new(MixedSignalSoc::d695m(), 16, CostWeights::balanced())
-                .with_opts(quick_opts()),
-            PlanRequest::new(MixedSignalSoc::d695m(), 24, CostWeights::time_heavy())
-                .with_opts(quick_opts()),
-        ];
-        let batch = service.plan_batch(&reqs);
+        let jobs = [single(16, CostWeights::balanced()), single(24, CostWeights::time_heavy())];
+        let batch = plans(&service, &jobs);
         assert_eq!(batch.len(), 2);
         let fresh = PlanService::new();
-        for (req, got) in reqs.iter().zip(&batch) {
-            let expect = fresh.plan(req).unwrap();
+        for ((job, width), got) in jobs.iter().zip([16, 24]).zip(&batch) {
+            let expect = plans(&fresh, std::slice::from_ref(job)).remove(0).unwrap();
             let got = got.as_ref().expect("batch plan succeeds");
             assert_eq!(got.best, expect.best);
-            assert_eq!(got.tam_width, req.tam_width);
+            assert_eq!(got.tam_width, width);
         }
     }
 
     #[test]
     fn infeasible_requests_fail_without_poisoning_the_batch() {
         let service = PlanService::new();
-        let reqs = vec![
-            // Width 8 is too narrow for core D's 10-wire IIP3 test.
-            PlanRequest::new(MixedSignalSoc::d695m(), 8, CostWeights::balanced())
-                .with_opts(quick_opts()),
-            PlanRequest::new(MixedSignalSoc::d695m(), 16, CostWeights::balanced())
-                .with_opts(quick_opts()),
-        ];
-        let batch = service.plan_batch(&reqs);
+        // Width 8 is too narrow for core D's 10-wire IIP3 test.
+        let jobs = [single(8, CostWeights::balanced()), single(16, CostWeights::balanced())];
+        let batch = plans(&service, &jobs);
         assert!(matches!(batch[0], Err(PlanError::Schedule(_))));
         assert!(batch[1].is_ok());
     }
@@ -1009,7 +833,7 @@ mod tests {
         // uncached planner's.
         let service = PlanService::with_session_cap(1);
         let soc = MixedSignalSoc::d695m();
-        let all = crate::SharingConfig::all_shared(5);
+        let all = SharingConfig::all_shared(5);
         let widths: Vec<u32> = (11..11 + SHARDS as u32 + 2).collect();
         let mut first_pass: Vec<_> = Vec::new();
         {
@@ -1040,7 +864,7 @@ mod tests {
         let soc = MixedSignalSoc::d695m();
         let mut p = Planner::with_service(&soc, quick_opts(), &service);
         for w in [16, 20, 24, 32] {
-            p.makespan(&crate::SharingConfig::all_shared(5), w).unwrap();
+            p.makespan(&SharingConfig::all_shared(5), w).unwrap();
         }
         assert_eq!(service.stats().session_evictions, 0, "{:?}", service.stats());
     }
@@ -1049,15 +873,19 @@ mod tests {
     fn table_front_end_matches_a_direct_planner_table() {
         let service = PlanService::new();
         let soc = MixedSignalSoc::d695m();
-        let req = TableRequest::new(soc.clone(), vec![16, 24], CostWeights::balanced())
-            .with_opts(quick_opts());
-        let via_service = service.plan_table(&req).unwrap();
+        let job = JobBuilder::new(soc.clone())
+            .table(vec![16, 24])
+            .weights(CostWeights::balanced())
+            .opts(quick_opts())
+            .build()
+            .unwrap();
+        let via_service = table(&service, &job);
         let mut direct = Planner::with_options(&soc, quick_opts());
         let configs = direct.candidates();
         let expect = direct.plan_table(&configs, &[16, 24], CostWeights::balanced()).unwrap();
         assert_eq!(via_service, expect);
         // A second request replays from the shared caches, same result.
-        let replay = service.plan_table(&req).unwrap();
+        let replay = table(&service, &job);
         assert_eq!(replay, expect);
         assert!(service.stats().schedule_hits > 0, "{:?}", service.stats());
     }
@@ -1065,22 +893,21 @@ mod tests {
     #[test]
     fn malformed_table_requests_error_without_poisoning_the_batch() {
         let service = PlanService::new();
-        let soc = MixedSignalSoc::d695m();
-        let good = TableRequest::new(soc.clone(), vec![16, 24], CostWeights::balanced())
-            .with_opts(quick_opts());
-        let mut no_widths = good.clone();
-        no_widths.widths = vec![];
-        let mut dup_widths = good.clone();
-        dup_widths.widths = vec![16, 16];
-        let mut no_configs = good.clone();
-        no_configs.configs = Some(vec![]);
-
-        let batch = service.plan_table_batch(&[no_widths, dup_widths, no_configs, good.clone()]);
-        assert!(matches!(batch[0], Err(PlanError::InvalidRequest(_))), "{:?}", batch[0]);
-        assert!(matches!(batch[1], Err(PlanError::InvalidRequest(_))), "{:?}", batch[1]);
-        assert!(matches!(batch[2], Err(PlanError::InvalidRequest(_))), "{:?}", batch[2]);
-        let ok = batch[3].as_ref().expect("the well-formed request still succeeds");
-        assert_eq!(ok, &service.plan_table(&good).unwrap());
+        let builder = |widths: Vec<u32>| {
+            JobBuilder::new(MixedSignalSoc::d695m())
+                .table(widths)
+                .weights(CostWeights::balanced())
+                .opts(quick_opts())
+        };
+        let no_widths = builder(vec![]).build();
+        let dup_widths = builder(vec![16, 16]).build();
+        let no_configs = builder(vec![16, 24]).configs(vec![]).build();
+        for rejected in [no_widths, dup_widths, no_configs] {
+            assert!(matches!(rejected, Err(PlanError::InvalidRequest(_))), "{rejected:?}");
+        }
+        let good = builder(vec![16, 24]).build().expect("the well-formed request still builds");
+        let ok = table(&service, &good);
+        assert_eq!(ok, table(&PlanService::new(), &good));
     }
 
     #[test]
@@ -1091,7 +918,7 @@ mod tests {
         let service = PlanService::with_schedule_cap(1);
         let soc = MixedSignalSoc::d695m();
         let mut p = Planner::with_service(&soc, quick_opts(), &service);
-        let configs: Vec<crate::SharingConfig> = p.candidates();
+        let configs: Vec<SharingConfig> = p.candidates();
         assert!(configs.len() > SHARDS);
         for c in &configs {
             p.makespan(c, 16).unwrap();

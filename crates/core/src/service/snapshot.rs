@@ -23,11 +23,16 @@
 //! against their parent checkpoint, schedule entries against the
 //! previous entry of the start-sorted schedule) as zigzag varints. The
 //! result is sub-linear in schedule count: the per-record cost is a few
-//! bytes per entry instead of a re-encoded job vector. v1 snapshots
-//! (schedules only, no tries) still decode; [`Self::to_bytes`] always
-//! emits v2.
+//! bytes per entry instead of a re-encoded job vector. The retired v1
+//! layout (schedules only, fixed-width integers) no longer decodes: a v1
+//! header is [`SnapshotError::UnsupportedVersion`]`(1)`. Its size is still
+//! computed analytically, as the baseline of
+//! [`SnapshotStats::compression_ratio`].
 //!
-//! [`Self::to_bytes`]: ServiceSnapshot::to_bytes
+//! **Decoding** runs on the shared strict [`Reader`] of the
+//! [`codec`](super::codec) module — the same reader the `msoc_net` wire
+//! protocol decodes with — so every collection count is checked against
+//! the bytes remaining before anything is reserved.
 //!
 //! **Content verification on import.** Every imported entry is rebuilt
 //! from its carried content and checked: the schedule's recorded makespan
@@ -55,15 +60,13 @@ use msoc_tam::{
 };
 use msoc_wrapper::{Staircase, StaircasePoint};
 
-use super::codec::{read_iv, read_uv, write_iv, write_uv};
+use super::codec::{write_iv, write_uv, DecodeError, Reader};
 use super::{PlanService, ScheduleEntry, SessionEntry};
 
 /// Snapshot format magic (8 bytes).
 const MAGIC: &[u8; 8] = b"MSOCSNAP";
 /// Current snapshot format version (emitted by [`ServiceSnapshot::to_bytes`]).
 const VERSION: u32 = 2;
-/// The legacy schedules-only format (still decoded).
-const VERSION_1: u32 = 1;
 
 /// An exported view of a service's warm state (see the [module
 /// docs](self)); serialize with [`Self::to_bytes`], restore with
@@ -71,8 +74,8 @@ const VERSION_1: u32 = 1;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceSnapshot {
     pub(crate) sessions: Vec<SessionRecord>,
-    /// Per-session checkpoint tries, aligned with `sessions` (empty
-    /// exports for v1 snapshots, whose sessions restore cold).
+    /// Per-session checkpoint tries, aligned with `sessions` (an empty
+    /// export restores its session cold).
     pub(crate) tries: Vec<CheckpointExport>,
     pub(crate) schedules: Vec<ScheduleRecord>,
 }
@@ -103,7 +106,8 @@ pub enum SnapshotError {
     Truncated,
     /// The magic bytes are not a service snapshot's.
     BadMagic,
-    /// The format version is newer than this build understands.
+    /// The format version is not the one this build reads (the retired
+    /// v1 included).
     UnsupportedVersion(u32),
     /// The trailer checksum does not match the bytes.
     ChecksumMismatch,
@@ -126,6 +130,15 @@ impl fmt::Display for SnapshotError {
 }
 
 impl Error for SnapshotError {}
+
+impl From<DecodeError> for SnapshotError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => SnapshotError::Truncated,
+            DecodeError::Corrupt(what) => SnapshotError::Corrupt(what),
+        }
+    }
+}
 
 /// Section-level accounting of one snapshot encoding, from
 /// [`ServiceSnapshot::stats`]: record counts, encoded bytes per format
@@ -249,7 +262,7 @@ impl ServiceSnapshot {
     pub fn to_bytes_with_stats(&self) -> (Vec<u8>, SectionSizes) {
         let (mut out, sections) = self.encode();
         let checksum = fnv(&out);
-        write_u64(&mut out, checksum);
+        out.extend_from_slice(&checksum.to_le_bytes());
         let sizes = SectionSizes {
             content_bytes: sections.contents,
             session_bytes: sections.sessions,
@@ -319,7 +332,7 @@ impl ServiceSnapshot {
 
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
-        write_u32(&mut out, VERSION);
+        out.extend_from_slice(&VERSION.to_le_bytes());
 
         // Global content table.
         let mark = out.len();
@@ -334,8 +347,8 @@ impl ServiceSnapshot {
         write_uv(&mut out, self.sessions.len() as u64);
         for s in &self.sessions {
             write_uv(&mut out, u64::from(s.tam_width));
-            out.push(effort_code(s.effort));
-            out.push(engine_code(s.engine));
+            out.push(s.effort.code());
+            out.push(s.engine.code());
             write_uv(&mut out, s.skeleton.len() as u64);
             for job in &s.skeleton {
                 write_uv(&mut out, ids[job]);
@@ -423,8 +436,7 @@ impl ServiceSnapshot {
         header + sessions + schedules + 8
     }
 
-    /// Decodes a snapshot, verifying the header and trailer checksum;
-    /// v1 and v2 streams are both understood.
+    /// Decodes a v2 snapshot, verifying the header and trailer checksum.
     ///
     /// # Errors
     ///
@@ -438,22 +450,16 @@ impl ServiceSnapshot {
         if fnv(body) != recorded {
             return Err(SnapshotError::ChecksumMismatch);
         }
-        let mut r = Reader { bytes: body, pos: 0 };
+        let mut r = Reader::new(body);
         if r.take(MAGIC.len())? != MAGIC {
             return Err(SnapshotError::BadMagic);
         }
-        let version = r.u32()?;
-        let snapshot = match version {
-            VERSION_1 => decode_v1(&mut r)?,
-            VERSION => decode_v2(&mut r)?,
-            other => return Err(SnapshotError::UnsupportedVersion(other)),
-        };
-        if r.pos != body.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "{} trailing bytes after the last record",
-                body.len() - r.pos
-            )));
+        let version = u32::from_le_bytes(r.take(4)?.try_into().expect("4 bytes"));
+        if version != VERSION {
+            return Err(SnapshotError::UnsupportedVersion(version));
         }
+        let snapshot = decode_v2(&mut r)?;
+        r.finish()?;
         Ok(snapshot)
     }
 }
@@ -539,155 +545,108 @@ fn write_content(out: &mut Vec<u8>, job: &TestJob) {
     });
 }
 
-/// Decodes the legacy v1 body (schedules only): imported sessions get
-/// empty checkpoint exports and restore cold.
-fn decode_v1(r: &mut Reader) -> Result<ServiceSnapshot, SnapshotError> {
-    let session_count = r.u64()?;
-    let mut sessions = Vec::new();
-    for _ in 0..session_count {
-        let tam_width = r.u32()?;
-        let effort = decode_effort(r.u8()?)?;
-        let engine = decode_engine(r.u8()?)?;
-        let skeleton = r.jobs()?;
-        sessions.push(SessionRecord { tam_width, effort, engine, skeleton });
-    }
-    let schedule_count = r.u64()?;
-    let mut schedules = Vec::new();
-    for _ in 0..schedule_count {
-        let session = usize::try_from(r.u64()?)
-            .map_err(|_| SnapshotError::Corrupt("session index overflows usize".into()))?;
-        if session >= sessions.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "schedule references session {session} of {}",
-                sessions.len()
-            )));
-        }
-        let delta = r.jobs()?;
-        let makespan = r.u64()?;
-        let entry_count = r.u64()?;
-        let mut entries = Vec::new();
-        for _ in 0..entry_count {
-            let job = usize::try_from(r.u64()?)
-                .map_err(|_| SnapshotError::Corrupt("job index overflows usize".into()))?;
-            let width = r.u32()?;
-            let start = r.u64()?;
-            let end = r.u64()?;
-            entries.push(ScheduledTest { job, width, start, end });
-        }
-        schedules.push(ScheduleRecord { session, delta, makespan, entries });
-    }
-    let tries = sessions.iter().map(|_| CheckpointExport::default()).collect();
-    Ok(ServiceSnapshot { sessions, tries, schedules })
-}
-
 /// Decodes the v2 body (content table, sessions, checkpoint tries,
-/// schedules); see the [module docs](self) for the layout.
-fn decode_v2(r: &mut Reader) -> Result<ServiceSnapshot, SnapshotError> {
-    // Global content table.
-    let content_count = r.uv()?;
-    let mut contents: Vec<TestJob> = Vec::new();
-    for i in 0..content_count {
-        contents.push(read_content(r).map_err(|e| prefix(format!("content {i}"), e))?);
-    }
-
-    // Session table.
-    let session_count = r.uv()?;
-    let mut sessions = Vec::new();
-    for i in 0..session_count {
-        let corrupt = |what: String| SnapshotError::Corrupt(format!("session {i}: {what}"));
-        let tam_width =
-            u32::try_from(r.uv()?).map_err(|_| corrupt("TAM width overflows u32".into()))?;
-        let effort = decode_effort(r.u8()?)?;
-        let engine = decode_engine(r.u8()?)?;
-        let skeleton_len = r.uv()?;
-        let mut skeleton = Vec::new();
-        for _ in 0..skeleton_len {
-            skeleton.push(content_ref(&contents, r.uv()?).map_err(corrupt)?.clone());
-        }
-        sessions.push(SessionRecord { tam_width, effort, engine, skeleton });
-    }
-
-    // Checkpoint-trie sections, one per session.
-    let mut tries = Vec::new();
-    for (i, session) in sessions.iter().enumerate() {
-        let corrupt = |what: String| SnapshotError::Corrupt(format!("session {i} tries: {what}"));
-        let member_count = r.uv()?;
-        if member_count > 1 {
-            return Err(corrupt(format!("{member_count} checkpoint tries")));
-        }
-        let mut export = CheckpointExport::default();
-        for _ in 0..member_count {
-            let local_count = r.uv()?;
-            let mut local: Vec<TestJob> = Vec::new();
-            for _ in 0..local_count {
-                local.push(content_ref(&contents, r.uv()?).map_err(corrupt)?.clone());
-            }
-            let node_count = r.uv()?;
-            let mut nodes: Vec<CheckpointNode> = Vec::new();
-            let mut starts: Vec<u64> = Vec::new();
-            for n in 0..node_count {
-                let node = read_node(r, session, &local, &starts, n)
-                    .map_err(|e| prefix(format!("session {i} trie node {n}"), e))?;
-                starts.push(node.start);
-                nodes.push(node);
-            }
-            export.tries.push(TrieExport { contents: local, nodes });
-        }
-        tries.push(export);
-    }
-
-    // Schedule records.
-    let schedule_count = r.uv()?;
-    let mut schedules = Vec::new();
-    for i in 0..schedule_count {
-        let corrupt = |what: String| SnapshotError::Corrupt(format!("schedule {i}: {what}"));
-        let session = usize::try_from(r.uv()?)
-            .map_err(|_| corrupt("session index overflows usize".into()))?;
-        let skeleton = sessions.get(session).map(|s| s.skeleton.as_slice()).ok_or_else(|| {
-            corrupt(format!("references session {session} of {}", sessions.len()))
-        })?;
-        let delta_len = r.uv()?;
-        let mut delta = Vec::new();
-        for _ in 0..delta_len {
-            delta.push(content_ref(&contents, r.uv()?).map_err(corrupt)?.clone());
-        }
-        let makespan = r.uv()?;
-        let entry_count = r.uv()?;
-        let mut entries: Vec<ScheduledTest> = Vec::new();
-        let mut prev_start = 0u64;
-        for _ in 0..entry_count {
-            let job = usize::try_from(r.uv()?)
-                .map_err(|_| corrupt("job index overflows usize".into()))?;
-            let content = entry_content(Some(skeleton), &delta, job);
-            let (width, duration, raw_end) = read_placement(r, content)
-                .map_err(|e| prefix(format!("schedule {i} entry {}", entries.len()), e))?;
-            let start = shifted(prev_start, r.iv()?)
-                .ok_or_else(|| corrupt("entry start delta out of range".into()))?;
-            prev_start = start;
-            let end = resolve_end(start, duration, raw_end)
-                .ok_or_else(|| corrupt("entry end overflows".into()))?;
-            entries.push(ScheduledTest { job, width, start, end });
-        }
-        schedules.push(ScheduleRecord { session, delta, makespan, entries });
-    }
-
+/// schedules); see the [module docs](self) for the layout. Every field of
+/// a record takes at least one byte, which gives each collection's
+/// minimum element size for the [`Reader::count`] guard.
+fn decode_v2(r: &mut Reader) -> Result<ServiceSnapshot, DecodeError> {
+    // Content: label length, point count, the first point's width and
+    // time, group tag, kind.
+    let contents = r.seq(6, read_content)?;
+    // Session: width, effort, engine, skeleton length.
+    let sessions = r.seq(4, |r| read_session(r, &contents))?;
+    let tries = sessions
+        .iter()
+        .enumerate()
+        .map(|(i, session)| read_tries(r, i, session, &contents))
+        .collect::<Result<_, _>>()?;
+    // Schedule: session, delta length, makespan, entry count.
+    let schedules = r.seq(4, |r| read_schedule(r, &sessions, &contents))?;
     Ok(ServiceSnapshot { sessions, tries, schedules })
 }
 
-/// Prefixes a nested decode error with its record's position.
-fn prefix(context: String, e: SnapshotError) -> SnapshotError {
-    match e {
-        SnapshotError::Corrupt(what) => SnapshotError::Corrupt(format!("{context}: {what}")),
-        other => other,
-    }
+/// Reads one session record (see [`ServiceSnapshot::encode`]).
+fn read_session(r: &mut Reader, contents: &[TestJob]) -> Result<SessionRecord, DecodeError> {
+    let tam_width = r.u32()?;
+    let code = r.u8()?;
+    let effort = Effort::from_code(code)
+        .ok_or_else(|| DecodeError::Corrupt(format!("unknown effort code {code}")))?;
+    let code = r.u8()?;
+    let engine = Engine::from_code(code)
+        .ok_or_else(|| DecodeError::Corrupt(format!("unknown engine code {code}")))?;
+    let skeleton = r.seq(1, |r| content_ref(contents, r.uv()?))?;
+    Ok(SessionRecord { tam_width, effort, engine, skeleton })
 }
 
-/// Looks up a global content id.
-fn content_ref(contents: &[TestJob], id: u64) -> Result<&TestJob, String> {
+/// Reads session `index`'s checkpoint-trie section: a member count (a
+/// session exports at most one trie), then the trie's local contents and
+/// its nodes.
+fn read_tries(
+    r: &mut Reader,
+    index: usize,
+    session: &SessionRecord,
+    contents: &[TestJob],
+) -> Result<CheckpointExport, DecodeError> {
+    let tries = match r.uv()? {
+        0 => Vec::new(),
+        1 => {
+            let local = r.seq(1, |r| content_ref(contents, r.uv()?))?;
+            let mut starts: Vec<u64> = Vec::new();
+            // Node: parent, job, content tag, placement tag, start delta,
+            // stored flag.
+            let nodes = r.seq(6, |r| {
+                let node = read_node(r, session, &local, &starts)?;
+                starts.push(node.start);
+                Ok(node)
+            })?;
+            vec![TrieExport { contents: local, nodes }]
+        }
+        members => {
+            return Err(DecodeError::Corrupt(format!(
+                "session {index} tries: {members} checkpoint tries"
+            )))
+        }
+    };
+    Ok(CheckpointExport { tries })
+}
+
+/// Reads one schedule record.
+fn read_schedule(
+    r: &mut Reader,
+    sessions: &[SessionRecord],
+    contents: &[TestJob],
+) -> Result<ScheduleRecord, DecodeError> {
+    let index = r.uv()?;
+    let session = usize::try_from(index).ok().filter(|&s| s < sessions.len()).ok_or_else(|| {
+        DecodeError::Corrupt(format!("schedule references session {index} of {}", sessions.len()))
+    })?;
+    let skeleton = &sessions[session].skeleton;
+    let delta = r.seq(1, |r| content_ref(contents, r.uv()?))?;
+    let makespan = r.uv()?;
+    let mut prev_start = 0u64;
+    // Entry: job, placement tag, start delta.
+    let entries = r.seq(3, |r| {
+        let job = usize::try_from(r.uv()?)
+            .map_err(|_| DecodeError::Corrupt("job index overflows usize".into()))?;
+        let content = entry_content(Some(skeleton), &delta, job);
+        let (width, duration, raw_end) = read_placement(r, content)?;
+        let start = shifted(prev_start, r.iv()?)
+            .ok_or_else(|| DecodeError::Corrupt("entry start delta out of range".into()))?;
+        prev_start = start;
+        let end = resolve_end(start, duration, raw_end)
+            .ok_or_else(|| DecodeError::Corrupt("entry end overflows".into()))?;
+        Ok(ScheduledTest { job, width, start, end })
+    })?;
+    Ok(ScheduleRecord { session, delta, makespan, entries })
+}
+
+/// Looks up (and clones) a global content id.
+fn content_ref(contents: &[TestJob], id: u64) -> Result<TestJob, DecodeError> {
     usize::try_from(id)
         .ok()
         .and_then(|id| contents.get(id))
-        .ok_or_else(|| format!("content id {id} of {}", contents.len()))
+        .cloned()
+        .ok_or_else(|| DecodeError::Corrupt(format!("content id {id} of {}", contents.len())))
 }
 
 /// Applies a signed varint delta to a base coordinate, rejecting
@@ -710,20 +669,19 @@ fn resolve_end(start: u64, duration: Option<u64>, raw_end: Option<u64>) -> Optio
 fn read_placement(
     r: &mut Reader,
     content: Option<&TestJob>,
-) -> Result<(u32, Option<u64>, Option<u64>), SnapshotError> {
+) -> Result<(u32, Option<u64>, Option<u64>), DecodeError> {
     let tag = r.uv()?;
     if tag == 0 {
-        let width = u32::try_from(r.uv()?)
-            .map_err(|_| SnapshotError::Corrupt("raw placement width overflows u32".into()))?;
+        let width = r.u32()?;
         let end = r.uv()?;
         return Ok((width, None, Some(end)));
     }
     let pi = usize::try_from(tag - 1)
-        .map_err(|_| SnapshotError::Corrupt("point index overflows usize".into()))?;
+        .map_err(|_| DecodeError::Corrupt("point index overflows usize".into()))?;
     let job = content
-        .ok_or_else(|| SnapshotError::Corrupt("point index without resolvable content".into()))?;
+        .ok_or_else(|| DecodeError::Corrupt("point index without resolvable content".into()))?;
     let point = job.staircase.points().get(pi).ok_or_else(|| {
-        SnapshotError::Corrupt(format!(
+        DecodeError::Corrupt(format!(
             "point index {pi} of {} ({})",
             job.staircase.points().len(),
             job.label
@@ -739,22 +697,21 @@ fn read_node(
     session: &SessionRecord,
     local: &[TestJob],
     starts: &[u64],
-    index: u64,
-) -> Result<CheckpointNode, SnapshotError> {
-    let corrupt = |what: String| SnapshotError::Corrupt(what);
-    let parent_tag = r.uv()?;
-    let parent = match parent_tag {
+) -> Result<CheckpointNode, DecodeError> {
+    let corrupt = DecodeError::Corrupt;
+    let index = starts.len();
+    let parent = match r.uv()? {
         0 => None,
         tag => {
             let p =
                 u32::try_from(tag - 1).map_err(|_| corrupt("parent index overflows u32".into()))?;
-            if u64::from(p) >= index {
+            if p as usize >= index {
                 return Err(corrupt(format!("parent {p} does not precede node {index}")));
             }
             Some(p)
         }
     };
-    let job = u32::try_from(r.uv()?).map_err(|_| corrupt("job index overflows u32".into()))?;
+    let job = r.u32()?;
     let content = match r.uv()? {
         0 => None,
         tag => Some(
@@ -767,7 +724,7 @@ fn read_node(
         content.and_then(|c| local.get(c as usize))
     };
     let (width, duration, raw_end) = read_placement(r, resolved)?;
-    let parent_start = parent.and_then(|p| starts.get(p as usize).copied()).unwrap_or(0);
+    let parent_start = parent.map_or(0, |p| starts[p as usize]);
     let start =
         shifted(parent_start, r.iv()?).ok_or_else(|| corrupt("start delta out of range".into()))?;
     let end =
@@ -777,51 +734,39 @@ fn read_node(
         1 => true,
         other => return Err(corrupt(format!("unknown stored tag {other}"))),
     };
-    let lru = if stored {
-        u32::try_from(r.uv()?).map_err(|_| corrupt("LRU rank overflows u32".into()))?
-    } else {
-        0
-    };
+    let lru = if stored { r.u32()? } else { 0 };
     Ok(CheckpointNode { parent, job, content, width, start, end, stored, lru })
 }
 
 /// Reads one global-table job content (see [`write_content`]).
-fn read_content(r: &mut Reader) -> Result<TestJob, SnapshotError> {
-    let corrupt = |what: String| SnapshotError::Corrupt(what);
-    let label_len =
-        usize::try_from(r.uv()?).map_err(|_| corrupt("label length overflows usize".into()))?;
-    let label = String::from_utf8(r.take(label_len)?.to_vec())
-        .map_err(|_| corrupt("label is not UTF-8".into()))?;
-    let point_count = r.uv()?;
-    if point_count == 0 {
-        return Err(corrupt(format!("job {label} has no staircase points")));
-    }
-    let mut points: Vec<StaircasePoint> = Vec::new();
-    for _ in 0..point_count {
-        let point = match points.last() {
-            None => {
-                let width =
-                    u32::try_from(r.uv()?).map_err(|_| corrupt("width overflows u32".into()))?;
-                StaircasePoint { width, time: r.uv()? }
-            }
-            Some(prev) => {
-                let dw = r.uv()?;
-                let dt = r.uv()?;
+fn read_content(r: &mut Reader) -> Result<TestJob, DecodeError> {
+    let corrupt = DecodeError::Corrupt;
+    let label = r.string()?;
+    let mut prev: Option<StaircasePoint> = None;
+    let points = r.seq(2, |r| {
+        let point = match prev {
+            None => StaircasePoint { width: r.u32()?, time: r.uv()? },
+            Some(q) => {
+                let (dw, dt) = (r.uv()?, r.uv()?);
                 if dw == 0 || dt == 0 {
                     return Err(corrupt(format!("job {label} has a non-monotone staircase")));
                 }
-                let width = u64::from(prev.width)
+                let width = u64::from(q.width)
                     .checked_add(dw)
                     .and_then(|w| u32::try_from(w).ok())
                     .ok_or_else(|| corrupt("width overflows u32".into()))?;
-                let time = prev
+                let time = q
                     .time
                     .checked_sub(dt)
                     .ok_or_else(|| corrupt(format!("job {label} time underflows")))?;
                 StaircasePoint { width, time }
             }
         };
-        points.push(point);
+        prev = Some(point);
+        Ok(point)
+    })?;
+    if points.is_empty() {
+        return Err(corrupt(format!("job {label} has no staircase points")));
     }
     let group = match r.uv()? {
         0 => None,
@@ -1057,137 +1002,10 @@ impl PlanService {
     }
 }
 
-fn effort_code(effort: Effort) -> u8 {
-    match effort {
-        Effort::Quick => 0,
-        Effort::Standard => 1,
-        Effort::Thorough => 2,
-    }
-}
-
-fn decode_effort(code: u8) -> Result<Effort, SnapshotError> {
-    match code {
-        0 => Ok(Effort::Quick),
-        1 => Ok(Effort::Standard),
-        2 => Ok(Effort::Thorough),
-        other => Err(SnapshotError::Corrupt(format!("unknown effort code {other}"))),
-    }
-}
-
-fn engine_code(engine: Engine) -> u8 {
-    match engine {
-        Engine::Skyline => 0,
-        Engine::Naive => 1,
-    }
-}
-
-fn decode_engine(code: u8) -> Result<Engine, SnapshotError> {
-    match code {
-        0 => Ok(Engine::Skyline),
-        1 => Ok(Engine::Naive),
-        other => Err(SnapshotError::Corrupt(format!("unknown engine code {other}"))),
-    }
-}
-
 pub(crate) fn fnv(bytes: &[u8]) -> u64 {
     let mut h = StableHasher::new();
     h.write_bytes(bytes);
     h.finish()
-}
-
-fn write_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn write_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Bounds-checked little-endian reader over untrusted bytes.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    /// One LEB128 varint (v2 sections).
-    fn uv(&mut self) -> Result<u64, SnapshotError> {
-        read_uv(self.bytes, &mut self.pos)
-    }
-
-    /// One zigzag varint (v2 sections).
-    fn iv(&mut self) -> Result<i64, SnapshotError> {
-        read_iv(self.bytes, &mut self.pos)
-    }
-
-    fn string(&mut self) -> Result<String, SnapshotError> {
-        let len = usize::try_from(self.u64()?)
-            .map_err(|_| SnapshotError::Corrupt("string length overflows usize".into()))?;
-        String::from_utf8(self.take(len)?.to_vec())
-            .map_err(|_| SnapshotError::Corrupt("label is not UTF-8".into()))
-    }
-
-    fn jobs(&mut self) -> Result<Vec<TestJob>, SnapshotError> {
-        let count = self.u64()?;
-        let mut jobs = Vec::new();
-        for _ in 0..count {
-            let label = self.string()?;
-            let point_count = self.u64()?;
-            let mut points = Vec::new();
-            for _ in 0..point_count {
-                let width = self.u32()?;
-                let time = self.u64()?;
-                points.push(StaircasePoint { width, time });
-            }
-            // `Staircase::from_points` panics on malformed input; the
-            // service boundary must reject it as corruption instead.
-            if points.is_empty() {
-                return Err(SnapshotError::Corrupt(format!("job {label} has no staircase points")));
-            }
-            let monotone = points
-                .windows(2)
-                .all(|pair| pair[0].width < pair[1].width && pair[0].time > pair[1].time);
-            if !monotone {
-                return Err(SnapshotError::Corrupt(format!(
-                    "job {label} has a non-monotone staircase"
-                )));
-            }
-            let group = match self.u8()? {
-                0 => None,
-                1 => Some(self.u32()?),
-                other => return Err(SnapshotError::Corrupt(format!("unknown group tag {other}"))),
-            };
-            let kind = match self.u8()? {
-                0 => JobKind::Skeleton,
-                1 => JobKind::Delta,
-                other => return Err(SnapshotError::Corrupt(format!("unknown job kind {other}"))),
-            };
-            jobs.push(TestJob { label, staircase: Staircase::from_points(points), group, kind });
-        }
-        Ok(jobs)
-    }
 }
 
 #[cfg(test)]
@@ -1474,13 +1292,16 @@ mod tests {
         reseal(&mut wrong_magic);
         assert_eq!(ServiceSnapshot::from_bytes(&wrong_magic), Err(SnapshotError::BadMagic));
 
-        let mut wrong_version = bytes;
-        wrong_version[8..12].copy_from_slice(&99u32.to_le_bytes());
-        reseal(&mut wrong_version);
-        assert_eq!(
-            ServiceSnapshot::from_bytes(&wrong_version),
-            Err(SnapshotError::UnsupportedVersion(99))
-        );
+        // Version 1 is retired: its tag is refused like any unknown one.
+        for version in [1u32, 99] {
+            let mut wrong_version = bytes.clone();
+            wrong_version[8..12].copy_from_slice(&version.to_le_bytes());
+            reseal(&mut wrong_version);
+            assert_eq!(
+                ServiceSnapshot::from_bytes(&wrong_version),
+                Err(SnapshotError::UnsupportedVersion(version))
+            );
+        }
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! The crate turns the in-process [`PlanService`](msoc_core::PlanService)
 //! into a network service without changing any of its semantics:
 //!
-//! - [`wire`] — a hand-rolled length-prefixed binary protocol built on
-//!   the same strict varint codec the snapshot format uses. Decoding
-//!   untrusted bytes returns structured [`WireError`]s and never panics
-//!   or allocates from an untrusted length.
+//! - [`wire`] — a hand-rolled length-prefixed binary protocol that
+//!   decodes through the same strict reader
+//!   (`msoc_core::service::codec::Reader`) the snapshot format uses.
+//!   Decoding untrusted bytes returns structured [`WireError`]s and never
+//!   panics or allocates from an untrusted length.
 //! - [`server`] — [`serve`] owns N service shards keyed by tenant
 //!   fingerprint, applies admission and queue-depth backpressure
 //!   (overload sheds lowest-priority work as structured `Overloaded`

@@ -12,10 +12,11 @@
 //!
 //! `kind` separates requests (1) from responses (2) so a desynchronized
 //! peer fails with a structured error instead of misparsing. The payload
-//! length and every integer inside the payload use the **strict varint
-//! codec** from `msoc_core::service::codec` — the same reader the v2
-//! snapshot format uses — so overlong, non-canonical and
-//! past-the-64th-bit encodings are rejected identically on the wire and
+//! length and every integer inside the payload are **strict varints**,
+//! and every payload decodes through `msoc_core::service::codec::Reader`
+//! — the same reader the snapshot format decodes with — so overlong,
+//! non-canonical and past-the-64th-bit encodings, and counts the
+//! remaining bytes cannot hold, are rejected identically on the wire and
 //! on disk.
 //!
 //! # Safety properties
@@ -34,8 +35,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 
 use msoc_analog::{paper_cores, AnalogCoreSpec, AnalogTestKind, AnalogTestSpec, CoreId};
-use msoc_core::service::codec::{read_uv, write_uv};
-use msoc_core::service::SnapshotError;
+use msoc_core::service::codec::{write_uv, DecodeError, Reader};
 use msoc_core::{CostWeights, JobOutcome, JobResult, MixedSignalSoc, PlanError, SharingConfig};
 use msoc_itc02::{Module, ModuleTest, Soc};
 use msoc_tam::{Effort, Engine, ScheduledTest};
@@ -99,11 +99,11 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-impl From<SnapshotError> for WireError {
-    fn from(e: SnapshotError) -> Self {
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
         match e {
-            SnapshotError::Truncated => WireError::Truncated,
-            other => WireError::Corrupt(other.to_string()),
+            DecodeError::Truncated => WireError::Truncated,
+            DecodeError::Corrupt(what) => WireError::Corrupt(what),
         }
     }
 }
@@ -776,119 +776,9 @@ fn decode_analog_kind(code: u8) -> Result<AnalogTestKind, WireError> {
     })
 }
 
-fn effort_code(effort: Effort) -> u8 {
-    match effort {
-        Effort::Quick => 0,
-        Effort::Standard => 1,
-        Effort::Thorough => 2,
-    }
-}
-
-fn decode_effort(code: u8) -> Result<Effort, WireError> {
-    Ok(match code {
-        0 => Effort::Quick,
-        1 => Effort::Standard,
-        2 => Effort::Thorough,
-        other => return Err(WireError::Corrupt(format!("unknown effort code {other}"))),
-    })
-}
-
-fn engine_code(engine: Engine) -> u8 {
-    match engine {
-        Engine::Skyline => 0,
-        Engine::Naive => 1,
-    }
-}
-
-fn decode_engine(code: u8) -> Result<Engine, WireError> {
-    Ok(match code {
-        0 => Engine::Skyline,
-        1 => Engine::Naive,
-        other => return Err(WireError::Corrupt(format!("unknown engine code {other}"))),
-    })
-}
-
 // ---------------------------------------------------------------------
-// Payload reader
+// Payload encode/decode
 // ---------------------------------------------------------------------
-
-/// A bounds-checked cursor over one frame's payload.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn uv(&mut self) -> Result<u64, WireError> {
-        Ok(read_uv(self.bytes, &mut self.pos)?)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        let b = *self.bytes.get(self.pos).ok_or(WireError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn bool(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(WireError::Corrupt(format!("invalid bool byte {other}"))),
-        }
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        u32::try_from(self.uv()?).map_err(|_| WireError::Corrupt("u32 overflow".into()))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        if self.remaining() < 8 {
-            return Err(WireError::Truncated);
-        }
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&self.bytes[self.pos..self.pos + 8]);
-        self.pos += 8;
-        Ok(f64::from_bits(u64::from_le_bytes(raw)))
-    }
-
-    /// Reads a collection count, rejecting counts the remaining bytes
-    /// cannot possibly hold (`min_bytes` per element, ≥ 1) — the
-    /// no-allocation-from-untrusted-lengths guard.
-    fn count(&mut self, min_bytes: usize) -> Result<usize, WireError> {
-        let n = self.uv()?;
-        let cap = (self.remaining() / min_bytes.max(1)) as u64;
-        if n > cap {
-            return Err(WireError::Truncated);
-        }
-        Ok(n as usize)
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        let len = self.count(1)?;
-        let raw = &self.bytes[self.pos..self.pos + len];
-        self.pos += len;
-        String::from_utf8(raw.to_vec())
-            .map_err(|_| WireError::Corrupt("string is not UTF-8".into()))
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.remaining() != 0 {
-            return Err(WireError::Corrupt(format!(
-                "{} trailing bytes after the message",
-                self.remaining()
-            )));
-        }
-        Ok(())
-    }
-}
 
 fn write_string(out: &mut Vec<u8>, s: &str) {
     write_uv(out, s.len() as u64);
@@ -898,10 +788,6 @@ fn write_string(out: &mut Vec<u8>, s: &str) {
 fn write_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
-
-// ---------------------------------------------------------------------
-// Payload encode/decode
-// ---------------------------------------------------------------------
 
 impl WireModule {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -922,23 +808,16 @@ impl WireModule {
         }
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let id = r.u32()?;
-        let level = r.u32()?;
-        let inputs = r.u32()?;
-        let outputs = r.u32()?;
-        let bidirs = r.u32()?;
-        let n = r.count(1)?;
-        let mut scan_chains = Vec::with_capacity(n);
-        for _ in 0..n {
-            scan_chains.push(r.u32()?);
-        }
-        let n = r.count(3)?;
-        let mut tests = Vec::with_capacity(n);
-        for _ in 0..n {
-            tests.push((r.uv()?, r.bool()?, r.bool()?));
-        }
-        Ok(WireModule { id, level, inputs, outputs, bidirs, scan_chains, tests })
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(WireModule {
+            id: r.u32()?,
+            level: r.u32()?,
+            inputs: r.u32()?,
+            outputs: r.u32()?,
+            bidirs: r.u32()?,
+            scan_chains: r.seq(1, Reader::u32)?,
+            tests: r.seq(3, |r| Ok((r.uv()?, r.bool()?, r.bool()?)))?,
+        })
     }
 }
 
@@ -958,16 +837,13 @@ impl WireAnalogCore {
         }
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let id = r.u8()?;
-        let name = r.string()?;
-        let resolution_bits = r.u8()?;
-        let n = r.count(27)?;
-        let mut tests = Vec::with_capacity(n);
-        for _ in 0..n {
-            tests.push((r.u8()?, r.f64()?, r.f64()?, r.f64()?, r.uv()?, r.u32()?));
-        }
-        Ok(WireAnalogCore { id, name, resolution_bits, tests })
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(WireAnalogCore {
+            id: r.u8()?,
+            name: r.string()?,
+            resolution_bits: r.u8()?,
+            tests: r.seq(27, |r| Ok((r.u8()?, r.f64()?, r.f64()?, r.f64()?, r.uv()?, r.u32()?)))?,
+        })
     }
 }
 
@@ -985,20 +861,13 @@ impl WireSoc {
         }
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let name = r.string()?;
-        let digital_name = r.string()?;
-        let n = r.count(7)?;
-        let mut modules = Vec::with_capacity(n);
-        for _ in 0..n {
-            modules.push(WireModule::decode(r)?);
-        }
-        let n = r.count(4)?;
-        let mut analog = Vec::with_capacity(n);
-        for _ in 0..n {
-            analog.push(WireAnalogCore::decode(r)?);
-        }
-        Ok(WireSoc { name, digital_name, modules, analog })
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(WireSoc {
+            name: r.string()?,
+            digital_name: r.string()?,
+            modules: r.seq(7, WireModule::decode)?,
+            analog: r.seq(4, WireAnalogCore::decode)?,
+        })
     }
 }
 
@@ -1018,11 +887,11 @@ impl WireEdit {
         }
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(match r.u8()? {
             0 => WireEdit::ReplaceAnalog { index: r.uv()?, core: WireAnalogCore::decode(r)? },
             1 => WireEdit::ReplaceDigital { id: r.u32()?, module: WireModule::decode(r)? },
-            other => return Err(WireError::Corrupt(format!("unknown edit tag {other}"))),
+            other => return Err(DecodeError::Corrupt(format!("unknown edit tag {other}"))),
         })
     }
 }
@@ -1050,20 +919,12 @@ impl WireSpec {
         }
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let tag = r.u8()?;
-        if tag == 0 {
-            return Ok(WireSpec::Single { width: r.u32()? });
-        }
-        let n = r.count(1)?;
-        let mut widths = Vec::with_capacity(n);
-        for _ in 0..n {
-            widths.push(r.u32()?);
-        }
-        Ok(match tag {
-            1 => WireSpec::Table { widths },
-            2 => WireSpec::BestWidth { widths },
-            other => return Err(WireError::Corrupt(format!("unknown spec tag {other}"))),
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(match r.u8()? {
+            0 => WireSpec::Single { width: r.u32()? },
+            1 => WireSpec::Table { widths: r.seq(1, Reader::u32)? },
+            2 => WireSpec::BestWidth { widths: r.seq(1, Reader::u32)? },
+            other => return Err(DecodeError::Corrupt(format!("unknown spec tag {other}"))),
         })
     }
 }
@@ -1080,19 +941,8 @@ impl WireConfig {
         }
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let n_cores = r.uv()?;
-        let n = r.count(1)?;
-        let mut groups = Vec::with_capacity(n);
-        for _ in 0..n {
-            let len = r.count(1)?;
-            let mut g = Vec::with_capacity(len);
-            for _ in 0..len {
-                g.push(r.uv()?);
-            }
-            groups.push(g);
-        }
-        Ok(WireConfig { n_cores, groups })
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(WireConfig { n_cores: r.uv()?, groups: r.seq(1, |r| r.seq(1, Reader::uv))? })
     }
 }
 
@@ -1110,11 +960,11 @@ impl WireSocRef {
         }
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(match r.u8()? {
             0 => WireSocRef::Registered(r.uv()?),
             1 => WireSocRef::Inline(WireSoc::decode(r)?),
-            other => return Err(WireError::Corrupt(format!("unknown soc-ref tag {other}"))),
+            other => return Err(DecodeError::Corrupt(format!("unknown soc-ref tag {other}"))),
         })
     }
 }
@@ -1136,8 +986,8 @@ impl WireJob {
         write_f64(out, self.w_time);
         write_f64(out, self.w_area);
         write_f64(out, self.delta);
-        out.push(effort_code(self.effort));
-        out.push(engine_code(self.engine));
+        out.push(self.effort.code());
+        out.push(self.engine.code());
         out.push(self.priority);
         match self.deadline_checks {
             None => out.push(0),
@@ -1149,34 +999,32 @@ impl WireJob {
         out.push(u8::from(self.cancelled));
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let corrupt = DecodeError::Corrupt;
         let soc = WireSocRef::decode(r)?;
         let spec = WireSpec::decode(r)?;
         let configs = match r.u8()? {
             0 => None,
-            1 => {
-                let n = r.count(2)?;
-                let mut configs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    configs.push(WireConfig::decode(r)?);
-                }
-                Some(configs)
-            }
-            other => return Err(WireError::Corrupt(format!("invalid option byte {other}"))),
+            1 => Some(r.seq(2, WireConfig::decode)?),
+            other => return Err(corrupt(format!("invalid option byte {other}"))),
         };
         let w_time = r.f64()?;
         let w_area = r.f64()?;
         let delta = r.f64()?;
-        let effort = decode_effort(r.u8()?)?;
-        let engine = decode_engine(r.u8()?)?;
+        let code = r.u8()?;
+        let effort = Effort::from_code(code)
+            .ok_or_else(|| corrupt(format!("unknown effort code {code}")))?;
+        let code = r.u8()?;
+        let engine = Engine::from_code(code)
+            .ok_or_else(|| corrupt(format!("unknown engine code {code}")))?;
         let priority = match r.u8()? {
             p @ 0..=2 => p,
-            other => return Err(WireError::Corrupt(format!("unknown priority {other}"))),
+            other => return Err(corrupt(format!("unknown priority {other}"))),
         };
         let deadline_checks = match r.u8()? {
             0 => None,
             1 => Some(r.uv()?),
-            other => return Err(WireError::Corrupt(format!("invalid option byte {other}"))),
+            other => return Err(corrupt(format!("invalid option byte {other}"))),
         };
         let cancelled = r.bool()?;
         Ok(WireJob {
@@ -1220,7 +1068,7 @@ impl WireOutcome {
         }
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(match r.u8()? {
             0 => WireOutcome::Completed(WireResult::decode(r)?),
             1 => WireOutcome::DeadlineExceeded,
@@ -1228,7 +1076,7 @@ impl WireOutcome {
             3 => WireOutcome::Overloaded { cap: r.uv()?, batch: r.uv()? },
             4 => WireOutcome::Rejected { error: r.string()? },
             5 => WireOutcome::Failed { message: r.string()? },
-            other => return Err(WireError::Corrupt(format!("unknown outcome tag {other}"))),
+            other => return Err(DecodeError::Corrupt(format!("unknown outcome tag {other}"))),
         })
     }
 }
@@ -1275,25 +1123,17 @@ impl WireResult {
         }
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(match r.u8()? {
-            0 => {
-                let config = r.string()?;
-                let tam_width = r.u32()?;
-                let makespan = r.uv()?;
-                let cost_bits = r.uv()?;
-                let n = r.count(4)?;
-                let mut schedule = Vec::with_capacity(n);
-                for _ in 0..n {
-                    schedule.push(WireEntry {
-                        job: r.uv()?,
-                        width: r.u32()?,
-                        start: r.uv()?,
-                        end: r.uv()?,
-                    });
-                }
-                WireResult::Plan { config, tam_width, makespan, cost_bits, schedule }
-            }
+            0 => WireResult::Plan {
+                config: r.string()?,
+                tam_width: r.u32()?,
+                makespan: r.uv()?,
+                cost_bits: r.uv()?,
+                schedule: r.seq(4, |r| {
+                    Ok(WireEntry { job: r.uv()?, width: r.u32()?, start: r.uv()?, end: r.uv()? })
+                })?,
+            },
             1 => WireResult::Table {
                 config: r.string()?,
                 winner_width: r.u32()?,
@@ -1303,7 +1143,7 @@ impl WireResult {
                 packed: r.uv()?,
             },
             2 => WireResult::BestWidth { config: r.string()?, width: r.u32()?, makespan: r.uv()? },
-            other => return Err(WireError::Corrupt(format!("unknown result tag {other}"))),
+            other => return Err(DecodeError::Corrupt(format!("unknown result tag {other}"))),
         })
     }
 }
@@ -1330,41 +1170,27 @@ impl WireStats {
         }
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let shard = r.uv()?;
-        let jobs_submitted = r.uv()?;
-        let jobs_shed = r.uv()?;
-        let jobs_failed = r.uv()?;
-        let schedule_hits = r.uv()?;
-        let schedule_misses = r.uv()?;
-        let session_hits = r.uv()?;
-        let session_misses = r.uv()?;
-        let live_sessions = r.uv()?;
-        let snapshots_persisted = r.uv()?;
-        let shard_exports_reused = r.uv()?;
-        let n = r.count(4)?;
-        let mut latency = Vec::with_capacity(n);
-        for _ in 0..n {
-            latency.push(WireLatency {
-                outcome: r.string()?,
-                count: r.uv()?,
-                p50_us: r.uv()?,
-                p99_us: r.uv()?,
-            });
-        }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(WireStats {
-            shard,
-            jobs_submitted,
-            jobs_shed,
-            jobs_failed,
-            schedule_hits,
-            schedule_misses,
-            session_hits,
-            session_misses,
-            live_sessions,
-            snapshots_persisted,
-            shard_exports_reused,
-            latency,
+            shard: r.uv()?,
+            jobs_submitted: r.uv()?,
+            jobs_shed: r.uv()?,
+            jobs_failed: r.uv()?,
+            schedule_hits: r.uv()?,
+            schedule_misses: r.uv()?,
+            session_hits: r.uv()?,
+            session_misses: r.uv()?,
+            live_sessions: r.uv()?,
+            snapshots_persisted: r.uv()?,
+            shard_exports_reused: r.uv()?,
+            latency: r.seq(4, |r| {
+                Ok(WireLatency {
+                    outcome: r.string()?,
+                    count: r.uv()?,
+                    p50_us: r.uv()?,
+                    p99_us: r.uv()?,
+                })
+            })?,
         })
     }
 }
@@ -1415,25 +1241,12 @@ impl Request {
         let mut r = Reader::new(payload);
         let request = match r.uv()? {
             1 => Request::Register { tenant: r.string()?, soc: WireSoc::decode(&mut r)? },
-            2 => {
-                let tenant = r.string()?;
-                let n = r.count(2)?;
-                let mut jobs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    jobs.push(WireJob::decode(&mut r)?);
-                }
-                Request::Submit { tenant, jobs }
-            }
-            3 => {
-                let tenant = r.string()?;
-                let soc_id = r.uv()?;
-                let n = r.count(2)?;
-                let mut edits = Vec::with_capacity(n);
-                for _ in 0..n {
-                    edits.push(WireEdit::decode(&mut r)?);
-                }
-                Request::Revise { tenant, soc_id, edits }
-            }
+            2 => Request::Submit { tenant: r.string()?, jobs: r.seq(2, WireJob::decode)? },
+            3 => Request::Revise {
+                tenant: r.string()?,
+                soc_id: r.uv()?,
+                edits: r.seq(2, WireEdit::decode)?,
+            },
             4 => Request::Stats { tenant: r.string()? },
             5 => Request::SnapshotNow,
             6 => Request::Shutdown,
@@ -1491,14 +1304,7 @@ impl Response {
         let mut r = Reader::new(payload);
         let response = match r.uv()? {
             1 => Response::Registered { soc_id: r.uv()? },
-            2 => {
-                let n = r.count(1)?;
-                let mut outcomes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    outcomes.push(WireOutcome::decode(&mut r)?);
-                }
-                Response::Outcomes(outcomes)
-            }
+            2 => Response::Outcomes(r.seq(1, WireOutcome::decode)?),
             3 => Response::Revised { soc_id: r.uv()?, revision: r.uv()? },
             4 => Response::Stats(WireStats::decode(&mut r)?),
             5 => Response::SnapshotDone { persisted: r.uv()? },
@@ -1548,8 +1354,7 @@ fn read_frame(r: &mut impl Read, want_kind: u8) -> Result<Vec<u8>, WireError> {
         r.read_exact(&mut b)?;
         len_bytes.push(b[0]);
         if b[0] & 0x80 == 0 {
-            let mut pos = 0;
-            break read_uv(&len_bytes, &mut pos)?;
+            break Reader::new(&len_bytes).uv()?;
         }
         if len_bytes.len() > 10 {
             return Err(WireError::Corrupt("frame length varint longer than 10 bytes".into()));

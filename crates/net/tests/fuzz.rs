@@ -176,3 +176,20 @@ fn hostile_lengths_cannot_force_allocation() {
     let decoded = read_request(&mut &frame[..]);
     assert!(decoded.is_err(), "a lying count must fail: {decoded:?}");
 }
+
+#[test]
+fn non_canonical_payload_varints_are_wire_corruption() {
+    // Payload `0x80 0x00`: the message tag zero spelled with a wasted
+    // continuation byte. The strict reader rejects it, and the fault must
+    // read as a wire fault, not as some other format's.
+    let mut frame = frame_request(&Request::SnapshotNow);
+    frame.truncate(6); // keep magic + version + kind
+    frame.extend_from_slice(&[2, 0x80, 0x00]);
+    match read_request(&mut &frame[..]) {
+        Err(WireError::Corrupt(what)) => {
+            assert!(what.contains("non-canonical"), "{what}");
+            assert!(!what.contains("snapshot"), "wire faults must not mention snapshots: {what}");
+        }
+        other => panic!("a non-canonical varint must be corrupt, got {other:?}"),
+    }
+}

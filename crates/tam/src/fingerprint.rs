@@ -151,29 +151,14 @@ pub fn session_fingerprint(
 ) -> u64 {
     let mut h = StableHasher::new();
     h.write_u32(tam_width);
-    write_effort(&mut h, effort);
-    write_engine(&mut h, engine);
+    h.write_u8(effort.code());
+    h.write_u8(engine.code());
     h.write_u64(skeleton.len() as u64);
     for job in skeleton {
         write_job_core(&mut h, job);
         h.write_u8(0); // normalized JobKind::Skeleton
     }
     h.finish()
-}
-
-pub(crate) fn write_effort(h: &mut StableHasher, effort: Effort) {
-    h.write_u8(match effort {
-        Effort::Quick => 0,
-        Effort::Standard => 1,
-        Effort::Thorough => 2,
-    });
-}
-
-pub(crate) fn write_engine(h: &mut StableHasher, engine: Engine) {
-    h.write_u8(match engine {
-        Engine::Skyline => 0,
-        Engine::Naive => 1,
-    });
 }
 
 impl ScheduleProblem {
@@ -206,8 +191,8 @@ impl ScheduleProblem {
     pub fn fingerprint_with(&self, effort: Effort, engine: Engine) -> u64 {
         let mut h = StableHasher::new();
         h.write_u64(self.fingerprint());
-        write_effort(&mut h, effort);
-        write_engine(&mut h, engine);
+        h.write_u8(effort.code());
+        h.write_u8(engine.code());
         h.finish()
     }
 }

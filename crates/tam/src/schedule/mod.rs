@@ -296,6 +296,26 @@ pub enum Effort {
 }
 
 impl Effort {
+    /// The stable one-byte code fingerprints, snapshots and the wire
+    /// protocol carry for this effort.
+    pub fn code(self) -> u8 {
+        match self {
+            Effort::Quick => 0,
+            Effort::Standard => 1,
+            Effort::Thorough => 2,
+        }
+    }
+
+    /// Inverts [`Self::code`]; `None` for a code naming no effort.
+    pub fn from_code(code: u8) -> Option<Self> {
+        match code {
+            0 => Some(Effort::Quick),
+            1 => Some(Effort::Standard),
+            2 => Some(Effort::Thorough),
+            _ => None,
+        }
+    }
+
     fn shuffles(self) -> u64 {
         match self {
             Effort::Quick => 0,
@@ -340,6 +360,27 @@ pub enum Engine {
     Skyline,
     /// The original rebuild-sort-scan reference path, serial and unpruned.
     Naive,
+}
+
+impl Engine {
+    /// The stable one-byte code fingerprints, snapshots and the wire
+    /// protocol carry for this engine. Codes 2–4 named the removed
+    /// MaxRects, guillotine and portfolio engines and stay unassigned.
+    pub fn code(self) -> u8 {
+        match self {
+            Engine::Skyline => 0,
+            Engine::Naive => 1,
+        }
+    }
+
+    /// Inverts [`Self::code`]; `None` for a code naming no engine.
+    pub fn from_code(code: u8) -> Option<Self> {
+        match code {
+            0 => Some(Engine::Skyline),
+            1 => Some(Engine::Naive),
+            _ => None,
+        }
+    }
 }
 
 /// Schedules `problem` with [`Effort::Standard`].

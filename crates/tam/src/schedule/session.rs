@@ -197,8 +197,8 @@ impl PackSession {
     pub fn fingerprint(&self) -> u64 {
         let mut h = crate::fingerprint::StableHasher::new();
         h.write_u32(self.tam_width());
-        crate::fingerprint::write_effort(&mut h, self.effort());
-        crate::fingerprint::write_engine(&mut h, self.engine);
+        h.write_u8(self.effort().code());
+        h.write_u8(self.engine.code());
         crate::fingerprint::write_jobs(&mut h, self.skeleton());
         h.finish()
     }

@@ -18,7 +18,7 @@ use std::error::Error;
 use std::time::Duration;
 
 use msoc::core::planner::PlannerOptions;
-use msoc::core::{parse_blob_name, DaemonConfig, ExportOutcome, PlanRequest};
+use msoc::core::{parse_blob_name, DaemonConfig, ExportOutcome};
 use msoc::prelude::*;
 use msoc::tam::Effort;
 
@@ -26,9 +26,12 @@ const FAULT_PERCENT: u32 = 35;
 
 fn warm(service: &PlanService, width: u32) -> Result<(), Box<dyn Error>> {
     let opts = PlannerOptions { effort: Effort::Quick, ..PlannerOptions::default() };
-    let req =
-        PlanRequest::new(MixedSignalSoc::d695m(), width, CostWeights::balanced()).with_opts(opts);
-    service.plan(&req)?;
+    let job = JobBuilder::new(MixedSignalSoc::d695m())
+        .single(width)
+        .weights(CostWeights::balanced())
+        .opts(opts)
+        .build()?;
+    service.submit(&[job]).remove(0).into_result()?;
     Ok(())
 }
 

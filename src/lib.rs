@@ -59,8 +59,8 @@ pub mod prelude {
     pub use msoc_core::{
         recover, CancelToken, CoreEdit, CostWeights, Deadline, DirStore, FaultyStore, Job,
         JobBuilder, JobOutcome, JobReport, JobResult, JobSpec, MixedSignalSoc, PlanReport,
-        PlanRequest, PlanService, Planner, Priority, ServiceSnapshot, SharingConfig,
-        SnapshotDaemon, SnapshotStore, SocHandle, TableRequest,
+        PlanService, Planner, Priority, ServiceSnapshot, SharingConfig, SnapshotDaemon,
+        SnapshotStore, SocHandle,
     };
     pub use msoc_itc02::{Module, Soc};
     pub use msoc_net::{

@@ -7,9 +7,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use msoc::core::planner::PlannerOptions;
-use msoc::core::{
-    blob_name, parse_blob_name, recover, DaemonConfig, ExportOutcome, PlanError, PlanRequest,
-};
+use msoc::core::{blob_name, parse_blob_name, recover, DaemonConfig, ExportOutcome, PlanError};
 use msoc::prelude::*;
 use msoc::tam::Effort;
 
@@ -28,9 +26,13 @@ fn quick_opts() -> PlannerOptions {
 }
 
 fn warm(service: &PlanService, width: u32) {
-    let req = PlanRequest::new(MixedSignalSoc::d695m(), width, CostWeights::balanced())
-        .with_opts(quick_opts());
-    service.plan(&req).expect("plan succeeds");
+    let job = JobBuilder::new(MixedSignalSoc::d695m())
+        .single(width)
+        .weights(CostWeights::balanced())
+        .opts(quick_opts())
+        .build()
+        .expect("valid job");
+    service.submit(&[job]).remove(0).into_result().expect("plan succeeds");
 }
 
 /// A daemon config that never sleeps (the fault loops retry hundreds of

@@ -1,10 +1,12 @@
-//! Backward compatibility: a golden v1 snapshot blob, committed under
-//! `tests/data/`, must keep importing on every future format revision.
+//! Backward compatibility: a golden snapshot blob, committed under
+//! `tests/data/`, must keep importing on every future revision of the
+//! code, and its bytes pin the v2 encoding.
 //!
-//! The blob was produced by the v1 encoder (d695m, TAM widths 16 and
-//! 24, quick effort, balanced weights) before the v2 format landed. v1
-//! snapshots carry no checkpoint tries, so the imported sessions start
-//! cold and rebuild checkpoints on first use — but every cached
+//! The blob's content was produced by the original v1 encoder (d695m, TAM
+//! widths 16 and 24, quick effort, balanced weights) and re-encoded as v2
+//! (decode + re-encode, same sessions and schedules) before v1 decoding
+//! was retired. It carries no checkpoint tries, so the imported sessions
+//! start cold and rebuild checkpoints on first use — but every cached
 //! schedule must still be served, bit-identical to a fresh computation.
 
 use msoc::core::planner::PlannerOptions;
@@ -12,7 +14,7 @@ use msoc::core::Job;
 use msoc::prelude::*;
 use msoc::tam::Effort;
 
-const GOLDEN_V1: &[u8] = include_bytes!("data/snapshot_v1.bin");
+const GOLDEN: &[u8] = include_bytes!("data/snapshot_v2.bin");
 
 fn golden_jobs() -> Vec<Job> {
     [16u32, 24]
@@ -29,14 +31,14 @@ fn golden_jobs() -> Vec<Job> {
 }
 
 #[test]
-fn golden_v1_snapshot_still_imports_and_serves_its_schedules() {
-    let snapshot = ServiceSnapshot::from_bytes(GOLDEN_V1).expect("golden v1 blob decodes");
+fn golden_snapshot_still_imports_and_serves_its_schedules() {
+    let snapshot = ServiceSnapshot::from_bytes(GOLDEN).expect("golden blob decodes");
     assert!(snapshot.session_count() > 0);
     assert!(snapshot.schedule_count() > 0);
 
-    let imported = PlanService::from_snapshot(&snapshot).expect("golden v1 blob imports");
+    let imported = PlanService::from_snapshot(&snapshot).expect("golden blob imports");
     let stats = imported.stats();
-    // v1 carried no tries: sessions restore cold, nothing is dropped.
+    // The blob carries no tries: sessions restore cold, nothing is dropped.
     assert_eq!(stats.sessions.import_restored, 0, "{stats:?}");
     assert_eq!(stats.sessions.import_dropped, 0, "{stats:?}");
 
@@ -51,19 +53,15 @@ fn golden_v1_snapshot_still_imports_and_serves_its_schedules() {
         assert_eq!(a.result.plan().unwrap(), b.result.plan().unwrap());
     }
     let stats = imported.stats();
-    assert_eq!(stats.schedule_misses, 0, "v1 replay must be pure cache hits: {stats:?}");
+    assert_eq!(stats.schedule_misses, 0, "golden replay must be pure cache hits: {stats:?}");
     assert!(stats.schedule_hits > 0, "{stats:?}");
 }
 
 #[test]
-fn golden_v1_snapshot_reencodes_as_v2_and_keeps_its_content() {
-    let snapshot = ServiceSnapshot::from_bytes(GOLDEN_V1).expect("golden v1 blob decodes");
-    // `to_bytes` always emits the current version; the v1 → v2 migration
-    // is exactly decode + re-encode.
-    let v2_bytes = snapshot.to_bytes();
-    assert!(v2_bytes.len() < GOLDEN_V1.len(), "v2 must not inflate the v1 content");
-    let reloaded = ServiceSnapshot::from_bytes(&v2_bytes).expect("re-encoded blob decodes");
-    assert_eq!(reloaded, snapshot);
+fn golden_snapshot_is_a_fixed_point_of_decode_then_encode() {
+    let snapshot = ServiceSnapshot::from_bytes(GOLDEN).expect("golden blob decodes");
+    // Any drift in the v2 encoder changes these bytes.
+    assert_eq!(snapshot.to_bytes(), GOLDEN, "the v2 encoding must not change");
     let stats = snapshot.stats();
-    assert!(stats.compression_ratio > 1.5, "re-encoded v1 content must compress >1.5x: {stats:?}");
+    assert!(stats.compression_ratio > 1.5, "golden content must compress >1.5x: {stats:?}");
 }
