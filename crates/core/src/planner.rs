@@ -464,7 +464,7 @@ impl<'a> Planner<'a> {
     /// exactly the problem the width's [`PackSession`] delta-packs.
     pub fn build_problem(&mut self, config: &SharingConfig, w: u32) -> ScheduleProblem {
         let delta = self.delta_jobs(config);
-        self.session(w).problem_for(&delta)
+        self.session(w).key().problem_for(&delta)
     }
 
     /// Schedules a configuration (cached) and returns its makespan.
@@ -606,7 +606,7 @@ impl<'a> Planner<'a> {
             if let Some((_, incumbent)) = best {
                 // Bound straight from the session skeleton + delta slices;
                 // no job cloning for a width that may be pruned.
-                let jobs = self.session(w).skeleton().iter().chain(delta.iter());
+                let jobs = self.session(w).key().skeleton().iter().chain(delta.iter());
                 if bounds::lower_bound_for(jobs, w) > incumbent {
                     self.width_bound_prunes += 1;
                     continue;
@@ -657,7 +657,7 @@ impl<'a> Planner<'a> {
         let t_max = self.t_max(w)?;
         let delta = self.delta_jobs(config);
         let lb = {
-            let jobs = self.session(w).skeleton().iter().chain(delta.iter());
+            let jobs = self.session(w).key().skeleton().iter().chain(delta.iter());
             bounds::lower_bound_for(jobs, w)
         };
         let c_t = cost::time_cost(lb.min(t_max), t_max);

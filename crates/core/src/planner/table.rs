@@ -266,7 +266,7 @@ impl<'a> Planner<'a> {
         let sessions: Vec<Arc<PackSession>> =
             widths.iter().map(|&w| Arc::clone(self.session(w))).collect();
         let widest_idx = (0..nw).max_by_key(|&i| widths[i]).expect("widths is non-empty");
-        let widest_skeleton = sessions[widest_idx].skeleton();
+        let widest_skeleton = sessions[widest_idx].key().skeleton();
         let curves: Vec<WidthBoundCurve<'_>> = deltas
             .iter()
             .map(|d| WidthBoundCurve::new(widest_skeleton.iter().chain(d.iter())))
@@ -761,7 +761,7 @@ impl<'a> Planner<'a> {
         for (pending, result) in to_pack.iter().zip(results) {
             match result {
                 Ok(schedule) => {
-                    let key = (config_for(pending.cell), pending.session.tam_width());
+                    let key = (config_for(pending.cell), pending.session.key().tam_width());
                     packed.push((pending.cell, schedule.makespan()));
                     self.makespans.insert(key.clone(), schedule.makespan());
                     self.schedules.insert(key, schedule);

@@ -7,7 +7,7 @@
 //! [`PlanService`] is the long-lived owner of that state:
 //!
 //! * **Session cache** — [`PackSession`]s keyed by their stable content
-//!   [fingerprint](PackSession::fingerprint) (skeleton jobs + TAM width +
+//!   [fingerprint](SessionKey::fingerprint) (skeleton jobs + TAM width +
 //!   effort + engine). Two planners for the same digital SOC — or two
 //!   *runs* of the same plan request hours apart — share one session, and
 //!   with it every skeleton checkpoint and delta-prefix snapshot the
@@ -87,8 +87,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use msoc_tam::{
-    fingerprint_jobs, Effort, Engine, PackSession, Schedule, ScheduleError, SessionStats,
-    StableHasher, TestJob,
+    fingerprint_jobs, Effort, Engine, PackSession, Schedule, ScheduleError, SessionKey,
+    SessionStats, StableHasher, TestJob,
 };
 
 /// Default bound on retained schedules in the service's schedule cache.
@@ -123,25 +123,19 @@ fn shard_index(fp: u64) -> usize {
 }
 
 /// One fully cached schedule: the exact inputs it answers for (verified on
-/// every hit) plus the solved schedule. Holding the session `Arc` (not
-/// just its fingerprint) is what makes hit verification *content*-exact on
-/// the session side too: a fingerprint collision between two sessions with
-/// different skeletons must degrade to a miss, never to a schedule packed
-/// against the wrong skeleton.
+/// every hit) plus the solved schedule. Holding the session's full
+/// [`SessionKey`] (not just its fingerprint) is what makes hit
+/// verification *content*-exact on the session side too: a fingerprint
+/// collision between two sessions with different skeletons must degrade to
+/// a miss, never to a schedule packed against the wrong skeleton. The key
+/// is all an entry holds of its session, so an evicted session's
+/// checkpoint trie is freed (see [`PlanService::retire`]) while the
+/// schedule stays servable.
 #[derive(Debug)]
 struct ScheduleEntry {
-    session: Arc<PackSession>,
+    key: Arc<SessionKey>,
     delta: Vec<TestJob>,
     schedule: Arc<Schedule>,
-}
-
-/// Full content equality of two sessions (the collision-proof check
-/// behind every fingerprint-keyed session hit).
-fn sessions_equal(a: &PackSession, b: &PackSession) -> bool {
-    a.tam_width() == b.tam_width()
-        && a.effort() == b.effort()
-        && a.engine() == b.engine()
-        && a.skeleton() == b.skeleton()
 }
 
 /// One cached session plus its LRU clock value.
@@ -211,11 +205,11 @@ struct ShardState {
 }
 
 impl ShardState {
-    /// Drops the least recently used session (LRU over request ticks).
-    /// Outstanding `Arc` handles — planners mid-sweep, schedule-cache
-    /// entries — keep evicted sessions alive until released; the service
-    /// just stops handing them out.
-    fn evict_lru_session(&mut self) {
+    /// Removes the least recently used session (LRU over request ticks)
+    /// and returns it for [`PlanService::retire`]. Planners mid-sweep keep
+    /// their `Arc` handle until they finish; schedule-cache entries hold
+    /// only the session's [`SessionKey`], so they do not keep it alive.
+    fn evict_lru_session(&mut self) -> Option<Arc<PackSession>> {
         let victim = self
             .sessions
             .iter()
@@ -224,14 +218,15 @@ impl ShardState {
             })
             .min()
             .map(|(_, fp, i)| (fp, i));
-        let Some((fp, i)) = victim else { return };
+        let (fp, i) = victim?;
         let bucket = self.sessions.get_mut(&fp).expect("victim bucket exists");
-        bucket.remove(i);
+        let evicted = bucket.remove(i);
         if bucket.is_empty() {
             self.sessions.remove(&fp);
         }
         self.session_count -= 1;
         self.session_evictions += 1;
+        Some(evicted.session)
     }
 
     /// Enforces the per-shard schedule FIFO cap (oldest-first).
@@ -372,6 +367,9 @@ pub struct PlanService {
     /// Jobs currently dispatched and not yet finished (the queue-depth
     /// reservation counter).
     pub(crate) inflight: AtomicU64,
+    /// Sessions evicted since the last snapshot export (see
+    /// [`Self::retire`]).
+    retired: Mutex<Vec<Arc<PackSession>>>,
 }
 
 impl Default for PlanService {
@@ -430,6 +428,7 @@ impl PlanService {
             admission_cap: None,
             queue_depth_cap: None,
             inflight: AtomicU64::new(0),
+            retired: Mutex::new(Vec::new()),
         }
     }
 
@@ -529,11 +528,11 @@ impl PlanService {
         let found = bucket
             .iter_mut()
             .find(|entry| {
-                let session = &entry.session;
-                session.tam_width() == tam_width
-                    && session.effort() == effort
-                    && session.engine() == engine
-                    && session.skeleton() == skeleton
+                let key = entry.session.key();
+                key.tam_width() == tam_width
+                    && key.effort() == effort
+                    && key.engine() == engine
+                    && key.skeleton() == skeleton
             })
             .map(|entry| {
                 entry.last_used = tick;
@@ -554,10 +553,41 @@ impl PlanService {
             .push(SessionEntry { session: Arc::clone(&created), last_used: tick });
         state.session_count += 1;
         state.session_misses += 1;
+        let mut evicted = Vec::new();
         while state.session_count > self.session_cap {
-            state.evict_lru_session();
+            evicted.extend(state.evict_lru_session());
+        }
+        drop(state);
+        if !evicted.is_empty() {
+            self.retire(evicted);
         }
         created
+    }
+
+    /// Parks evicted sessions until the next snapshot export frees them.
+    ///
+    /// Freeing a checkpoint trie costs about 1.5 µs per stored checkpoint,
+    /// up to milliseconds per session, and the request that evicts is
+    /// about to plan on a cold session; an export runs between requests.
+    /// At most the service's session cap of evicted sessions wait, so a
+    /// service that never exports frees the oldest right here and holds
+    /// at most twice its cap.
+    fn retire(&self, evicted: Vec<Arc<PackSession>>) {
+        let mut retired = self.retired.lock().expect("retired sessions lock");
+        retired.extend(evicted);
+        let excess = retired.len().saturating_sub(self.session_cap * SHARDS);
+        let freed: Vec<_> = retired.drain(..excess).collect();
+        drop(retired);
+        drop(freed);
+    }
+
+    /// Frees the sessions evicted since the last call (see
+    /// [`Self::retire`]).
+    fn free_retired(&self) {
+        // Taken under the lock, freed after it: evicting requests need not
+        // wait for the frees.
+        let retired = std::mem::take(&mut *self.retired.lock().expect("retired sessions lock"));
+        drop(retired);
     }
 
     /// Packs `delta` on `session` through the schedule cache: a warm hit
@@ -583,18 +613,17 @@ impl PlanService {
         delta: &[TestJob],
         tracked: bool,
     ) -> Result<Arc<Schedule>, ScheduleError> {
+        let session_key = session.key();
         let mut h = StableHasher::new();
-        h.write_u64(session.fingerprint());
+        h.write_u64(session_key.fingerprint());
         h.write_u64(fingerprint_jobs(delta));
         let key = h.finish();
-        // Content-exact hit check: the pointer compare answers the common
-        // case (sessions come from this service's cache, so equal content
-        // means the same `Arc`) and the full compare keeps externally
-        // constructed sessions — and fingerprint collisions — honest.
-        let matches = |e: &ScheduleEntry| {
-            (Arc::ptr_eq(&e.session, session) || sessions_equal(&e.session, session))
-                && e.delta == delta
-        };
+        // Content-exact hit check: key equality is a pointer compare in
+        // the common case (sessions come from this service's cache, so
+        // equal content means the same key `Arc`) and a full compare for
+        // rebuilt and externally constructed sessions — and fingerprint
+        // collisions.
+        let matches = |e: &ScheduleEntry| *e.key == **session_key && e.delta == delta;
 
         let shard = &self.shards[shard_index(key)];
         {
@@ -622,7 +651,7 @@ impl PlanService {
         // so this bump rides outside the shard lock like the mutation;
         // at worst one export tags a mid-pack fragment and the bump
         // forces the next export to rebuild it.)
-        self.shards[shard_index(session.fingerprint())].tick.fetch_add(1, Ordering::Relaxed);
+        self.shards[shard_index(session_key.fingerprint())].tick.fetch_add(1, Ordering::Relaxed);
         let mut state = shard.lock();
         // The schedule insert dirties the key shard; bumped under the
         // lock so exporters see bump and insert together.
@@ -631,7 +660,7 @@ impl PlanService {
         let already = bucket.iter().any(&matches);
         if !already {
             bucket.push(ScheduleEntry {
-                session: Arc::clone(session),
+                key: Arc::clone(session_key),
                 delta: delta.to_vec(),
                 schedule: Arc::clone(&schedule),
             });
@@ -856,6 +885,49 @@ mod tests {
             assert_eq!(&via_service, first, "warm/cold service diverged at w={w}");
             assert_eq!(via_service, *fresh.schedule_for(&all, w).unwrap(), "vs scratch at w={w}");
         }
+    }
+
+    #[test]
+    fn evicted_sessions_free_their_tries_while_their_schedules_still_hit() {
+        // One session per shard: two keys homed in the same shard evict
+        // each other, whatever the schedule cache still holds.
+        let service = PlanService::with_caps(SCHEDULE_CACHE_CAP, 1);
+        let point = |width, time| {
+            msoc_wrapper::Staircase::from_points(vec![msoc_wrapper::StaircasePoint { width, time }])
+        };
+        let skeleton = vec![TestJob::new("d0", point(2, 100)), TestJob::new("d1", point(1, 80))];
+        let delta = vec![TestJob::delta_in_group("a0", point(1, 40), 0)];
+        let (effort, engine) = (Effort::Quick, Engine::Skyline);
+        let home = |w| shard_index(msoc_tam::session_fingerprint(w, effort, engine, &skeleton));
+        let first = 4;
+        let second = (first + 1..).find(|&w| home(w) == home(first)).expect("a shard-mate");
+
+        let session = service.session(first, effort, engine, skeleton.clone());
+        let schedule = service.pack(&session, &delta).unwrap();
+        assert!(session.stats().skeleton_misses > 0, "the pack fills the trie");
+        let probe = Arc::downgrade(&session);
+        drop(session);
+        assert!(probe.upgrade().is_some(), "the session cache holds the session");
+
+        let other = service.session(second, effort, engine, skeleton.clone());
+        service.pack(&other, &delta).unwrap();
+        assert_eq!(service.stats().session_evictions, 1, "{:?}", service.stats());
+        // The export names the evicted session by key only, then frees it.
+        let snapshot = service.export_snapshot();
+        assert_eq!(snapshot.tries.iter().filter(|t| t.tries.is_empty()).count(), 1);
+        assert!(
+            probe.upgrade().is_none(),
+            "an evicted session must be freed, trie included, though a cached schedule names it"
+        );
+
+        // The cached schedule still answers a rebuilt session of equal
+        // content, without packing.
+        let rebuilt = service.session(first, effort, engine, skeleton);
+        let before = service.stats();
+        assert_eq!(service.pack(&rebuilt, &delta).unwrap(), schedule);
+        let after = service.stats();
+        assert_eq!(after.schedule_hits, before.schedule_hits + 1, "{after:?}");
+        assert_eq!(rebuilt.stats().delta_packs, 0, "a hit packs nothing: {after:?}");
     }
 
     #[test]

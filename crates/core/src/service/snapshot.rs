@@ -7,11 +7,22 @@
 //! same [`StableHasher`] stream the cache keys use). A **v2** snapshot
 //! carries the *schedule cache* — solved schedules plus the exact
 //! session content and delta jobs each one answers for — the session
-//! table those entries reference, and every session's **checkpoint
+//! table those entries reference, and every live session's **checkpoint
 //! trie** ([`CheckpointExport`]), so an imported service replays sweeps
 //! warm from disk exactly as warm from RAM: schedule-cache hits need no
 //! packing at all, and novel candidates restore their longest packed
 //! prefix instead of re-packing skeletons.
+//!
+//! **Session table order.** A cached schedule names its session by
+//! [`SessionKey`] only, so its session may have been evicted. The table
+//! lists those *schedule-only* keys first, with an empty trie, in the
+//! order the schedule records first reference them; the live sessions
+//! follow in LRU order (least recently used first), each with its trie. A
+//! schedule whose session was evicted and rebuilt references the live
+//! session, so every content appears once. The importer hands out ticks
+//! in table order, trims each shard to its session cap oldest-first, and
+//! restores tries only for the sessions that survive: a snapshot with
+//! more sessions than the cap keeps the ones its exporter used most.
 //!
 //! **v2 compression.** Job contents are interned once in a global
 //! deduplicated table (staircases delta-encoded: widths strictly
@@ -52,11 +63,11 @@ use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use msoc_tam::{
     fingerprint_jobs, CheckpointExport, CheckpointNode, Effort, Engine, JobKind, PackSession,
-    Schedule, ScheduledTest, StableHasher, TestJob, TrieExport,
+    Schedule, ScheduledTest, SessionKey, StableHasher, TestJob, TrieExport,
 };
 use msoc_wrapper::{Staircase, StaircasePoint};
 
@@ -73,20 +84,13 @@ const VERSION: u32 = 2;
 /// [`PlanService::from_snapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceSnapshot {
-    pub(crate) sessions: Vec<SessionRecord>,
+    /// The session table: schedule-only keys, then live sessions in LRU
+    /// order (see the [module docs](self)).
+    pub(crate) sessions: Vec<Arc<SessionKey>>,
     /// Per-session checkpoint tries, aligned with `sessions` (an empty
     /// export restores its session cold).
     pub(crate) tries: Vec<CheckpointExport>,
     pub(crate) schedules: Vec<ScheduleRecord>,
-}
-
-/// One pack session's content (skeleton + solver configuration).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SessionRecord {
-    pub(crate) tam_width: u32,
-    pub(crate) effort: Effort,
-    pub(crate) engine: Engine,
-    pub(crate) skeleton: Vec<TestJob>,
 }
 
 /// One solved schedule plus the exact inputs it answers for.
@@ -205,12 +209,12 @@ struct ShardFragment {
     /// The shard mutation tick this fragment was built at.
     tick: u64,
     /// Live sessions homed in this shard:
-    /// `(last_used, session, checkpoint-trie export)`.
-    sessions: Vec<(u64, Arc<PackSession>, CheckpointExport)>,
+    /// `(last_used, session key, checkpoint-trie export)`.
+    sessions: Vec<(u64, Arc<SessionKey>, CheckpointExport)>,
     /// Schedule tuples in this shard's FIFO memo order:
-    /// `(session, delta, makespan, entries)`.
+    /// `(session key, delta, makespan, entries)`.
     #[allow(clippy::type_complexity)]
-    schedules: Vec<(Arc<PackSession>, Vec<TestJob>, u64, Vec<ScheduledTest>)>,
+    schedules: Vec<(Arc<SessionKey>, Vec<TestJob>, u64, Vec<ScheduledTest>)>,
 }
 
 /// Reusable differential-export state for
@@ -219,7 +223,8 @@ struct ShardFragment {
 /// tick has not moved since the fragment was built re-exports from the
 /// fragment — no session walk, no trie export, no schedule cloning — so
 /// a mostly-idle service snapshots in time proportional to its *dirty*
-/// shards.
+/// shards. Fragments hold session keys, never sessions, so a cache does
+/// not keep evicted sessions alive either.
 ///
 /// A cache belongs to **one** service: fragments index shards by
 /// position and compare raw tick values, so reusing a cache against a
@@ -313,7 +318,7 @@ impl ServiceSnapshot {
         let mut table: Vec<&TestJob> = Vec::new();
         let mut ids: HashMap<&TestJob, u64> = HashMap::new();
         for s in &self.sessions {
-            for job in &s.skeleton {
+            for job in s.skeleton() {
                 intern(&mut table, &mut ids, job);
             }
         }
@@ -346,11 +351,11 @@ impl ServiceSnapshot {
         let mark = out.len();
         write_uv(&mut out, self.sessions.len() as u64);
         for s in &self.sessions {
-            write_uv(&mut out, u64::from(s.tam_width));
-            out.push(s.effort.code());
-            out.push(s.engine.code());
-            write_uv(&mut out, s.skeleton.len() as u64);
-            for job in &s.skeleton {
+            write_uv(&mut out, u64::from(s.tam_width()));
+            out.push(s.effort().code());
+            out.push(s.engine().code());
+            write_uv(&mut out, s.skeleton().len() as u64);
+            for job in s.skeleton() {
                 write_uv(&mut out, ids[job]);
             }
         }
@@ -399,7 +404,7 @@ impl ServiceSnapshot {
             }
             write_uv(&mut out, r.makespan);
             write_uv(&mut out, r.entries.len() as u64);
-            let skeleton = self.sessions.get(r.session).map(|s| s.skeleton.as_slice());
+            let skeleton = self.sessions.get(r.session).map(|s| s.skeleton());
             let mut prev_start = 0u64;
             for e in &r.entries {
                 write_uv(&mut out, e.job as u64);
@@ -427,7 +432,7 @@ impl ServiceSnapshot {
         }
         let header = MAGIC.len() + 4;
         let sessions: usize =
-            8 + self.sessions.iter().map(|s| 4 + 1 + 1 + jobs_len(&s.skeleton)).sum::<usize>();
+            8 + self.sessions.iter().map(|s| 4 + 1 + 1 + jobs_len(s.skeleton())).sum::<usize>();
         let schedules: usize = 8 + self
             .schedules
             .iter()
@@ -468,13 +473,13 @@ impl ServiceSnapshot {
 /// skeleton steps index the session skeleton, delta steps carry a local
 /// content id.
 fn node_content<'a>(
-    session: &'a SessionRecord,
+    session: &'a SessionKey,
     trie: &'a TrieExport,
     node: &CheckpointNode,
 ) -> Option<&'a TestJob> {
     let job = node.job as usize;
-    if job < session.skeleton.len() {
-        session.skeleton.get(job)
+    if job < session.skeleton().len() {
+        session.skeleton().get(job)
     } else {
         node.content.and_then(|c| trie.contents.get(c as usize))
     }
@@ -566,7 +571,7 @@ fn decode_v2(r: &mut Reader) -> Result<ServiceSnapshot, DecodeError> {
 }
 
 /// Reads one session record (see [`ServiceSnapshot::encode`]).
-fn read_session(r: &mut Reader, contents: &[TestJob]) -> Result<SessionRecord, DecodeError> {
+fn read_session(r: &mut Reader, contents: &[TestJob]) -> Result<Arc<SessionKey>, DecodeError> {
     let tam_width = r.u32()?;
     let code = r.u8()?;
     let effort = Effort::from_code(code)
@@ -575,7 +580,7 @@ fn read_session(r: &mut Reader, contents: &[TestJob]) -> Result<SessionRecord, D
     let engine = Engine::from_code(code)
         .ok_or_else(|| DecodeError::Corrupt(format!("unknown engine code {code}")))?;
     let skeleton = r.seq(1, |r| content_ref(contents, r.uv()?))?;
-    Ok(SessionRecord { tam_width, effort, engine, skeleton })
+    Ok(Arc::new(SessionKey::new(tam_width, skeleton, effort, engine)))
 }
 
 /// Reads session `index`'s checkpoint-trie section: a member count (a
@@ -584,7 +589,7 @@ fn read_session(r: &mut Reader, contents: &[TestJob]) -> Result<SessionRecord, D
 fn read_tries(
     r: &mut Reader,
     index: usize,
-    session: &SessionRecord,
+    session: &SessionKey,
     contents: &[TestJob],
 ) -> Result<CheckpointExport, DecodeError> {
     let tries = match r.uv()? {
@@ -613,14 +618,14 @@ fn read_tries(
 /// Reads one schedule record.
 fn read_schedule(
     r: &mut Reader,
-    sessions: &[SessionRecord],
+    sessions: &[Arc<SessionKey>],
     contents: &[TestJob],
 ) -> Result<ScheduleRecord, DecodeError> {
     let index = r.uv()?;
     let session = usize::try_from(index).ok().filter(|&s| s < sessions.len()).ok_or_else(|| {
         DecodeError::Corrupt(format!("schedule references session {index} of {}", sessions.len()))
     })?;
-    let skeleton = &sessions[session].skeleton;
+    let skeleton = sessions[session].skeleton();
     let delta = r.seq(1, |r| content_ref(contents, r.uv()?))?;
     let makespan = r.uv()?;
     let mut prev_start = 0u64;
@@ -694,7 +699,7 @@ fn read_placement(
 /// coordinates of all earlier nodes (parents precede children).
 fn read_node(
     r: &mut Reader,
-    session: &SessionRecord,
+    session: &SessionKey,
     local: &[TestJob],
     starts: &[u64],
 ) -> Result<CheckpointNode, DecodeError> {
@@ -718,8 +723,8 @@ fn read_node(
             u32::try_from(tag - 1).map_err(|_| corrupt("content index overflows u32".into()))?,
         ),
     };
-    let resolved = if (job as usize) < session.skeleton.len() {
-        session.skeleton.get(job as usize)
+    let resolved = if (job as usize) < session.skeleton().len() {
+        session.skeleton().get(job as usize)
     } else {
         content.and_then(|c| local.get(c as usize))
     };
@@ -781,10 +786,12 @@ fn read_content(r: &mut Reader) -> Result<TestJob, DecodeError> {
 }
 
 impl PlanService {
-    /// Exports the current schedule cache (and the sessions it
-    /// references) as a [`ServiceSnapshot`]. Cache eviction order is
-    /// preserved, so an export → import roundtrip behaves like the
-    /// original service under further traffic.
+    /// Exports the current schedule cache, the keys of the sessions it
+    /// references and every live session with its checkpoint trie as a
+    /// [`ServiceSnapshot`]: keys that only a cached schedule names come
+    /// first, then the live sessions in LRU order. Cache eviction order is
+    /// preserved, so an export → import roundtrip at the same caps behaves
+    /// like the original service under further traffic.
     pub fn export_snapshot(&self) -> ServiceSnapshot {
         self.export_snapshot_with_cache(&mut ExportCache::new()).0
     }
@@ -796,11 +803,14 @@ impl PlanService {
     /// snapshot and how many shards were served from the cache — the
     /// output is **byte-identical** to a fragment-less export of the same
     /// state (fragments only skip work, never change content or order).
+    /// Every export also frees the sessions evicted since the previous
+    /// one: eviction parks them so that the evicting request does not pay
+    /// for freeing their checkpoint tries.
     pub fn export_snapshot_with_cache(&self, cache: &mut ExportCache) -> (ServiceSnapshot, usize) {
         cache.shards.resize_with(self.shards.len(), || None);
-        // Hold every shard lock for the duration of the export (acquired
-        // in shard index order, the only multi-shard lock site) so the
-        // snapshot is one consistent cross-shard view.
+        // Hold every shard lock while the fragments are refreshed
+        // (acquired in shard index order, the only multi-shard lock site)
+        // so the snapshot is one consistent cross-shard view.
         let states: Vec<_> = self.shards.iter().map(|shard| shard.lock()).collect();
         let mut reused = 0usize;
         for ((shard, state), slot) in self.shards.iter().zip(&states).zip(&mut cache.shards) {
@@ -809,12 +819,12 @@ impl PlanService {
                 reused += 1;
                 continue;
             }
-            let mut sessions: Vec<(u64, Arc<PackSession>, CheckpointExport)> = Vec::new();
+            let mut sessions = Vec::new();
             for bucket in state.sessions.values() {
                 for entry in bucket {
                     sessions.push((
                         entry.last_used,
-                        Arc::clone(&entry.session),
+                        Arc::clone(entry.session.key()),
                         entry.session.export_checkpoints(),
                     ));
                 }
@@ -829,7 +839,7 @@ impl PlanService {
                 let Some(entry) = bucket.get(*cursor) else { continue };
                 *cursor += 1;
                 schedules.push((
-                    Arc::clone(&entry.session),
+                    Arc::clone(&entry.key),
                     entry.delta.clone(),
                     entry.schedule.makespan(),
                     entry.schedule.entries().to_vec(),
@@ -837,59 +847,43 @@ impl PlanService {
             }
             *slot = Some(ShardFragment { tick, sessions, schedules });
         }
-        // Assemble exactly what the fragment-less exporter produced:
-        // live sessions first, sorted by the global LRU tick (unique
-        // values from one atomic clock, so the order is the service-wide
-        // request order), then schedule records in shard-index × FIFO
-        // order, orphan sessions — referenced by a schedule but evicted
-        // from the session cache — appended at first reference with their
-        // tries exported live (orphans are invisible to shard ticks, so
-        // they are never served stale from a fragment).
-        let mut live: Vec<(u64, &Arc<PackSession>, &CheckpointExport)> = cache
-            .shards
-            .iter()
-            .flatten()
-            .flat_map(|f| f.sessions.iter().map(|(t, s, cp)| (*t, s, cp)))
-            .collect();
+        drop(states);
+        // Assemble the session table (see the module docs): schedule-only
+        // keys at first reference in the schedule records' shard-index ×
+        // FIFO order, then live sessions sorted by the global LRU tick
+        // (unique values from one atomic clock, so the order is the
+        // service-wide request order). A schedule names the live session
+        // of equal content when there is one.
+        let mut live: Vec<&(u64, Arc<SessionKey>, CheckpointExport)> =
+            cache.shards.iter().flatten().flat_map(|f| &f.sessions).collect();
         live.sort_by_key(|e| e.0);
-        let mut sessions: Vec<Arc<PackSession>> =
-            live.iter().map(|(_, s, _)| Arc::clone(s)).collect();
-        let mut tries: Vec<CheckpointExport> =
-            live.iter().map(|(_, _, cp)| (*cp).clone()).collect();
-        let mut records: Vec<ScheduleRecord> = Vec::new();
-        for fragment in cache.shards.iter().flatten() {
-            for (session, delta, makespan, entries) in &fragment.schedules {
-                let session_idx = match sessions.iter().position(|s| Arc::ptr_eq(s, session)) {
-                    Some(idx) => idx,
-                    None => {
-                        sessions.push(Arc::clone(session));
-                        tries.push(session.export_checkpoints());
-                        sessions.len() - 1
-                    }
-                };
-                records.push(ScheduleRecord {
-                    session: session_idx,
-                    delta: delta.clone(),
-                    makespan: *makespan,
-                    entries: entries.clone(),
-                });
+        let is_live: HashSet<&SessionKey> = live.iter().map(|(_, key, _)| &**key).collect();
+        let schedules = || cache.shards.iter().flatten().flat_map(|f| &f.schedules);
+        let mut index: HashMap<&SessionKey, usize> = HashMap::new();
+        let mut keys: Vec<Arc<SessionKey>> = Vec::new();
+        let mut tries: Vec<CheckpointExport> = Vec::new();
+        for (key, ..) in schedules() {
+            if !is_live.contains(&**key) && !index.contains_key(&**key) {
+                index.insert(key, keys.len());
+                keys.push(Arc::clone(key));
+                tries.push(CheckpointExport::default());
             }
         }
-        drop(states);
-        let snapshot = ServiceSnapshot {
-            sessions: sessions
-                .into_iter()
-                .map(|s| SessionRecord {
-                    tam_width: s.tam_width(),
-                    effort: s.effort(),
-                    engine: s.engine(),
-                    skeleton: s.skeleton().to_vec(),
-                })
-                .collect(),
-            tries,
-            schedules: records,
-        };
-        (snapshot, reused)
+        for (_, key, checkpoints) in live {
+            index.insert(key, keys.len());
+            keys.push(Arc::clone(key));
+            tries.push(checkpoints.clone());
+        }
+        let records = schedules()
+            .map(|(key, delta, makespan, entries)| ScheduleRecord {
+                session: index[&**key],
+                delta: delta.clone(),
+                makespan: *makespan,
+                entries: entries.clone(),
+            })
+            .collect();
+        self.free_retired();
+        (ServiceSnapshot { sessions: keys, tries, schedules: records }, reused)
     }
 
     /// Rebuilds a warm service from a snapshot with the **default** cache
@@ -931,73 +925,68 @@ impl PlanService {
         session_cap: usize,
     ) -> Result<PlanService, SnapshotError> {
         let service = PlanService::with_caps(schedule_cap, session_cap);
-        let sessions: Vec<Arc<PackSession>> = snapshot
-            .sessions
-            .iter()
-            .map(|s| {
-                Arc::new(PackSession::new(s.tam_width, s.skeleton.clone(), s.effort, s.engine))
-            })
-            .collect();
-        // Restore checkpoint tries before the sessions see traffic. Each
-        // restored checkpoint is verified against a deterministic re-pack
-        // of its own prefix inside `import_checkpoints`; mismatches are
-        // dropped and counted, never trusted.
-        for (session, checkpoints) in sessions.iter().zip(&snapshot.tries) {
-            session.import_checkpoints(checkpoints);
-        }
-        for session in &sessions {
-            let tick = service.session_tick.fetch_add(1, Ordering::Relaxed) + 1;
-            let fp = session.fingerprint();
-            let mut state = service.shards[super::shard_index(fp)].lock();
-            state
-                .sessions
-                .entry(fp)
-                .or_default()
-                .push(SessionEntry { session: Arc::clone(session), last_used: tick });
-            state.session_count += 1;
-        }
         for (i, record) in snapshot.schedules.iter().enumerate() {
             let corrupt = |what: String| SnapshotError::Corrupt(format!("schedule {i}: {what}"));
-            let session = sessions.get(record.session).ok_or_else(|| {
-                corrupt(format!("references session {} of {}", record.session, sessions.len()))
+            let key = snapshot.sessions.get(record.session).ok_or_else(|| {
+                corrupt(format!(
+                    "references session {} of {}",
+                    record.session,
+                    snapshot.sessions.len()
+                ))
             })?;
-            let schedule = Schedule::from_persisted(
-                session.tam_width(),
-                record.makespan,
-                record.entries.clone(),
-            )
-            .map_err(&corrupt)?;
+            let schedule =
+                Schedule::from_persisted(key.tam_width(), record.makespan, record.entries.clone())
+                    .map_err(&corrupt)?;
             let mut delta = record.delta.clone();
             for job in &mut delta {
                 job.kind = JobKind::Delta;
             }
-            let problem = session.problem_for(&delta);
-            schedule.validate(&problem).map_err(&corrupt)?;
+            schedule.validate(&key.problem_for(&delta)).map_err(&corrupt)?;
             let mut h = StableHasher::new();
-            h.write_u64(session.fingerprint());
+            h.write_u64(key.fingerprint());
             h.write_u64(fingerprint_jobs(&delta));
-            let key = h.finish();
-            let mut state = service.shards[super::shard_index(key)].lock();
-            state.schedules.entry(key).or_default().push(ScheduleEntry {
-                session: Arc::clone(session),
+            let fp = h.finish();
+            let mut state = service.shards[super::shard_index(fp)].lock();
+            state.schedules.entry(fp).or_default().push(ScheduleEntry {
+                key: Arc::clone(key),
                 delta,
                 schedule: Arc::new(schedule),
             });
-            state.memo_order.push_back(key);
+            state.memo_order.push_back(fp);
         }
-        // A snapshot larger than the caps keeps each shard's newest
-        // entries; the drops are visible in the eviction counters, not
-        // silent. Every shard's mutation tick is bumped once so the
-        // import is visible to any differential [`ExportCache`] built
-        // over this service.
-        for shard in service.shards.iter() {
+        // Sessions take ticks in table order, so each shard keeps its
+        // newest `session_cap` and the older ones count as evicted, like
+        // the schedules over the schedule cap: drops are visible in the
+        // eviction counters, not silent. Only the surviving sessions are
+        // built, and only their checkpoint tries are restored, each
+        // restored checkpoint verified against a deterministic re-pack of
+        // its own prefix inside `import_checkpoints` (mismatches are
+        // dropped and counted, never trusted). Every shard's mutation
+        // tick is bumped once so the import is visible to any
+        // differential [`ExportCache`] built over this service.
+        let mut homed = vec![Vec::new(); service.shards.len()];
+        for (i, key) in snapshot.sessions.iter().enumerate() {
+            homed[super::shard_index(key.fingerprint())].push(i);
+        }
+        for (shard, indices) in service.shards.iter().zip(&homed) {
             let mut state = shard.lock();
             shard.tick.fetch_add(1, Ordering::Relaxed);
             state.trim_schedules(service.schedule_cap);
-            while state.session_count > service.session_cap {
-                state.evict_lru_session();
+            let (evicted, kept) =
+                indices.split_at(indices.len().saturating_sub(service.session_cap));
+            state.session_evictions += evicted.len() as u64;
+            for &i in kept {
+                let key = &snapshot.sessions[i];
+                let session = Arc::new(PackSession::from_key(Arc::clone(key)));
+                if let Some(checkpoints) = snapshot.tries.get(i) {
+                    session.import_checkpoints(checkpoints);
+                }
+                let entry = SessionEntry { session, last_used: i as u64 + 1 };
+                state.sessions.entry(key.fingerprint()).or_default().push(entry);
+                state.session_count += 1;
             }
         }
+        service.session_tick.store(snapshot.sessions.len() as u64, Ordering::Relaxed);
         Ok(service)
     }
 }
@@ -1109,14 +1098,110 @@ mod tests {
         assert!(after.schedule_count() > first.schedule_count());
     }
 
+    /// Session cap of [`over_cap_service`]: one live session per shard.
+    const OVER_CAP_SESSIONS: usize = 1;
+
+    /// A service that planned one single-config job at each of twice as
+    /// many widths as it has shards, one job per batch, under a session
+    /// cap of one per shard: more distinct sessions than the cap, so some
+    /// cached schedules name evicted sessions. Returns the jobs in the
+    /// order they ran.
+    fn over_cap_service() -> (PlanService, Vec<super::super::Job>) {
+        let service = PlanService::with_caps(super::super::SCHEDULE_CACHE_CAP, OVER_CAP_SESSIONS);
+        let soc = MixedSignalSoc::d695m();
+        let config = crate::SharingConfig::all_shared(soc.analog.len());
+        let jobs: Vec<_> = (11..11 + 2 * service.shard_count() as u32)
+            .map(|w| {
+                JobBuilder::new(soc.clone())
+                    .single(w)
+                    .configs(vec![config.clone()])
+                    .weights(CostWeights::balanced())
+                    .opts(quick_opts())
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        for job in &jobs {
+            assert!(service.submit(std::slice::from_ref(job))[0].report().is_some());
+        }
+        let stats = service.stats();
+        assert!(stats.session_evictions > 0, "{stats:?}");
+        (service, jobs)
+    }
+
     #[test]
     fn snapshot_bytes_are_a_fixed_point_of_import_then_export() {
-        let (service, _) = warm_service();
-        let bytes = service.export_snapshot().to_bytes();
-        let imported =
-            PlanService::from_snapshot(&ServiceSnapshot::from_bytes(&bytes).unwrap()).unwrap();
-        let again = imported.export_snapshot().to_bytes();
-        assert_eq!(bytes, again, "export → import → export must be bit-identical");
+        let inputs = [
+            (warm_service().0, super::super::SESSION_CACHE_CAP),
+            (over_cap_service().0, OVER_CAP_SESSIONS),
+        ];
+        for (service, session_cap) in inputs {
+            let bytes = service.export_snapshot().to_bytes();
+            let imported = PlanService::from_snapshot_with_caps(
+                &ServiceSnapshot::from_bytes(&bytes).unwrap(),
+                super::super::SCHEDULE_CACHE_CAP,
+                session_cap,
+            )
+            .unwrap();
+            let again = imported.export_snapshot().to_bytes();
+            assert_eq!(bytes, again, "export → import → export must be bit-identical");
+        }
+    }
+
+    #[test]
+    fn import_keeps_the_sessions_the_exporter_used_most() {
+        // More sessions than the cap: the snapshot also names sessions
+        // that only a cached schedule still references. Imported with the
+        // exporter's caps, those must not displace the live sessions, so
+        // every job whose session the exporter still held replays with a
+        // session hit.
+        let (service, jobs) = over_cap_service();
+        let snapshot = service.export_snapshot();
+        let live = service.stats().live_sessions as usize;
+        assert!(snapshot.session_count() > live, "the snapshot must name evicted sessions");
+        let resident: Vec<u32> = service
+            .shards
+            .iter()
+            .flat_map(|shard| {
+                let state = shard.lock();
+                state
+                    .sessions
+                    .values()
+                    .flatten()
+                    .map(|e| e.session.key().tam_width())
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        assert_eq!(resident.len(), live);
+        let imported = PlanService::from_snapshot_with_caps(
+            &snapshot,
+            super::super::SCHEDULE_CACHE_CAP,
+            OVER_CAP_SESSIONS,
+        )
+        .unwrap();
+        let booted = imported.stats();
+        assert_eq!(booted.live_sessions as usize, live, "{booted:?}");
+        assert!(booted.sessions.import_restored > 0, "{booted:?}");
+        // The most recent jobs, newest first, down to the oldest one whose
+        // session the exporter still held.
+        let recent: Vec<_> = jobs
+            .iter()
+            .rev()
+            .filter(|job| match job.spec() {
+                super::super::JobSpec::Single { width } => resident.contains(width),
+                other => unreachable!("single jobs: {other:?}"),
+            })
+            .collect();
+        assert_eq!(recent.len(), live);
+        for job in recent {
+            assert!(imported.submit(std::slice::from_ref(job))[0].report().is_some());
+        }
+        let replayed = imported.stats();
+        assert_eq!(
+            replayed.session_misses, booted.session_misses,
+            "recent jobs must find their sessions after import: {replayed:?}"
+        );
+        assert_eq!(replayed.schedule_misses, 0, "{replayed:?}");
     }
 
     #[test]
@@ -1311,12 +1396,12 @@ mod tests {
         // session count, then the session's width, effort code, engine
         // code and skeleton length, then its trie section's member count.
         let snapshot = ServiceSnapshot {
-            sessions: vec![SessionRecord {
-                tam_width: 8,
-                effort: Effort::Quick,
-                engine: Engine::Skyline,
-                skeleton: Vec::new(),
-            }],
+            sessions: vec![Arc::new(SessionKey::new(
+                8,
+                Vec::new(),
+                Effort::Quick,
+                Engine::Skyline,
+            ))],
             tries: vec![CheckpointExport { tries: vec![TrieExport::default()] }],
             schedules: Vec::new(),
         };

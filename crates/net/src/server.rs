@@ -28,7 +28,7 @@ use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use msoc_core::{
     recover, CoreEdit, DaemonConfig, Deadline, DirStore, ExportOutcome, JobBuilder,
@@ -147,7 +147,19 @@ pub fn execute_jobs(
     registry: &HashMap<u64, SocHandle>,
     jobs: &[WireJob],
 ) -> Vec<WireOutcome> {
-    let mut outcomes: Vec<Option<WireOutcome>> = vec![None; jobs.len()];
+    execute_timed(service, registry, jobs).into_iter().map(|(outcome, _)| outcome).collect()
+}
+
+/// [`execute_jobs`], pairing each outcome with the job's own planning
+/// wall time in microseconds: [`JobReport::wall`](msoc_core::JobReport)
+/// for a completed job, 0 for a job without a report (rejected at
+/// validation or admission, interrupted, failed).
+fn execute_timed(
+    service: &PlanService,
+    registry: &HashMap<u64, SocHandle>,
+    jobs: &[WireJob],
+) -> Vec<(WireOutcome, u64)> {
+    let mut outcomes: Vec<Option<(WireOutcome, u64)>> = vec![None; jobs.len()];
     let mut built = Vec::with_capacity(jobs.len());
     let mut positions = Vec::with_capacity(jobs.len());
     for (i, job) in jobs.iter().enumerate() {
@@ -156,12 +168,14 @@ pub fn execute_jobs(
                 built.push(core_job);
                 positions.push(i);
             }
-            Err(e) => outcomes[i] = Some(WireOutcome::Rejected { error: e.to_string() }),
+            Err(e) => outcomes[i] = Some((WireOutcome::Rejected { error: e.to_string() }, 0)),
         }
     }
     let ran = service.submit(&built);
     for (position, outcome) in positions.into_iter().zip(&ran) {
-        outcomes[position] = Some(WireOutcome::from_outcome(outcome));
+        let wall_us =
+            outcome.report().map_or(0, |r| u64::try_from(r.wall.as_micros()).unwrap_or(u64::MAX));
+        outcomes[position] = Some((WireOutcome::from_outcome(outcome), wall_us));
     }
     outcomes
         .into_iter()
@@ -386,15 +400,13 @@ fn dispatch(request: Request, shards: &[ShardRuntime<'_, '_>]) -> Response {
         Request::Submit { tenant, jobs } => {
             let shard = &shards[tenant_shard(&tenant, shards.len())];
             let registry = shard.registry.lock().expect("registry lock").clone();
-            let started = Instant::now();
-            let outcomes = execute_jobs(shard.service, &registry, &jobs);
-            let elapsed_us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+            let timed = execute_timed(shard.service, &registry, &jobs);
             let mut latency = shard.latency.lock().expect("latency lock");
-            for outcome in &outcomes {
-                latency[class_index(outcome.class())].record(elapsed_us);
+            for (outcome, wall_us) in &timed {
+                latency[class_index(outcome.class())].record(*wall_us);
             }
             drop(latency);
-            Response::Outcomes(outcomes)
+            Response::Outcomes(timed.into_iter().map(|(outcome, _)| outcome).collect())
         }
         Request::Revise { tenant, soc_id, edits } => {
             let shard = &shards[tenant_shard(&tenant, shards.len())];

@@ -141,6 +141,34 @@ fn register_submit_revise_stats_round_trip() {
 }
 
 #[test]
+fn latency_classes_record_each_jobs_own_wall_time() {
+    // A job rejected at wire validation never runs; planning its real
+    // sibling takes milliseconds. The rejected class must record 0 µs
+    // (the histogram's lowest bucket reports as 1), not the batch's wall.
+    with_server(ServerConfig::default(), |addr| {
+        let mut client = Client::connect(addr, "tenant-walls").expect("connect");
+        let soc_id =
+            client.register(WireSoc::from_soc(&MixedSignalSoc::d695m())).expect("register");
+        let outcomes = client
+            .submit(vec![
+                WireJob::new(WireSocRef::Registered(soc_id), WireSpec::Single { width: 16 }),
+                WireJob::new(WireSocRef::Registered(999), WireSpec::Single { width: 16 }),
+            ])
+            .expect("submit");
+        assert!(matches!(outcomes[0], WireOutcome::Completed(_)), "{:?}", outcomes[0]);
+        assert!(matches!(outcomes[1], WireOutcome::Rejected { .. }), "{:?}", outcomes[1]);
+        let stats = client.stats().expect("stats");
+        let class = |name| {
+            stats.latency.iter().find(|l| l.outcome == name).expect("class recorded").clone()
+        };
+        let (completed, rejected) = (class("completed"), class("rejected"));
+        assert_eq!((completed.count, rejected.count), (1, 1));
+        assert!(completed.p50_us > 1, "a real plan takes time: {completed:?}");
+        assert_eq!(rejected.p99_us, 1, "a job that never ran records 0 µs: {rejected:?}");
+    });
+}
+
+#[test]
 fn shutdown_flushes_snapshots_and_boot_recovers_them() {
     let root = std::env::temp_dir().join(format!("msoc_net_loopback_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);

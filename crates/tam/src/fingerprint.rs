@@ -137,11 +137,11 @@ pub fn combine_subtree_fingerprints(parts: &[u64]) -> u64 {
     h.finish()
 }
 
-/// The fingerprint a [`PackSession`](crate::PackSession) built from
+/// The fingerprint a [`SessionKey`](crate::SessionKey) built from
 /// `(tam_width, skeleton, effort, engine)` would report — computable
-/// *without* constructing the session, so a service can answer warm
-/// session lookups allocation-free. Kinds are hashed as the session
-/// normalizes them: every skeleton job becomes
+/// *without* constructing the key, so a service can answer warm session
+/// lookups allocation-free. Kinds are hashed as the key normalizes
+/// them: every skeleton job becomes
 /// [`JobKind::Skeleton`](crate::JobKind::Skeleton).
 pub fn session_fingerprint(
     tam_width: u32,
@@ -282,7 +282,7 @@ mod tests {
             [(8u32, Effort::Quick, Engine::Skyline), (16, Effort::Thorough, Engine::Naive)]
         {
             let direct = session_fingerprint(w, effort, engine, &jobs);
-            let built = crate::PackSession::new(w, jobs.clone(), effort, engine).fingerprint();
+            let built = crate::SessionKey::new(w, jobs.clone(), effort, engine).fingerprint();
             assert_eq!(direct, built, "w={w} {effort:?} {engine:?}");
         }
     }

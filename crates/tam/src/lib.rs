@@ -93,5 +93,5 @@ pub use problem::{JobKind, ScheduleProblem, TestJob};
 pub use schedule::{
     schedule, schedule_with_effort, schedule_with_engine, CheckpointExport, CheckpointImportStats,
     CheckpointNode, Effort, Engine, PackSession, Schedule, ScheduleError, ScheduledTest,
-    SessionStats, TrieExport,
+    SessionKey, SessionStats, TrieExport,
 };

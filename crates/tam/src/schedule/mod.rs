@@ -29,7 +29,7 @@ mod session;
 mod skyline;
 
 pub use search::{CheckpointExport, CheckpointImportStats, CheckpointNode, TrieExport};
-pub use session::{PackSession, SessionStats};
+pub use session::{PackSession, SessionKey, SessionStats};
 
 /// Small deterministic PRNG shared by the shuffle restarts and the
 /// skyline treap priorities (keeps `rand` out of the public dependency
@@ -420,8 +420,8 @@ pub fn schedule_with_engine(
     engine: Engine,
 ) -> Result<Schedule, ScheduleError> {
     match engine {
-        Engine::Skyline => search::run::<skyline::SkylineIndex>(problem, effort),
-        Engine::Naive => search::run::<naive::NaiveIndex>(problem, effort),
+        Engine::Skyline => search::run::<skyline::SkylineIndex>(problem, effort, engine),
+        Engine::Naive => search::run::<naive::NaiveIndex>(problem, effort, engine),
     }
 }
 

@@ -66,8 +66,8 @@ use std::sync::{Arc, Mutex};
 
 use crate::problem::{ScheduleProblem, TestJob};
 
-use super::session::SessionCounters;
-use super::{Effort, Schedule, ScheduleError, ScheduledTest, XorShift64};
+use super::session::{SessionCounters, SessionKey};
+use super::{Effort, Engine, Schedule, ScheduleError, ScheduledTest, XorShift64};
 
 /// Default upper bound on stored checkpoints per session.
 ///
@@ -624,8 +624,8 @@ pub struct TrieExport {
 }
 
 /// A whole session's exported checkpoints: one [`TrieExport`] for a
-/// session export, none for a session that was never exported (a cold
-/// snapshot record).
+/// session with stored checkpoints, none for a cold session or a snapshot
+/// record that only names the session of a cached schedule.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CheckpointExport {
     /// The session's tries: at most one.
@@ -694,9 +694,8 @@ pub struct CheckpointImportStats {
 /// wrapper is [`crate::PackSession`]; from-scratch scheduling builds a
 /// transient core per call.
 pub(crate) struct SessionCore<C> {
-    tam_width: u32,
-    effort: Effort,
-    skeleton: Vec<TestJob>,
+    /// The session's immutable content (shared with its `PackSession`).
+    key: Arc<SessionKey>,
     /// The checkpoint store. `Arc` so lookups clone a pointer under the
     /// lock and copy the state outside it — concurrent delta passes must
     /// not serialize on a treap-arena memcpy inside the critical section.
@@ -720,20 +719,13 @@ pub(crate) struct SessionCore<C> {
 const RETIRED_STATE_CAP: usize = 32;
 
 impl<C: PackEngine> SessionCore<C> {
-    pub(crate) fn new(tam_width: u32, skeleton: Vec<TestJob>, effort: Effort) -> Self {
-        Self::with_checkpoint_cap(tam_width, skeleton, effort, CHECKPOINT_CACHE_CAP)
+    pub(crate) fn new(key: Arc<SessionKey>) -> Self {
+        Self::with_checkpoint_cap(key, CHECKPOINT_CACHE_CAP)
     }
 
-    pub(crate) fn with_checkpoint_cap(
-        tam_width: u32,
-        skeleton: Vec<TestJob>,
-        effort: Effort,
-        cap: usize,
-    ) -> Self {
+    pub(crate) fn with_checkpoint_cap(key: Arc<SessionKey>, cap: usize) -> Self {
         SessionCore {
-            tam_width,
-            effort,
-            skeleton,
+            key,
             trie: Mutex::new(PrefixTrie::new(cap.max(1))),
             interner: Mutex::new(HashMap::new()),
             pass_scratch: Mutex::new(Vec::new()),
@@ -785,7 +777,7 @@ impl<C: PackEngine> SessionCore<C> {
     /// step (never aliasing it) keeps that exactness: steps beyond the
     /// returned path are simply uncacheable.
     fn steps_for(&self, jobs: &JobSet<'_>, order: &[usize]) -> Vec<StepId> {
-        let skeleton_len = self.skeleton.len();
+        let skeleton_len = self.key.skeleton().len();
         let mut interner = self.interner.lock().expect("step interner lock");
         let mut steps = Vec::with_capacity(order.len());
         for &idx in order {
@@ -821,7 +813,7 @@ impl<C: PackEngine> SessionCore<C> {
     pub(crate) fn export_trie(&self) -> TrieExport {
         let trie = self.trie.lock().expect("checkpoint trie lock");
         let interner = self.interner.lock().expect("step interner lock");
-        let skeleton_len = self.skeleton.len();
+        let skeleton_len = self.key.skeleton().len();
         let rev: HashMap<StepId, (u32, &TestJob)> =
             interner.iter().map(|((idx, job), &id)| (id, (*idx, job))).collect();
 
@@ -950,7 +942,7 @@ impl<C: PackEngine> SessionCore<C> {
     /// order, so the imported trie evicts in the same order the exporter
     /// would have.
     pub(crate) fn import_trie(&self, export: &TrieExport) -> (u64, u64) {
-        let skeleton_len = self.skeleton.len();
+        let skeleton_len = self.key.skeleton().len();
         let n = export.nodes.len();
         let mut dropped = 0u64;
         let mut paths: Vec<Vec<StepId>> = Vec::with_capacity(n.min(1 << 16));
@@ -989,17 +981,17 @@ impl<C: PackEngine> SessionCore<C> {
                     // may carry one), the re-pack below assumes
                     // feasibility.
                     if node.content.is_some()
-                        || self.skeleton[job].staircase.min_width() > self.tam_width
+                        || self.key.skeleton()[job].staircase.min_width() > self.key.tam_width()
                     {
                         drop_stored(&mut dropped);
                         continue;
                     }
-                    (node.job as StepId, &self.skeleton[job])
+                    (node.job as StepId, &self.key.skeleton()[job])
                 } else {
                     let content = node
                         .content
                         .and_then(|cid| export.contents.get(cid as usize))
-                        .filter(|c| c.staircase.min_width() <= self.tam_width);
+                        .filter(|c| c.staircase.min_width() <= self.key.tam_width());
                     let Some(content) = content else {
                         drop_stored(&mut dropped);
                         continue;
@@ -1027,7 +1019,7 @@ impl<C: PackEngine> SessionCore<C> {
                     state.copy_from(base);
                 }
                 let placement = self.with_pass_scratch(|scratch| {
-                    state.best_placement_for(content, self.tam_width, scratch)
+                    state.best_placement_for(content, self.key.tam_width(), scratch)
                 });
                 let placed = state.place_job(job, content, placement);
                 let expected =
@@ -1059,16 +1051,8 @@ impl<C: PackEngine> SessionCore<C> {
         (restored, dropped)
     }
 
-    pub(crate) fn skeleton(&self) -> &[TestJob] {
-        &self.skeleton
-    }
-
-    pub(crate) fn tam_width(&self) -> u32 {
-        self.tam_width
-    }
-
-    pub(crate) fn effort(&self) -> Effort {
-        self.effort
+    pub(crate) fn key(&self) -> &Arc<SessionKey> {
+        &self.key
     }
 
     /// Pre-packs the base multi-start skeleton checkpoints.
@@ -1081,9 +1065,9 @@ impl<C: PackEngine> SessionCore<C> {
     /// no packing work at that moment, and the hit counter is the
     /// evidence of *actual* reuse that harnesses assert against.
     pub(crate) fn warm(&self, counters: &SessionCounters) {
-        let jobs = JobSet { skeleton: &self.skeleton, delta: &[] };
-        let indices: Vec<usize> = (0..self.skeleton.len()).collect();
-        let orders = orders_for_phase(&jobs, &indices, self.tam_width, self.effort);
+        let jobs = JobSet { skeleton: self.key.skeleton(), delta: &[] };
+        let indices: Vec<usize> = (0..self.key.skeleton().len()).collect();
+        let orders = orders_for_phase(&jobs, &indices, self.key.tam_width(), self.key.effort());
         let mut missing: Vec<Vec<usize>> = Vec::new();
         {
             let mut trie = self.trie.lock().expect("checkpoint trie lock");
@@ -1102,7 +1086,15 @@ impl<C: PackEngine> SessionCore<C> {
         let pack_one = |order: &Vec<usize>| {
             self.with_pass_scratch(|scratch| {
                 let mut state = self.take_state(jobs.len());
-                pack_order(&jobs, self.tam_width, &mut state, order, None, scratch, |_, _| {});
+                pack_order(
+                    &jobs,
+                    self.key.tam_width(),
+                    &mut state,
+                    order,
+                    None,
+                    scratch,
+                    |_, _| {},
+                );
                 Arc::new(state)
             })
         };
@@ -1141,7 +1133,7 @@ impl<C: PackEngine> SessionCore<C> {
         snapshot_deltas: bool,
         counters: &SessionCounters,
     ) -> Option<PackState<C>> {
-        let skeleton_len = self.skeleton.len();
+        let skeleton_len = self.key.skeleton().len();
         let run = order.iter().position(|&i| i >= skeleton_len).unwrap_or(order.len());
         // `steps` may be a strict prefix of `order` (interner cap); depths
         // beyond it are uncacheable.
@@ -1179,7 +1171,7 @@ impl<C: PackEngine> SessionCore<C> {
             if start < run {
                 pack_order(
                     jobs,
-                    self.tam_width,
+                    self.key.tam_width(),
                     &mut state,
                     &order[start..run],
                     None,
@@ -1204,7 +1196,7 @@ impl<C: PackEngine> SessionCore<C> {
             };
             let completed = pack_order(
                 jobs,
-                self.tam_width,
+                self.key.tam_width(),
                 &mut state,
                 &order[tail_from..],
                 prune,
@@ -1282,8 +1274,8 @@ impl<C: PackEngine> SessionCore<C> {
         delta: &[TestJob],
         counters: &SessionCounters,
     ) -> Result<Schedule, ScheduleError> {
-        let jobs = JobSet { skeleton: &self.skeleton, delta };
-        let w = self.tam_width;
+        let jobs = JobSet { skeleton: self.key.skeleton(), delta };
+        let w = self.key.tam_width();
         for i in 0..jobs.len() {
             let job = jobs.get(i);
             if job.staircase.min_width() > w {
@@ -1296,11 +1288,11 @@ impl<C: PackEngine> SessionCore<C> {
         }
         counters.delta_packs.fetch_add(1, Ordering::Relaxed);
 
-        let skeleton_indices: Vec<usize> = (0..self.skeleton.len()).collect();
+        let skeleton_indices: Vec<usize> = (0..self.key.skeleton().len()).collect();
         let delta_indices: Vec<usize> =
-            (self.skeleton.len()..self.skeleton.len() + delta.len()).collect();
-        let skeleton_orders = orders_for_phase(&jobs, &skeleton_indices, w, self.effort);
-        let delta_orders = orders_for_phase(&jobs, &delta_indices, w, self.effort);
+            (self.key.skeleton().len()..self.key.skeleton().len() + delta.len()).collect();
+        let skeleton_orders = orders_for_phase(&jobs, &skeleton_indices, w, self.key.effort());
+        let delta_orders = orders_for_phase(&jobs, &delta_indices, w, self.key.effort());
         debug_assert_eq!(skeleton_orders.len(), delta_orders.len());
         let phase_orders: Vec<Vec<usize>> = skeleton_orders
             .into_iter()
@@ -1330,11 +1322,11 @@ impl<C: PackEngine> SessionCore<C> {
         // removed. Their reusable prefixes are empty-to-short — these are
         // the few from-scratch packs per candidate — and the incumbent
         // from the earlier stages prunes them early when they cannot win.
-        if !delta.is_empty() && !self.skeleton.is_empty() {
+        if !delta.is_empty() && !self.key.skeleton().is_empty() {
             let all_indices: Vec<usize> = (0..jobs.len()).collect();
             let mut joint_orders = vec![chains_first_order(&jobs, &all_indices, w)];
             let mut rng = XorShift64::new(0x2545_f491_4f6c_dd1d);
-            for _ in 0..self.effort.joint_shuffles() {
+            for _ in 0..self.key.effort().joint_shuffles() {
                 let mut order = all_indices.clone();
                 rng.shuffle(&mut order);
                 joint_orders.push(order);
@@ -1407,7 +1399,7 @@ impl<C: PackEngine> SessionCore<C> {
         counters: &SessionCounters,
     ) -> PackState<C> {
         let mut tried: std::collections::HashSet<Vec<usize>> = std::collections::HashSet::new();
-        for round in 0..self.effort.improvement_rounds() {
+        for round in 0..self.key.effort().improvement_rounds() {
             let makespan = best.latest_end;
             let mut criticals: Vec<usize> =
                 best.entries.iter().filter(|e| e.end == makespan).map(|e| e.job).collect();
@@ -1454,6 +1446,7 @@ impl<C: PackEngine> SessionCore<C> {
 pub(crate) fn run<C: PackEngine>(
     problem: &ScheduleProblem,
     effort: Effort,
+    engine: Engine,
 ) -> Result<Schedule, ScheduleError> {
     let w = problem.tam_width;
     for (i, job) in problem.jobs.iter().enumerate() {
@@ -1473,8 +1466,8 @@ pub(crate) fn run<C: PackEngine>(
     let skeleton: Vec<TestJob> = skeleton_idx.iter().map(|&i| problem.jobs[i].clone()).collect();
     let delta: Vec<TestJob> = delta_idx.iter().map(|&i| problem.jobs[i].clone()).collect();
 
-    let schedule =
-        SessionCore::<C>::new(w, skeleton, effort).pack(&delta, &SessionCounters::default())?;
+    let key = Arc::new(SessionKey::new(w, skeleton, effort, engine));
+    let schedule = SessionCore::<C>::new(key).pack(&delta, &SessionCounters::default())?;
 
     // Map combined session indices back to the problem's job indices.
     let combined_to_orig: Vec<usize> =

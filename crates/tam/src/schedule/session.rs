@@ -29,6 +29,7 @@
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::problem::{JobKind, TestJob};
 
@@ -109,6 +110,111 @@ impl SessionCounters {
     }
 }
 
+/// The immutable content of a pack session: TAM width, effort, engine and
+/// the (kind-normalized) skeleton jobs, plus their fingerprint — everything
+/// that determines the packed result of any delta, and nothing the session
+/// accumulates.
+///
+/// A [`PackSession`] owns one behind an `Arc` and hands it out through
+/// [`PackSession::key`], so a cache entry that only needs to *name* a
+/// session (to verify a hit or rebuild [`Self::problem_for`]) can hold the
+/// key without keeping the session's checkpoint trie alive.
+///
+/// Equality is full content equality, answered by pointer identity when
+/// both sides are the same key and by the fingerprint when they differ;
+/// hashing feeds only the fingerprint.
+#[derive(Debug, Clone)]
+pub struct SessionKey {
+    fingerprint: u64,
+    tam_width: u32,
+    effort: Effort,
+    engine: Engine,
+    skeleton: Vec<TestJob>,
+}
+
+impl SessionKey {
+    /// The key of a session for `skeleton` at the given TAM width, effort
+    /// and engine.
+    ///
+    /// The skeleton jobs' [`JobKind`] is normalized to
+    /// [`JobKind::Skeleton`]: the session *defines* them as the invariant
+    /// part, and the normalization keeps [`Self::problem_for`] consistent
+    /// with the session split.
+    pub fn new(tam_width: u32, mut skeleton: Vec<TestJob>, effort: Effort, engine: Engine) -> Self {
+        for job in &mut skeleton {
+            job.kind = JobKind::Skeleton;
+        }
+        let mut h = crate::fingerprint::StableHasher::new();
+        h.write_u32(tam_width);
+        h.write_u8(effort.code());
+        h.write_u8(engine.code());
+        crate::fingerprint::write_jobs(&mut h, &skeleton);
+        let fingerprint = h.finish();
+        SessionKey { fingerprint, tam_width, effort, engine, skeleton }
+    }
+
+    /// Stable content fingerprint: skeleton jobs, TAM width, effort and
+    /// engine. Two keys with equal fingerprints (and equal content, which
+    /// callers keyed on the fingerprint must verify) name interchangeable
+    /// sessions, which is what lets a plan service share sessions across
+    /// planner instances.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// The sweep-invariant skeleton jobs.
+    pub fn skeleton(&self) -> &[TestJob] {
+        &self.skeleton
+    }
+
+    /// TAM width the session packs for.
+    pub fn tam_width(&self) -> u32 {
+        self.tam_width
+    }
+
+    /// Effort level of every pack in the session.
+    pub fn effort(&self) -> Effort {
+        self.effort
+    }
+
+    /// The packing engine answering the session's capacity queries.
+    pub fn engine(&self) -> Engine {
+        self.engine
+    }
+
+    /// The combined [`ScheduleProblem`] a delta pack solves: the skeleton
+    /// jobs followed by `delta` (kinds normalized), at the session width.
+    ///
+    /// [`ScheduleProblem`]: crate::ScheduleProblem
+    pub fn problem_for(&self, delta: &[TestJob]) -> crate::ScheduleProblem {
+        let mut jobs = self.skeleton.clone();
+        jobs.extend(delta.iter().cloned().map(|mut job| {
+            job.kind = JobKind::Delta;
+            job
+        }));
+        crate::ScheduleProblem { tam_width: self.tam_width, jobs }
+    }
+}
+
+impl PartialEq for SessionKey {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self, other)
+            || (self.fingerprint == other.fingerprint
+                && self.tam_width == other.tam_width
+                && self.effort == other.effort
+                && self.engine == other.engine
+                && self.skeleton == other.skeleton)
+    }
+}
+
+impl Eq for SessionKey {}
+
+impl std::hash::Hash for SessionKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.fingerprint);
+    }
+}
+
 enum EngineCore {
     Skyline(SessionCore<SkylineIndex>),
     Naive(SessionCore<NaiveIndex>),
@@ -121,17 +227,17 @@ enum EngineCore {
 /// threads while they share one session.
 pub struct PackSession {
     core: EngineCore,
-    engine: Engine,
     counters: SessionCounters,
 }
 
 impl std::fmt::Debug for PackSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let key = self.key();
         f.debug_struct("PackSession")
-            .field("tam_width", &self.tam_width())
-            .field("skeleton_jobs", &self.skeleton().len())
-            .field("effort", &self.effort())
-            .field("engine", &self.engine)
+            .field("tam_width", &key.tam_width)
+            .field("skeleton_jobs", &key.skeleton.len())
+            .field("effort", &key.effort)
+            .field("engine", &key.engine)
             .field("stats", &self.stats())
             .finish()
     }
@@ -139,20 +245,14 @@ impl std::fmt::Debug for PackSession {
 
 impl PackSession {
     /// Creates a session for `skeleton` (the sweep-invariant jobs) at the
-    /// given TAM width, effort and engine.
-    ///
-    /// The skeleton jobs' [`JobKind`] is normalized to
-    /// [`JobKind::Skeleton`]: the session *defines* them as the invariant
-    /// part, and the normalization keeps [`Self::problem_for`] consistent
-    /// with the session split.
+    /// given TAM width, effort and engine (see [`SessionKey::new`]).
     pub fn new(tam_width: u32, skeleton: Vec<TestJob>, effort: Effort, engine: Engine) -> Self {
-        Self::with_checkpoint_cap(
-            tam_width,
-            skeleton,
-            effort,
-            engine,
-            super::search::CHECKPOINT_CACHE_CAP,
-        )
+        Self::from_key(Arc::new(SessionKey::new(tam_width, skeleton, effort, engine)))
+    }
+
+    /// A fresh session (empty checkpoint trie) for an existing key.
+    pub fn from_key(key: Arc<SessionKey>) -> Self {
+        Self::with_key_and_cap(key, super::search::CHECKPOINT_CACHE_CAP)
     }
 
     /// [`Self::new`] with an explicit checkpoint-cache capacity.
@@ -170,66 +270,23 @@ impl PackSession {
         engine: Engine,
         cap: usize,
     ) -> Self {
-        let skeleton: Vec<TestJob> = skeleton
-            .into_iter()
-            .map(|mut job| {
-                job.kind = JobKind::Skeleton;
-                job
-            })
-            .collect();
-        let core = match engine {
-            Engine::Skyline => EngineCore::Skyline(SessionCore::with_checkpoint_cap(
-                tam_width, skeleton, effort, cap,
-            )),
-            Engine::Naive => EngineCore::Naive(SessionCore::with_checkpoint_cap(
-                tam_width, skeleton, effort, cap,
-            )),
+        Self::with_key_and_cap(Arc::new(SessionKey::new(tam_width, skeleton, effort, engine)), cap)
+    }
+
+    fn with_key_and_cap(key: Arc<SessionKey>, cap: usize) -> Self {
+        let core = match key.engine {
+            Engine::Skyline => EngineCore::Skyline(SessionCore::with_checkpoint_cap(key, cap)),
+            Engine::Naive => EngineCore::Naive(SessionCore::with_checkpoint_cap(key, cap)),
         };
-        PackSession { core, engine, counters: SessionCounters::default() }
+        PackSession { core, counters: SessionCounters::default() }
     }
 
-    /// Stable content fingerprint of the session: skeleton jobs, TAM
-    /// width, effort and engine — everything that determines the packed
-    /// result of any delta. Two sessions with equal fingerprints (and
-    /// equal content, which callers keyed on the fingerprint must verify)
-    /// are interchangeable, which is what lets a plan service share
-    /// sessions across planner instances.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = crate::fingerprint::StableHasher::new();
-        h.write_u32(self.tam_width());
-        h.write_u8(self.effort().code());
-        h.write_u8(self.engine.code());
-        crate::fingerprint::write_jobs(&mut h, self.skeleton());
-        h.finish()
-    }
-
-    /// The sweep-invariant skeleton jobs.
-    pub fn skeleton(&self) -> &[TestJob] {
+    /// The session's immutable content, shared (see [`SessionKey`]).
+    pub fn key(&self) -> &Arc<SessionKey> {
         match &self.core {
-            EngineCore::Skyline(c) => c.skeleton(),
-            EngineCore::Naive(c) => c.skeleton(),
+            EngineCore::Skyline(c) => c.key(),
+            EngineCore::Naive(c) => c.key(),
         }
-    }
-
-    /// TAM width the session packs for.
-    pub fn tam_width(&self) -> u32 {
-        match &self.core {
-            EngineCore::Skyline(c) => c.tam_width(),
-            EngineCore::Naive(c) => c.tam_width(),
-        }
-    }
-
-    /// Effort level of every pack in the session.
-    pub fn effort(&self) -> Effort {
-        match &self.core {
-            EngineCore::Skyline(c) => c.effort(),
-            EngineCore::Naive(c) => c.effort(),
-        }
-    }
-
-    /// The packing engine answering the session's capacity queries.
-    pub fn engine(&self) -> Engine {
-        self.engine
     }
 
     /// Pre-packs the base multi-start skeleton checkpoints (idempotent).
@@ -248,7 +305,7 @@ impl PackSession {
     /// Delta-packs one candidate: the session skeleton plus `delta`.
     ///
     /// Job indices in the returned schedule address the combined
-    /// `skeleton ++ delta` list, i.e. the jobs of [`Self::problem_for`].
+    /// `skeleton ++ delta` list, i.e. the jobs of [`SessionKey::problem_for`].
     /// The result is bit-identical to
     /// [`schedule_with_engine`](super::schedule_with_engine) on that
     /// problem with the session's effort and engine.
@@ -264,31 +321,20 @@ impl PackSession {
         }
     }
 
-    /// The combined [`ScheduleProblem`] a delta pack solves: the skeleton
-    /// jobs followed by `delta` (kinds normalized), at the session width.
-    ///
-    /// [`ScheduleProblem`]: crate::ScheduleProblem
-    pub fn problem_for(&self, delta: &[TestJob]) -> crate::ScheduleProblem {
-        let mut jobs = self.skeleton().to_vec();
-        jobs.extend(delta.iter().cloned().map(|mut job| {
-            job.kind = JobKind::Delta;
-            job
-        }));
-        crate::ScheduleProblem { tam_width: self.tam_width(), jobs }
-    }
-
     /// Exports the session's checkpoint tries for persistence: the kept
     /// trie paths, each step's interned `(job position, job content)`
     /// pair and the placement it committed, in deterministic order.
     ///
     /// The export is plain data — a snapshot codec compresses it — and
     /// feeds [`Self::import_checkpoints`] on a session with the same
-    /// skeleton, width, effort and engine.
+    /// [`SessionKey`]. A session without stored checkpoints exports no
+    /// trie at all, the same empty export a cold snapshot record carries.
     pub fn export_checkpoints(&self) -> CheckpointExport {
-        let tries = match &self.core {
-            EngineCore::Skyline(c) => vec![c.export_trie()],
-            EngineCore::Naive(c) => vec![c.export_trie()],
+        let trie = match &self.core {
+            EngineCore::Skyline(c) => c.export_trie(),
+            EngineCore::Naive(c) => c.export_trie(),
         };
+        let tries = if trie.nodes.is_empty() { Vec::new() } else { vec![trie] };
         CheckpointExport { tries }
     }
 
@@ -302,17 +348,16 @@ impl PackSession {
     /// can make a session *faster*, never *different*.
     ///
     /// Checkpoints are committed in the export's LRU order, so a restored
-    /// session evicts in the order the exporting one would have. Importing
-    /// an export that does not hold exactly one trie drops everything
-    /// (counted, not an error).
+    /// session evicts in the order the exporting one would have. An empty
+    /// export restores nothing; one holding more than one trie drops
+    /// everything (counted, not an error).
     pub fn import_checkpoints(&self, export: &CheckpointExport) -> CheckpointImportStats {
-        let (restored, dropped) = if export.tries.len() != 1 {
-            (0, export.checkpoint_count() as u64)
-        } else {
-            match &self.core {
-                EngineCore::Skyline(c) => c.import_trie(&export.tries[0]),
-                EngineCore::Naive(c) => c.import_trie(&export.tries[0]),
-            }
+        let (restored, dropped) = match export.tries.as_slice() {
+            [trie] => match &self.core {
+                EngineCore::Skyline(c) => c.import_trie(trie),
+                EngineCore::Naive(c) => c.import_trie(trie),
+            },
+            _ => (0, export.checkpoint_count() as u64),
         };
         self.counters.import_restored.fetch_add(restored, Ordering::Relaxed);
         self.counters.import_dropped.fetch_add(dropped, Ordering::Relaxed);
@@ -377,7 +422,7 @@ mod tests {
                 let session = PackSession::new(6, skeleton(), effort, engine);
                 for delta in deltas() {
                     let via_session = session.pack(&delta).expect("feasible");
-                    let problem = session.problem_for(&delta);
+                    let problem = session.key().problem_for(&delta);
                     let scratch = schedule_with_engine(&problem, effort, engine).expect("feasible");
                     assert_eq!(via_session, scratch, "session diverged ({engine:?}, {effort:?})");
                     via_session.validate(&problem).expect("session schedule must validate");
@@ -429,7 +474,7 @@ mod tests {
             for round in 0..2 {
                 for delta in deltas() {
                     let via_session = session.pack(&delta).expect("feasible");
-                    let problem = session.problem_for(&delta);
+                    let problem = session.key().problem_for(&delta);
                     let scratch =
                         schedule_with_engine(&problem, Effort::Standard, engine).expect("feasible");
                     assert_eq!(
@@ -453,7 +498,7 @@ mod tests {
     fn fingerprints_key_on_every_session_parameter() {
         let base = PackSession::new(6, skeleton(), Effort::Quick, Engine::Skyline);
         let same = PackSession::new(6, skeleton(), Effort::Quick, Engine::Skyline);
-        assert_eq!(base.fingerprint(), same.fingerprint());
+        assert_eq!(base.key().fingerprint(), same.key().fingerprint());
         let widths = PackSession::new(7, skeleton(), Effort::Quick, Engine::Skyline);
         let efforts = PackSession::new(6, skeleton(), Effort::Standard, Engine::Skyline);
         let engines = PackSession::new(6, skeleton(), Effort::Quick, Engine::Naive);
@@ -463,7 +508,11 @@ mod tests {
         for (name, s) in
             [("width", widths), ("effort", efforts), ("engine", engines), ("jobs", jobs)]
         {
-            assert_ne!(base.fingerprint(), s.fingerprint(), "{name} must feed the fingerprint");
+            assert_ne!(
+                base.key().fingerprint(),
+                s.key().fingerprint(),
+                "{name} must feed the fingerprint"
+            );
         }
     }
 

@@ -11,12 +11,14 @@
 //! levels: repeated requests are pure schedule-cache hits, and novel
 //! sweep candidates restore packed skeleton/delta prefixes instead of
 //! re-packing them. This example proves both properties and prints the
-//! snapshot's own compression accounting.
+//! snapshot's own compression accounting. A second round trip exports a
+//! service holding more sessions than its session cap and proves that the
+//! booted service still finds the sessions of its most recent jobs.
 
 use std::error::Error;
 
 use msoc::core::planner::PlannerOptions;
-use msoc::core::ServiceSnapshot;
+use msoc::core::{ServiceSnapshot, SharingConfig};
 use msoc::prelude::*;
 use msoc::tam::Effort;
 
@@ -91,5 +93,56 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     std::fs::remove_file(&path)?;
+    capped_round_trip()
+}
+
+/// Exports a service that planned more distinct sessions than its session
+/// cap, boots a service with the same caps from the bytes, and replays the
+/// most recent jobs: every one must find its pack session.
+fn capped_round_trip() -> Result<(), Box<dyn Error>> {
+    let (schedule_cap, session_cap) = (4096, 32);
+    let service = PlanService::with_caps(schedule_cap, session_cap);
+    // The cap holds this many sessions per shard, so the newest this many
+    // jobs are live whatever shards their sessions land in.
+    let recent = session_cap / service.shard_count();
+    let soc = MixedSignalSoc::d695m();
+    let opts = PlannerOptions { effort: Effort::Quick, ..PlannerOptions::default() };
+    let jobs = (16..16 + 3 * session_cap as u32)
+        .map(|w| {
+            JobBuilder::new(soc.clone())
+                .single(w)
+                .configs(vec![SharingConfig::all_shared(soc.analog.len())])
+                .weights(CostWeights::balanced())
+                .opts(opts.clone())
+                .build()
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    for job in &jobs {
+        let outcome = service.submit(std::slice::from_ref(job));
+        assert!(outcome[0].report().is_some(), "capped jobs must plan");
+    }
+    let exported = service.stats();
+    assert!(exported.session_evictions > 0, "the service must exceed its cap: {exported:?}");
+
+    let bytes = service.export_snapshot().to_bytes();
+    let snapshot = ServiceSnapshot::from_bytes(&bytes)?;
+    let booted = PlanService::from_snapshot_with_caps(&snapshot, schedule_cap, session_cap)?;
+    let before = booted.stats();
+    for job in jobs.iter().rev().take(recent) {
+        let outcome = booted.submit(std::slice::from_ref(job));
+        assert!(outcome[0].report().is_some(), "recent jobs must replay");
+    }
+    let after = booted.stats();
+    assert_eq!(
+        after.session_misses, before.session_misses,
+        "recent jobs must find their sessions after a capped boot: {after:?}"
+    );
+    assert_eq!(after.schedule_misses, 0, "recent jobs must not pack: {after:?}");
+    println!(
+        "capped boot: {} sessions in the snapshot over a cap of {session_cap}, {} live after \
+         boot, last {recent} jobs replayed with 0 session misses",
+        snapshot.session_count(),
+        after.live_sessions,
+    );
     Ok(())
 }

@@ -176,7 +176,7 @@ proptest! {
             for session in &sessions {
                 for delta in &candidates {
                     let via_session = session.pack(delta).expect("feasible");
-                    let problem = session.problem_for(delta);
+                    let problem = session.key().problem_for(delta);
                     let scratch =
                         schedule_with_engine(&problem, Effort::Quick, engine).expect("feasible");
                     prop_assert_eq!(&via_session, &scratch, "session diverged on {:?}", engine);
