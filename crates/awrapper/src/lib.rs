@@ -38,7 +38,7 @@ pub mod testbench;
 pub use area::{AreaModel, WrapperRequirements};
 pub use config::{TestConfig, Transport, WrapperMode};
 pub use datapath::{WrappedResponse, WrapperDatapath};
-pub use jobs::analog_delta_jobs;
+pub use jobs::{analog_delta_jobs, AnalogDeltaTemplate};
 pub use selftest::{run_self_test, SelfTestReport};
 pub use sharing::{IncompatibleSharing, SharedWrapper, SharingPolicy};
 pub use testbench::{ReferenceCore, TestOutcome};

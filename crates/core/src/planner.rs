@@ -3,12 +3,13 @@
 
 pub mod table;
 
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use msoc_awrapper::{analog_delta_jobs, AreaModel, IncompatibleSharing, SharingPolicy};
+use msoc_awrapper::{AnalogDeltaTemplate, AreaModel, IncompatibleSharing, SharingPolicy};
 use msoc_tam::{
     bounds, Effort, Engine, PackSession, Schedule, ScheduleError, ScheduleProblem, SessionStats,
     TestJob,
@@ -288,6 +289,8 @@ pub struct Planner<'a> {
     opts: PlannerOptions,
     service: ServiceBinding<'a>,
     sessions: HashMap<u32, AcquiredSession>,
+    /// The candidate-invariant analog jobs, built on the first delta.
+    delta_template: OnceCell<AnalogDeltaTemplate>,
     makespans: HashMap<(SharingConfig, u32), u64>,
     schedules: HashMap<(SharingConfig, u32), Arc<Schedule>>,
     /// Schedule-cache keys that survive per-sweep pruning (report winners
@@ -334,6 +337,7 @@ impl<'a> Planner<'a> {
             opts,
             service,
             sessions: HashMap::new(),
+            delta_template: OnceCell::new(),
             makespans: HashMap::new(),
             schedules: HashMap::new(),
             pinned: HashSet::new(),
@@ -404,14 +408,15 @@ impl<'a> Planner<'a> {
     }
 
     /// The per-candidate delta jobs: one grouped job per analog test plus
-    /// optional per-wrapper self-test sessions.
+    /// optional per-wrapper self-test sessions, cloned from the planner's
+    /// template (labels and staircases are formatted once per planner).
     fn delta_jobs(&self, config: &SharingConfig) -> Vec<TestJob> {
-        analog_delta_jobs(
-            &self.soc.analog,
-            &config.assignment(),
-            config.wrapper_count(),
-            self.opts.self_test_cycles,
-        )
+        let analog = &self.soc.analog;
+        self.delta_template
+            .get_or_init(|| {
+                AnalogDeltaTemplate::new(analog, analog.len(), self.opts.self_test_cycles)
+            })
+            .jobs(&config.assignment(), config.wrapper_count())
     }
 
     /// Aggregate reuse statistics over the planner's sessions plus the

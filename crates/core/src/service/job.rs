@@ -909,6 +909,57 @@ mod tests {
     }
 
     #[test]
+    fn hostile_widths_plan_like_a_saturating_width() {
+        use std::sync::mpsc::RecvTimeoutError;
+
+        // Every d695m staircase saturates below 256 wires, so a width of
+        // 2^20 must plan exactly like 256, and quickly: before the
+        // staircase floor exit one such job designed a wrapper per width.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let submit = |spec: fn(u32) -> JobBuilder, width: u32| {
+                let job = spec(width).opts(quick_opts()).build().unwrap();
+                match PlanService::new().submit(std::slice::from_ref(&job)).pop().unwrap() {
+                    JobOutcome::Completed(report) => report.result,
+                    other => panic!("width {width}: expected completion, got {other:?}"),
+                }
+            };
+            let specs: [fn(u32) -> JobBuilder; 3] = [
+                |w| JobBuilder::new(MixedSignalSoc::d695m()).single(w),
+                |w| JobBuilder::new(MixedSignalSoc::d695m()).best_width(vec![w]),
+                |w| JobBuilder::new(MixedSignalSoc::d695m()).table(vec![w]),
+            ];
+            let pairs: Vec<_> =
+                specs.into_iter().map(|spec| (submit(spec, 1 << 20), submit(spec, 256))).collect();
+            tx.send(pairs).unwrap();
+        });
+        let pairs = match rx.recv_timeout(Duration::from_secs(120)) {
+            Ok(pairs) => pairs,
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(worker.join().expect_err("the worker sent nothing"))
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("jobs at width 2^20 must finish within the watchdog's 120 s")
+            }
+        };
+        worker.join().expect("the worker finished after sending");
+        for (hostile, saturating) in pairs {
+            match (hostile, saturating) {
+                (JobResult::Plan(a), JobResult::Plan(b)) => assert_eq!(a.best, b.best),
+                (JobResult::Table(a), JobResult::Table(b)) => {
+                    assert_eq!(a.best, b.best);
+                    assert_eq!(a.winner_makespan, b.winner_makespan);
+                }
+                (
+                    JobResult::BestWidth { config: a, makespan: ma, .. },
+                    JobResult::BestWidth { config: b, makespan: mb, .. },
+                ) => assert_eq!((a, ma), (b, mb)),
+                other => panic!("mismatched result kinds: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn generous_deadlines_leave_results_bit_identical_to_unlimited_runs() {
         let service = PlanService::new();
         let unlimited = quick_single(16);

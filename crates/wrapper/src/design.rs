@@ -84,9 +84,7 @@ impl WrapperDesign {
     /// Test application time for one test of `patterns` patterns:
     /// `(1 + max(si, so)) · p + min(si, so)`.
     pub fn test_time(&self, patterns: u64) -> u64 {
-        let si = self.scan_in_length();
-        let so = self.scan_out_length();
-        (1 + si.max(so)) * patterns + si.min(so)
+        scan_test_time(self.scan_in_length(), self.scan_out_length(), patterns)
     }
 
     /// Total test time of all TAM-using tests of `module` through this
@@ -94,6 +92,12 @@ impl WrapperDesign {
     pub fn module_test_time(&self, module: &Module) -> u64 {
         module.tests.iter().filter(|t| t.tam_used).map(|t| self.test_time(t.patterns)).sum()
     }
+}
+
+/// Time of one test of `patterns` patterns through scan-in/scan-out paths
+/// of `si`/`so` cells: `(1 + max(si, so)) · p + min(si, so)`.
+pub(crate) fn scan_test_time(si: u64, so: u64, patterns: u64) -> u64 {
+    (1 + si.max(so)) * patterns + si.min(so)
 }
 
 /// Distributes `cells` unit-length items over bins with initial loads

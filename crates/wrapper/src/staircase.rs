@@ -2,7 +2,7 @@
 
 use msoc_itc02::Module;
 
-use crate::design::WrapperDesign;
+use crate::design::{scan_test_time, WrapperDesign};
 
 /// One Pareto-optimal `(width, time)` point of a core's staircase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,11 +45,22 @@ impl Staircase {
     /// [`WrapperDesign`] test time over widths `1..=w`, which makes the
     /// staircase monotone even where the LPT heuristic is not.
     ///
+    /// The scan stops at the first width whose time reaches the module's
+    /// floor: `Σ (1 + max(si, so))·p + min(si, so)` over the TAM tests,
+    /// with `si = max(longest chain, [inputs + bidirs > 0])` and
+    /// `so = max(longest chain, [outputs + bidirs > 0])`. No wrapper of any
+    /// width has shorter scan paths, so no wider point could join the
+    /// staircase and the result equals the full scan. The floor is reached
+    /// by width `chains + max(inputs, outputs) + bidirs` at the latest
+    /// (every chain and cell then sits alone), so the loop designs at most
+    /// that many wrappers, however large `max_width` is.
+    ///
     /// # Panics
     ///
     /// Panics if `max_width == 0`.
     pub fn for_module(module: &Module, max_width: u32) -> Self {
         assert!(max_width > 0, "staircase needs at least width 1");
+        let floor = time_floor(module);
         let mut points = Vec::new();
         let mut best = u64::MAX;
         for w in 1..=max_width {
@@ -57,6 +68,9 @@ impl Staircase {
             if t < best {
                 best = t;
                 points.push(StaircasePoint { width: w, time: t });
+            }
+            if t <= floor {
+                break;
             }
         }
         Staircase { points }
@@ -131,6 +145,16 @@ impl Staircase {
             .min()
             .expect("staircase is non-empty")
     }
+}
+
+/// The least test time any wrapper of `module` can reach (see
+/// [`Staircase::for_module`]): every internal chain lies whole on one
+/// wrapper chain, and a side with at least one cell is at least one long.
+fn time_floor(module: &Module) -> u64 {
+    let longest = u64::from(module.scan_chains.iter().copied().max().unwrap_or(0));
+    let si = longest.max(u64::from(module.inputs > 0 || module.bidirs > 0));
+    let so = longest.max(u64::from(module.outputs > 0 || module.bidirs > 0));
+    module.tests.iter().filter(|t| t.tam_used).map(|t| scan_test_time(si, so, t.patterns)).sum()
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@ use proptest::prelude::*;
 
 use msoc::core::cost::{analog_time_bound, area_cost, shared_time_bound};
 use msoc::core::partition::enumerate_bell;
+use msoc::itc02::ModuleTest;
 use msoc::prelude::*;
 use msoc::tam::{
     bounds, schedule_with_effort, schedule_with_engine, Effort, Engine, JobKind, PackSession,
@@ -19,8 +20,69 @@ fn arb_module() -> impl Strategy<Value = Module> {
         })
 }
 
+/// The staircase loop before the floor exit: designs every width.
+fn full_scan_staircase(m: &Module, max_w: u32) -> Vec<StaircasePoint> {
+    let mut points = Vec::new();
+    let mut best = u64::MAX;
+    for w in 1..=max_w {
+        let t = WrapperDesign::design(m, w).module_test_time(m);
+        if t < best {
+            best = t;
+            points.push(StaircasePoint { width: w, time: t });
+        }
+    }
+    points
+}
+
+/// `for_module` equals the full scan at every `max_w` in `1..=128`. The
+/// full scan over `1..=max_w` is the prefix of the scan over `1..=128`
+/// up to `max_w`, so one scan serves every bound.
+fn assert_floor_exit_matches_full_scan(m: &Module) {
+    let full = full_scan_staircase(m, 128);
+    for max_w in 1..=128 {
+        let expected: Vec<_> = full.iter().copied().filter(|p| p.width <= max_w).collect();
+        assert_eq!(Staircase::for_module(m, max_w).points(), expected, "{m:?} at {max_w}");
+    }
+}
+
+/// The floor rule's edge modules, exhaustively over a small grid: no scan
+/// chains (or only empty ones), only BIST tests (floor 0), zero-pattern
+/// tests, bidir-only and one-sided I/O, and pattern counts small enough
+/// that a step lands next to the floor.
+#[test]
+fn staircase_floor_exit_matches_the_full_scan_on_edge_modules() {
+    let chain_sets: [&[u32]; 4] = [&[], &[0], &[3], &[2, 5]];
+    let test_sets: [&[ModuleTest]; 7] = [
+        &[],
+        &[ModuleTest::scan(0)],
+        &[ModuleTest::scan(1)],
+        &[ModuleTest::scan(2)],
+        &[ModuleTest::bist(5)],
+        &[ModuleTest::scan(1), ModuleTest::scan(0)],
+        &[ModuleTest::scan(3), ModuleTest::bist(2)],
+    ];
+    for chains in chain_sets {
+        for (inputs, outputs, bidirs) in [0, 1, 3]
+            .into_iter()
+            .flat_map(|i| [0, 1, 3].map(|o| (i, o)))
+            .flat_map(|(i, o)| [0, 2].map(|b| (i, o, b)))
+        {
+            for tests in test_sets {
+                let mut m = Module::new_scan_core(1, inputs, outputs, bidirs, chains.to_vec(), 1);
+                m.tests = tests.to_vec();
+                assert_floor_exit_matches_full_scan(&m);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn staircase_floor_exit_matches_the_full_scan(m in arb_module()) {
+        assert_floor_exit_matches_full_scan(&m);
+    }
 
     #[test]
     fn wrapper_design_respects_packing_bounds(m in arb_module(), width in 1u32..=32) {
