@@ -253,7 +253,7 @@ mod tests {
     #[test]
     fn normalized_shares_reproduce_table1_lower_bounds() {
         // The paper's Table 1 T_LB values follow from the per-core shares of
-        // the grand total; spot-check the anchors quoted in DESIGN.md.
+        // the grand total; spot-check three of the table's anchors.
         let cores = paper_cores();
         let total: u64 = cores.iter().map(AnalogCoreSpec::total_cycles).sum();
         let share = |id: CoreId| 100.0 * cores[id.index()].total_cycles() as f64 / total as f64;

@@ -36,7 +36,6 @@ fn main() {
     for (label, weights) in blocks {
         println!("--- {label} ---");
         let mut rows = Vec::new();
-        let mut heur_evals = 0usize;
         for w in WIDTHS {
             let t0 = Instant::now();
             let exh = planner.exhaustive(w, weights).expect("exhaustive plan");
@@ -44,7 +43,6 @@ fn main() {
             let t0 = Instant::now();
             let heur = planner.cost_optimizer(w, weights, 0.0).expect("heuristic plan");
             let t_heur = t0.elapsed();
-            heur_evals += heur.evaluations;
             let reduction =
                 100.0 * (exh.evaluations - heur.evaluations) as f64 / exh.evaluations as f64;
             rows.push(vec![
@@ -65,26 +63,6 @@ fn main() {
                 &["W", "C_exh", "N", "combo_exh", "C_heur", "N", "combo_heur", "dN%", "time"],
                 &rows
             )
-        );
-        // The cross-width sweep answers "best width overall" as one
-        // problem: a fresh planner (cold caches, honest accounting) runs
-        // all five widths behind a single global cost incumbent.
-        let mut sweep_planner = Planner::with_options(
-            &soc,
-            PlannerOptions { effort: Effort::Thorough, ..PlannerOptions::default() },
-        );
-        let t0 = Instant::now();
-        let sweep = sweep_planner.cost_optimizer_sweep(&WIDTHS, weights, 0.0).expect("cost sweep");
-        println!(
-            "cross-width sweep: best C = {:.1} at W = {} ({}), {} evals vs {} per-width \
-             ({} members cost-bound pruned, {:.2}s)",
-            sweep.best.total_cost,
-            sweep.tam_width,
-            sweep.best.config,
-            sweep.evaluations,
-            heur_evals,
-            sweep_planner.stats().cost_bound_prunes,
-            t0.elapsed().as_secs_f64(),
         );
         println!();
     }

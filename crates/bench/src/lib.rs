@@ -2,8 +2,7 @@
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the
 //! reproduced paper; this library provides the text-table and CSV plumbing
-//! they share. See `DESIGN.md` at the workspace root for the experiment
-//! index.
+//! they share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

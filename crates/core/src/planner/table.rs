@@ -55,8 +55,8 @@ use msoc_tam::bounds::WidthBoundCurve;
 use msoc_tam::{PackSession, Schedule, ScheduleError, TestJob};
 
 use crate::cost::{self, CostWeights};
-use crate::partition::{self, SharingConfig};
-use crate::planner::{EvaluatedConfig, PlanError, PlanReport, Planner};
+use crate::partition::SharingConfig;
+use crate::planner::{EvaluatedConfig, PlanError, Planner};
 
 /// Cells per wave. Fixed (not the host's thread count) so the prune
 /// decisions — frozen at wave boundaries — are bit-identical on every
@@ -502,235 +502,6 @@ impl<'a> Planner<'a> {
         })
     }
 
-    /// The paper's `Cost_Optimizer` heuristic swept across a whole set of
-    /// TAM widths as **one** problem — the cross-width routing of the
-    /// per-width loop callers used to run around [`Planner::cost_optimizer`].
-    ///
-    /// Structure per width is exactly the heuristic's (Fig. 3): group by
-    /// shape, evaluate each group's preliminary-cost representative fully,
-    /// eliminate groups whose representative is more than `delta` above
-    /// the best representative at that width, then evaluate the surviving
-    /// members. The sweep packs across widths through the table engine's
-    /// machinery instead of width-by-width:
-    ///
-    /// - The all-share baselines and the representatives (the preliminary
-    ///   cost is width-independent, so every width shares one
-    ///   representative set) are packed for **all widths in one parallel
-    ///   batch** each.
-    /// - Surviving members compete in best-first [`WAVE`]-sized waves
-    ///   behind one **global blended-cost incumbent** shared across
-    ///   widths: a member whose cost lower bound
-    ///   ([`Planner::cost_lower_bound`]) strictly exceeds the incumbent —
-    ///   frozen at wave boundaries, so the pruned set is deterministic at
-    ///   any thread count — is skipped without packing. The per-width
-    ///   loop's member prune could only use that width's own incumbent;
-    ///   the global incumbent also rules members out with makespans packed
-    ///   at *other* widths. Prunes land in
-    ///   [`PlanStats::cost_bound_prunes`](crate::PlanStats).
-    ///
-    /// The prune is exact (a pruned member's real cost provably exceeds a
-    /// realized cost, and ties survive the strict comparison), and the
-    /// final winner is folded in the per-width reference order — width in
-    /// input order, then baseline, representatives, surviving members —
-    /// so the reported best `(config, width)` is bit-identical to running
-    /// [`Planner::cost_optimizer`] at every width and keeping the
-    /// strictly-better report. [`PlanReport::tam_width`] is the winning
-    /// width; [`PlanReport::evaluations`] counts representative and
-    /// member evaluations summed over the sweep (baselines stay free,
-    /// matching the paper's Table 4 accounting);
-    /// [`PlanReport::candidates`] is `candidates × widths`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Planner::cost_optimizer`] at each width, plus
-    /// [`PlanError::Interrupted`] at batch/wave boundaries.
-    ///
-    /// [`PlanError::Interrupted`]: crate::PlanError::Interrupted
-    ///
-    /// # Panics
-    ///
-    /// Panics if `widths` is empty or contains duplicates.
-    pub fn cost_optimizer_sweep(
-        &mut self,
-        widths: &[u32],
-        weights: CostWeights,
-        delta: f64,
-    ) -> Result<PlanReport, PlanError> {
-        if self.soc.analog.is_empty() {
-            return Err(PlanError::NoAnalogCores);
-        }
-        assert!(!widths.is_empty(), "cost_optimizer_sweep needs at least one width");
-        {
-            let mut sorted = widths.to_vec();
-            sorted.sort_unstable();
-            assert!(
-                sorted.windows(2).all(|p| p[0] != p[1]),
-                "cost_optimizer_sweep widths must be distinct"
-            );
-        }
-        let nw = widths.len();
-        let candidates = self.candidates();
-        let n_candidates = candidates.len();
-        let all_shared = SharingConfig::all_shared(self.soc.analog.len());
-        let groups: Vec<Vec<SharingConfig>> = partition::group_by_shape(
-            candidates.into_iter().filter(|c| *c != all_shared && c.has_sharing()).collect(),
-        );
-        let sessions: Vec<Arc<PackSession>> =
-            widths.iter().map(|&w| Arc::clone(self.session(w))).collect();
-
-        // Baselines: T_max at every width, one parallel batch.
-        self.check_interrupt()?;
-        let baseline_delta = self.delta_jobs(&all_shared);
-        let baseline_cells: Vec<PendingCell> = (0..nw)
-            .map(|wi| PendingCell { cell: wi, session: Arc::clone(&sessions[wi]) })
-            .collect();
-        self.pack_cells(&baseline_cells, |_| baseline_delta.as_slice(), |_| all_shared.clone())?;
-
-        // One representative set for the whole sweep: the preliminary cost
-        // has no width input, so every width picks the same minimizers.
-        let mut rep_configs: Vec<SharingConfig> = Vec::with_capacity(groups.len());
-        for group in &groups {
-            let mut rep: Option<(&SharingConfig, f64)> = None;
-            for config in group {
-                let prelim = cost::preliminary_cost(
-                    config,
-                    &self.soc.analog,
-                    &self.opts.area_model,
-                    &self.opts.sharing_policy,
-                    weights,
-                )?;
-                if rep.is_none_or(|(_, c)| prelim < c) {
-                    rep = Some((config, prelim));
-                }
-            }
-            let (config, _) = rep.expect("groups are non-empty");
-            rep_configs.push(config.clone());
-        }
-        let rep_deltas: Vec<Vec<TestJob>> =
-            rep_configs.iter().map(|c| self.delta_jobs(c)).collect();
-        self.check_interrupt()?;
-        let rep_cells: Vec<PendingCell> = (0..rep_configs.len() * nw)
-            .map(|cell| PendingCell { cell, session: Arc::clone(&sessions[cell % nw]) })
-            .collect();
-        self.pack_cells(
-            &rep_cells,
-            |cell| rep_deltas[cell / nw].as_slice(),
-            |cell| rep_configs[cell / nw].clone(),
-        )?;
-
-        // Evaluate baselines and representatives (pure cache reads now) to
-        // seed the global incumbent and gate group survival per width.
-        let mut evaluations = 0usize;
-        let mut incumbent = f64::INFINITY;
-        let mut rep_evals: Vec<Vec<EvaluatedConfig>> = Vec::with_capacity(nw);
-        for &w in widths {
-            incumbent = incumbent.min(self.evaluate(&all_shared, w, weights)?.total_cost);
-            let evals: Vec<EvaluatedConfig> = rep_configs
-                .iter()
-                .map(|c| self.evaluate(c, w, weights))
-                .collect::<Result<_, _>>()?;
-            evaluations += evals.len();
-            for e in &evals {
-                incumbent = incumbent.min(e.total_cost);
-            }
-            rep_evals.push(evals);
-        }
-
-        // Surviving members of every width, in the per-width reference
-        // order (width-major, groups in representative order, members in
-        // group order) — the order the final winner fold replays.
-        struct SweepMember {
-            wi: usize,
-            config: SharingConfig,
-            delta_jobs: Vec<TestJob>,
-            bound: f64,
-            packed: bool,
-        }
-        let mut members: Vec<SweepMember> = Vec::new();
-        for (wi, evals) in rep_evals.iter().enumerate() {
-            let c_star = evals.iter().map(|e| e.total_cost).fold(f64::INFINITY, f64::min);
-            for (g_idx, rep_eval) in evals.iter().enumerate() {
-                if rep_eval.total_cost - c_star > delta {
-                    continue;
-                }
-                for config in &groups[g_idx] {
-                    if config == &rep_eval.config {
-                        continue;
-                    }
-                    let bound = self.cost_lower_bound(config, widths[wi], weights)?;
-                    members.push(SweepMember {
-                        wi,
-                        config: config.clone(),
-                        delta_jobs: self.delta_jobs(config),
-                        bound,
-                        packed: false,
-                    });
-                }
-            }
-        }
-
-        // Best-first member waves behind the frozen global incumbent.
-        let mut order: Vec<usize> = (0..members.len()).collect();
-        order.sort_by(|&a, &b| members[a].bound.total_cmp(&members[b].bound).then(a.cmp(&b)));
-        for wave in order.chunks(WAVE) {
-            self.check_interrupt()?;
-            let frozen = incumbent;
-            let to_pack: Vec<PendingCell> = wave
-                .iter()
-                .filter(|&&m| {
-                    if members[m].bound > frozen {
-                        self.cost_bound_prunes += 1;
-                        false
-                    } else {
-                        true
-                    }
-                })
-                .map(|&m| PendingCell { cell: m, session: Arc::clone(&sessions[members[m].wi]) })
-                .collect();
-            if to_pack.is_empty() {
-                continue;
-            }
-            self.pack_cells(
-                &to_pack,
-                |m| members[m].delta_jobs.as_slice(),
-                |m| members[m].config.clone(),
-            )?;
-            for pending in &to_pack {
-                let m = pending.cell;
-                let config = members[m].config.clone();
-                let eval = self.evaluate(&config, widths[members[m].wi], weights)?;
-                evaluations += 1;
-                incumbent = incumbent.min(eval.total_cost);
-                members[m].packed = true;
-            }
-        }
-
-        // Final fold in the reference order (all cache reads): pruned
-        // members provably exceed a realized cost, so skipping them
-        // cannot change the strictly-better winner.
-        let mut best: Option<(EvaluatedConfig, u32)> = None;
-        let fold = |eval: EvaluatedConfig, w: u32, best: &mut Option<(EvaluatedConfig, u32)>| {
-            if best.as_ref().is_none_or(|(b, _)| eval.total_cost < b.total_cost) {
-                *best = Some((eval, w));
-            }
-        };
-        let mut member_iter = members.iter().peekable();
-        for (wi, &w) in widths.iter().enumerate() {
-            fold(self.evaluate(&all_shared, w, weights)?, w, &mut best);
-            for eval in &rep_evals[wi] {
-                fold(eval.clone(), w, &mut best);
-            }
-            while member_iter.peek().is_some_and(|m| m.wi == wi) {
-                let m = member_iter.next().expect("peeked");
-                if m.packed {
-                    fold(self.evaluate(&m.config, w, weights)?, w, &mut best);
-                }
-            }
-        }
-        let (best, winner_width) = best.expect("the all-share baseline is always evaluated");
-        self.report(best, evaluations, n_candidates * nw, winner_width, weights)
-    }
-
     /// Packs one wave of cells in parallel through the service's schedule
     /// cache, warming each involved session's skeleton checkpoints first.
     /// Results come back as `(cell, makespan)` with the schedules landed
@@ -988,84 +759,6 @@ mod tests {
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.cells, b.cells);
         assert_eq!(a, b);
-    }
-
-    /// The per-width reference: `cost_optimizer` at every width, keeping
-    /// the strictly-better report — what the sweep must reproduce.
-    fn reference_cost_sweep(
-        soc: &MixedSignalSoc,
-        widths: &[u32],
-        weights: CostWeights,
-        delta: f64,
-    ) -> (crate::PlanReport, usize) {
-        let mut p = quick_planner(soc);
-        let mut best: Option<crate::PlanReport> = None;
-        let mut evaluations = 0usize;
-        for &w in widths {
-            let report = p.cost_optimizer(w, weights, delta).expect("reference plan");
-            evaluations += report.evaluations;
-            if best.as_ref().is_none_or(|b| report.best.total_cost < b.best.total_cost) {
-                best = Some(report);
-            }
-        }
-        (best.expect("non-empty width set"), evaluations)
-    }
-
-    #[test]
-    fn cost_sweep_matches_the_per_width_reference_loop() {
-        for (soc, widths) in
-            [(MixedSignalSoc::d695m(), vec![16, 24]), (MixedSignalSoc::p93791m(), vec![16, 32, 64])]
-        {
-            let weights = CostWeights::balanced();
-            let (reference, ref_evals) = reference_cost_sweep(&soc, &widths, weights, 0.0);
-            let mut p = quick_planner(&soc);
-            let sweep = p.cost_optimizer_sweep(&widths, weights, 0.0).unwrap();
-            assert_eq!(sweep.best.config, reference.best.config, "winner config diverged");
-            assert_eq!(sweep.tam_width, reference.tam_width, "winner width diverged");
-            assert_eq!(sweep.best, reference.best, "winner evaluation diverged");
-            assert!(
-                sweep.evaluations <= ref_evals,
-                "the global incumbent must not add evaluations: {} > {ref_evals}",
-                sweep.evaluations
-            );
-        }
-    }
-
-    #[test]
-    fn cost_sweep_inherits_cross_width_pruning() {
-        // On the area-dominated p93791m matrix the wide widths' packed
-        // costs rule out members at other widths before packing — the
-        // per-width loop had no mechanism for this.
-        let soc = MixedSignalSoc::p93791m();
-        let widths = [16, 32, 64];
-        let weights = CostWeights::balanced();
-        let (_, ref_evals) = reference_cost_sweep(&soc, &widths, weights, 0.0);
-        let mut p = quick_planner(&soc);
-        let sweep = p.cost_optimizer_sweep(&widths, weights, 0.0).unwrap();
-        let stats = p.stats();
-        assert!(
-            stats.cost_bound_prunes > 0,
-            "the global cost incumbent must prune members: {stats:?}"
-        );
-        assert!(
-            sweep.evaluations < ref_evals,
-            "pruning must save evaluations: {} vs {ref_evals}",
-            sweep.evaluations
-        );
-    }
-
-    #[test]
-    fn cost_sweep_is_deterministic_across_runs() {
-        let soc = MixedSignalSoc::d695m();
-        let run = || {
-            let mut p = quick_planner(&soc);
-            let report = p.cost_optimizer_sweep(&[16, 24], CostWeights::balanced(), 0.0).unwrap();
-            (report, p.stats())
-        };
-        let (a, a_stats) = run();
-        let (b, b_stats) = run();
-        assert_eq!(a, b);
-        assert_eq!(a_stats, b_stats);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Human-readable rendering of plan results.
 //!
-//! A [`PlanReport`](crate::PlanReport) carries everything a test engineer
+//! A [`PlanReport`] carries everything a test engineer
 //! needs — the chosen wrapper sharing, the cost breakdown and the
 //! schedule — and this module turns it into the kind of summary the
 //! paper's tables condense, plus CSV rows for downstream tooling.

@@ -162,7 +162,7 @@ pub enum ExportOutcome {
     },
 }
 
-/// The crash-safe export daemon (see the [module docs](self)).
+/// The crash-safe export daemon (see the module docs).
 ///
 /// Borrow a service and a store, then drive [`poll`](Self::poll):
 ///
@@ -245,7 +245,7 @@ impl<'a, S: SnapshotStore> SnapshotDaemon<'a, S> {
     }
 
     /// One daemon step: export-if-dirty under the bounded-staleness
-    /// policy (see the [module docs](self)).
+    /// policy (see the module docs).
     pub fn poll(&mut self) -> ExportOutcome {
         self.stats.polls += 1;
         let tick = self.service.session_ticks();

@@ -60,7 +60,7 @@ pub enum JobSpec {
 /// check budget.
 ///
 /// Both kinds fire at the same deterministic progress boundaries (see the
-/// [module docs](self)); the difference is reproducibility. A wall-clock
+/// module docs); the difference is reproducibility. A wall-clock
 /// deadline depends on host speed; a *check budget* expires after a fixed
 /// number of progress checks, so the exact interruption point — and with
 /// it every cached artifact — is identical on every host and every run,
@@ -563,7 +563,7 @@ impl PlanService {
     /// Every job runs independently: a rejected, interrupted or failed
     /// job never poisons the batch, and everything an interrupted job
     /// already cached is complete and bit-identical (see the
-    /// [module docs](self)). A panicking job is caught at the dispatch
+    /// module docs). A panicking job is caught at the dispatch
     /// boundary and comes back as [`JobOutcome::Failed`] — the unwind
     /// never reaches the worker pool, so sibling jobs complete
     /// bit-identically to a batch without the panicking job. On a

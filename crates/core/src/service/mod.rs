@@ -2,9 +2,9 @@
 //! planner instances and whole fleets of SOCs, plus the job-oriented
 //! multi-SOC planning front-end.
 //!
-//! A [`Planner`] is scoped to one SOC and one options set; every planner
-//! used to rebuild its pack sessions and schedules from nothing. A
-//! [`PlanService`] is the long-lived owner of that state:
+//! A [`Planner`](crate::Planner) is scoped to one SOC and one options
+//! set; every planner used to rebuild its pack sessions and schedules
+//! from nothing. A [`PlanService`] is the long-lived owner of that state:
 //!
 //! * **Session cache** — [`PackSession`]s keyed by their stable content
 //!   [fingerprint](SessionKey::fingerprint) (skeleton jobs + TAM width +
@@ -335,7 +335,7 @@ pub struct ShardStats {
 ///
 /// All methods take `&self`; the service is internally synchronized and
 /// is shared across threads by reference. Both caches are split into
-/// [`SHARDS`] fingerprint-sharded slices with per-shard locks (held only
+/// `SHARDS` fingerprint-sharded slices with per-shard locks (held only
 /// for lookups and insertions — packing and planning run outside them),
 /// so concurrent `submit` batches only contend when they hit the same
 /// shard; the remaining top-level counters are atomics.
@@ -406,7 +406,7 @@ impl PlanService {
     /// Creates an empty service with explicit schedule- and session-cache
     /// bounds.
     ///
-    /// Both caps are enforced **per shard** (each of the [`SHARDS`] shards
+    /// Both caps are enforced **per shard** (each of the `SHARDS` shards
     /// gets `cap.div_ceil(SHARDS)`, at least 1), so the effective total
     /// bound is the cap rounded up to a multiple of the shard count, and
     /// fingerprint-skewed traffic may evict a hot shard before the
@@ -464,7 +464,7 @@ impl PlanService {
         self
     }
 
-    /// Number of cache shards (fixed at build time; see [`SHARDS`]).
+    /// Number of cache shards (the build-time `SHARDS` constant).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }

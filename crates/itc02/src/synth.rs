@@ -4,8 +4,7 @@
 //! workspace, so the experiments run on synthetic stand-ins generated here.
 //! [`p93791s`] is calibrated so that its digital-only TAM schedule reproduces
 //! the published makespan scale of `p93791` (≈2.0 M cycles at width 16 down
-//! to ≈0.5 M cycles at width 64, dominated by a handful of large cores);
-//! see `DESIGN.md` at the workspace root for the calibration rationale.
+//! to ≈0.5 M cycles at width 64, dominated by a handful of large cores).
 //!
 //! [`random_soc`] produces arbitrary seeded SOCs for tests and fuzzing.
 

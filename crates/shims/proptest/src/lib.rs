@@ -137,7 +137,7 @@ pub mod prop {
             VecStrategy { element, size: size.into() }
         }
 
-        /// Strategy returned by [`vec`].
+        /// Strategy returned by [`vec()`].
         pub struct VecStrategy<S> {
             element: S,
             size: SizeRange,

@@ -2,7 +2,7 @@
 //!
 //! This workspace builds hermetically (no crates.io), so the handful of
 //! `rand` APIs it uses resolve to this in-tree implementation: a seeded
-//! [`StdRng`] (splitmix64 core) and [`Rng::gen_range`] over integer and
+//! [`StdRng`](rngs::StdRng) (splitmix64 core) and [`Rng::gen_range`] over integer and
 //! float ranges. Determinism per seed is the only contract callers rely
 //! on; the streams intentionally do *not* match upstream `rand`.
 

@@ -1,5 +1,6 @@
 //! Calibration checks: the synthetic p93791s SOC must schedule to the
-//! published makespan scale of the real p93791 benchmark (see DESIGN.md),
+//! published makespan scale of the real p93791 benchmark (see
+//! `msoc_itc02::synth`),
 //! because the paper's Table 3/4 shapes depend on the relative magnitude of
 //! digital and analog test times.
 

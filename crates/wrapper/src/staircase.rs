@@ -229,7 +229,7 @@ mod tests {
     #[test]
     fn big_core_calibration_band() {
         // The dominant p93791s core should bottom out near 0.46 M cycles —
-        // the calibration target described in DESIGN.md.
+        // the calibration target of `msoc_itc02::synth::p93791s`.
         let soc = synth::p93791s();
         let big = soc.module(6).unwrap();
         let s = Staircase::for_module(big, 64);

@@ -49,10 +49,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         "exported {} sessions, {} schedules, {} trie nodes ({} checkpoints)",
         stats.sessions, stats.schedules, stats.trie_nodes, stats.checkpoints,
     );
-    println!(
-        "{} bytes on disk (v1 layout would need {}; {:.1}x compression on shared content)",
-        stats.total_bytes, stats.v1_bytes, stats.compression_ratio,
-    );
+    println!("{} bytes on disk", stats.sections.total_bytes);
     let path = std::env::temp_dir().join("msoc_persist_example.snapshot");
     std::fs::write(&path, snapshot.to_bytes())?;
 

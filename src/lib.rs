@@ -37,9 +37,8 @@
 //! # Ok::<(), msoc::core::PlanError>(())
 //! ```
 //!
-//! See `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for
-//! paper-versus-measured results; the `msoc-bench` crate regenerates every
-//! table and figure.
+//! The README's architecture map describes every crate; the `msoc-bench`
+//! crate regenerates every table and figure.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
