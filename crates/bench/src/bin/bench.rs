@@ -299,6 +299,8 @@ fn run_sweep(soc: &MixedSignalSoc, w: u32) -> Fields {
         );
     }
     assert_eq!(after.schedule_misses, cold.schedule_misses, "warm sweep packed: {after:?}");
+    let warm_skeleton_misses = after.sessions.skeleton_misses - cold.sessions.skeleton_misses;
+    assert_eq!(warm_skeleton_misses, 0, "an all-hit warm sweep re-packed skeletons: {after:?}");
 
     assert!(
         stats.skeleton_hits >= MIN_SKELETON_REUSES_PER_WIDTH,
@@ -329,12 +331,7 @@ fn run_sweep(soc: &MixedSignalSoc, w: u32) -> Fields {
         ("prefix_jobs_restored", stats.prefix_jobs_restored.into()),
         ("max_prefix_depth", stats.max_prefix_depth.into()),
         ("warm_schedule_hits", (after.schedule_hits - cold.schedule_hits).into()),
-        // Skeletons the warm pass re-packs although every schedule hits:
-        // `schedule_batch` warms each session's checkpoints up front.
-        (
-            "warm_skeleton_misses",
-            (after.sessions.skeleton_misses - cold.sessions.skeleton_misses).into(),
-        ),
+        ("warm_skeleton_misses", warm_skeleton_misses.into()),
     ]
 }
 

@@ -1,25 +1,26 @@
 //! The test planner: exhaustive evaluation, the paper's `Cost_Optimizer`
 //! heuristic (Fig. 3), and the cross-width [`table`] sweep engine.
 
+mod inputs;
 pub mod table;
 
-use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use msoc_awrapper::{AnalogDeltaTemplate, AreaModel, IncompatibleSharing, SharingPolicy};
+use msoc_awrapper::{AreaModel, IncompatibleSharing, SharingPolicy};
 use msoc_tam::{
     bounds, Effort, Engine, PackSession, Schedule, ScheduleError, ScheduleProblem, SessionStats,
     TestJob,
 };
-use msoc_wrapper::Staircase;
 
 use crate::cost::{self, CostWeights};
 use crate::partition::{self, SharingConfig};
 use crate::service::PlanService;
 use crate::soc::MixedSignalSoc;
+
+pub(crate) use inputs::{DeltaJobs, PlanInputs};
 
 /// Which sharing configurations the planner considers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -264,6 +265,17 @@ enum ServiceBinding<'a> {
     Owned(Box<PlanService>),
 }
 
+impl std::ops::Deref for ServiceBinding<'_> {
+    type Target = PlanService;
+
+    fn deref(&self) -> &PlanService {
+        match self {
+            ServiceBinding::Shared(s) => s,
+            ServiceBinding::Owned(s) => s,
+        }
+    }
+}
+
 /// The mixed-signal test planner.
 ///
 /// Drives every candidate × width sweep through per-width
@@ -288,9 +300,10 @@ pub struct Planner<'a> {
     soc: &'a MixedSignalSoc,
     opts: PlannerOptions,
     service: ServiceBinding<'a>,
+    /// The SOC's plan-inputs memo: a registered handle's, shared across
+    /// jobs, or one of this planner's own.
+    inputs: Arc<PlanInputs>,
     sessions: HashMap<u32, AcquiredSession>,
-    /// The candidate-invariant analog jobs, built on the first delta.
-    delta_template: OnceCell<AnalogDeltaTemplate>,
     makespans: HashMap<(SharingConfig, u32), u64>,
     schedules: HashMap<(SharingConfig, u32), Arc<Schedule>>,
     /// Schedule-cache keys that survive per-sweep pruning (report winners
@@ -317,7 +330,7 @@ impl<'a> Planner<'a> {
     /// Creates a planner with explicit options and a private transient
     /// service (caches live and die with this planner).
     pub fn with_options(soc: &'a MixedSignalSoc, opts: PlannerOptions) -> Self {
-        Planner::build(soc, opts, ServiceBinding::Owned(Box::default()))
+        Planner::build(soc, Arc::default(), opts, ServiceBinding::Owned(Box::default()))
     }
 
     /// Creates a planner whose sessions and schedules come from (and feed)
@@ -328,16 +341,32 @@ impl<'a> Planner<'a> {
         opts: PlannerOptions,
         service: &'a PlanService,
     ) -> Self {
-        Planner::build(soc, opts, ServiceBinding::Shared(service))
+        Planner::build(soc, Arc::default(), opts, ServiceBinding::Shared(service))
     }
 
-    fn build(soc: &'a MixedSignalSoc, opts: PlannerOptions, service: ServiceBinding<'a>) -> Self {
+    /// [`Self::with_service`] reading and filling `inputs`, the memo that
+    /// belongs to `soc` (see [`PlanInputs`]).
+    pub(crate) fn with_inputs(
+        soc: &'a MixedSignalSoc,
+        inputs: Arc<PlanInputs>,
+        opts: PlannerOptions,
+        service: &'a PlanService,
+    ) -> Self {
+        Planner::build(soc, inputs, opts, ServiceBinding::Shared(service))
+    }
+
+    fn build(
+        soc: &'a MixedSignalSoc,
+        inputs: Arc<PlanInputs>,
+        opts: PlannerOptions,
+        service: ServiceBinding<'a>,
+    ) -> Self {
         Planner {
             soc,
             opts,
             service,
+            inputs,
             sessions: HashMap::new(),
-            delta_template: OnceCell::new(),
             makespans: HashMap::new(),
             schedules: HashMap::new(),
             pinned: HashSet::new(),
@@ -345,14 +374,6 @@ impl<'a> Planner<'a> {
             cost_bound_prunes: 0,
             control: None,
             track_revision: false,
-        }
-    }
-
-    /// The backing service (shared or transient).
-    fn service(&self) -> &PlanService {
-        match &self.service {
-            ServiceBinding::Shared(s) => s,
-            ServiceBinding::Owned(s) => s,
         }
     }
 
@@ -386,21 +407,10 @@ impl<'a> Planner<'a> {
     /// service this returns a session another planner already populated.
     fn session(&mut self, w: u32) -> &Arc<PackSession> {
         if !self.sessions.contains_key(&w) {
-            let skeleton: Vec<TestJob> = self
-                .soc
-                .digital
-                .cores()
-                .map(|m| TestJob::new(format!("m{}", m.id), Staircase::for_module(m, w)))
-                .collect();
-            let tracked = self.track_revision;
-            let session = match &self.service {
-                ServiceBinding::Shared(s) => {
-                    s.session_tracked(w, self.opts.effort, self.opts.engine, skeleton, tracked)
-                }
-                ServiceBinding::Owned(s) => {
-                    s.session_tracked(w, self.opts.effort, self.opts.engine, skeleton, tracked)
-                }
-            };
+            let skeleton = self.inputs.skeleton(self.soc, w);
+            let (effort, engine) = (self.opts.effort, self.opts.engine);
+            let session =
+                self.service.session_tracked(w, effort, engine, skeleton, self.track_revision);
             let baseline = session.stats();
             self.sessions.insert(w, AcquiredSession { session, baseline });
         }
@@ -408,15 +418,45 @@ impl<'a> Planner<'a> {
     }
 
     /// The per-candidate delta jobs: one grouped job per analog test plus
-    /// optional per-wrapper self-test sessions, cloned from the planner's
-    /// template (labels and staircases are formatted once per planner).
-    fn delta_jobs(&self, config: &SharingConfig) -> Vec<TestJob> {
-        let analog = &self.soc.analog;
-        self.delta_template
-            .get_or_init(|| {
-                AnalogDeltaTemplate::new(analog, analog.len(), self.opts.self_test_cycles)
-            })
-            .jobs(&config.assignment(), config.wrapper_count())
+    /// optional per-wrapper self-test sessions, from the SOC's memo.
+    fn delta_jobs(&self, config: &SharingConfig) -> DeltaJobs {
+        let opts = &self.opts;
+        self.inputs.delta(self.soc, opts.enumeration, opts.self_test_cycles, config)
+    }
+
+    /// Schedules each `(session, delta)` pair through the service's
+    /// schedule cache, results in input order.
+    ///
+    /// A batch the cache answers whole costs one counted lookup per pair
+    /// and nothing else. Otherwise `prepare` warms what the packs need and
+    /// returns every pair's index in packing order, and the pairs fan out
+    /// over the available cores, each a counted lookup then, on a miss, a
+    /// pack.
+    fn lookup_then_pack(
+        &self,
+        work: &[(&Arc<PackSession>, &DeltaJobs)],
+        prepare: impl FnOnce() -> Vec<usize>,
+    ) -> Vec<Result<Arc<Schedule>, ScheduleError>> {
+        let service = &*self.service;
+        let tracked = self.track_revision;
+        let triples: Vec<(&PackSession, &[TestJob], u64)> = work
+            .iter()
+            .map(|&(session, delta)| (&**session, &*delta.jobs, delta.fingerprint))
+            .collect();
+        if let Some(hits) = service.lookup_all(&triples, tracked) {
+            return hits.into_iter().map(Ok).collect();
+        }
+        let order = prepare();
+        let packed = msoc_par::map(&order, |_, &i| {
+            let (session, delta, delta_fp) = triples[i];
+            service.pack_tracked(session, delta, delta_fp, tracked)
+        });
+        let mut results: Vec<Option<Result<Arc<Schedule>, ScheduleError>>> =
+            (0..work.len()).map(|_| None).collect();
+        for (i, result) in order.into_iter().zip(packed) {
+            results[i] = Some(result);
+        }
+        results.into_iter().map(|r| r.expect("the order covers every pair")).collect()
     }
 
     /// Aggregate reuse statistics over the planner's sessions plus the
@@ -456,11 +496,7 @@ impl<'a> Planner<'a> {
     /// The candidate sharing configurations under the planner's
     /// enumeration mode.
     pub fn candidates(&self) -> Vec<SharingConfig> {
-        let classes = self.soc.analog_equivalence_classes();
-        match self.opts.enumeration {
-            Enumeration::Paper => partition::enumerate_paper(self.soc.analog.len(), &classes),
-            Enumeration::All => partition::enumerate_bell(self.soc.analog.len(), &classes),
-        }
+        self.inputs.candidates(self.soc, self.opts.enumeration).configs.clone()
     }
 
     /// Builds the schedule problem for a configuration at TAM width `w`:
@@ -469,7 +505,7 @@ impl<'a> Planner<'a> {
     /// exactly the problem the width's [`PackSession`] delta-packs.
     pub fn build_problem(&mut self, config: &SharingConfig, w: u32) -> ScheduleProblem {
         let delta = self.delta_jobs(config);
-        self.session(w).key().problem_for(&delta)
+        self.session(w).key().problem_for(&delta.jobs)
     }
 
     /// Schedules a configuration (cached) and returns its makespan.
@@ -491,13 +527,16 @@ impl<'a> Planner<'a> {
     /// The candidate × width evaluation loops are where planning spends
     /// its wall time (each evaluation is a full multi-start pack), and the
     /// configurations are independent, so this is the planner's main
-    /// parallel section. Uncached candidates are packed in a
-    /// group-signature gray-code-style order — greedy nearest-neighbor on
-    /// the delta jobs' group assignments in the session's canonical
-    /// by-time ordering — so consecutive candidates differ in as few
-    /// wrapper groups as possible and the session's delta-prefix trie
-    /// restores the longest common packed prefix. The packing order is
-    /// pure scheduling-work layout: every candidate's schedule is
+    /// parallel section. Configurations the planner has not seen are first
+    /// looked up in the service's schedule cache; a batch the cache
+    /// answers whole neither orders nor warms anything. Otherwise the
+    /// batch is packed in a group-signature gray-code-style order —
+    /// greedy nearest-neighbor on the delta jobs' group assignments in the
+    /// session's canonical by-time ordering — so consecutive candidates
+    /// differ in as few wrapper groups as possible and the session's
+    /// delta-prefix trie restores the longest common packed prefix (cached
+    /// candidates in that order are hits and pack nothing). The packing
+    /// order is pure scheduling-work layout: every candidate's schedule is
     /// deterministic in isolation, results land in the same caches the
     /// serial path reads, and errors surface in input order, keeping
     /// every downstream decision bit-identical to a serial run.
@@ -511,7 +550,7 @@ impl<'a> Planner<'a> {
     /// the batch packs, so interruption never abandons a partial batch.
     pub fn schedule_batch(&mut self, configs: &[SharingConfig], w: u32) -> Result<(), PlanError> {
         self.check_interrupt()?;
-        let mut pending: Vec<(usize, SharingConfig, Vec<TestJob>)> = Vec::new();
+        let mut pending: Vec<(usize, SharingConfig, DeltaJobs)> = Vec::new();
         for (pos, config) in configs.iter().enumerate() {
             let key = (config.clone(), w);
             if self.makespans.contains_key(&key) || pending.iter().any(|(_, c, _)| c == config) {
@@ -520,21 +559,16 @@ impl<'a> Planner<'a> {
             let delta = self.delta_jobs(config);
             pending.push((pos, config.clone(), delta));
         }
-        order_for_prefix_sharing(&mut pending, w);
         let session = Arc::clone(self.session(w));
-        // Warm the base skeleton checkpoints before fanning out, so the
-        // concurrent candidate packs below hit a hot cache instead of all
-        // racing to pack the same orderings.
-        if !pending.is_empty() {
+        let work: Vec<_> = pending.iter().map(|(_, _, delta)| (&session, delta)).collect();
+        let scheduled = self.lookup_then_pack(&work, || {
+            // Warm the base skeleton checkpoints before fanning out, so
+            // the concurrent candidate packs hit a hot cache instead of
+            // all racing to pack the same orderings.
             session.warm();
-        }
-        let scheduled: Vec<Result<Arc<Schedule>, ScheduleError>> = {
-            let service = self.service();
-            let tracked = self.track_revision;
-            msoc_par::map(&pending, |_, (_, _, delta)| {
-                service.pack_tracked(&session, delta, tracked)
-            })
-        };
+            let deltas: Vec<&[TestJob]> = pending.iter().map(|(_, _, d)| &*d.jobs).collect();
+            prefix_sharing_order(&deltas, w)
+        });
         let mut first_error: Option<(usize, ScheduleError)> = None;
         for ((pos, config, _), result) in pending.into_iter().zip(scheduled) {
             match result {
@@ -574,7 +608,12 @@ impl<'a> Planner<'a> {
         if !self.schedules.contains_key(&key) {
             let delta = self.delta_jobs(config);
             let session = Arc::clone(self.session(w));
-            let schedule = self.service().pack_tracked(&session, &delta, self.track_revision)?;
+            let schedule = self.service.pack_tracked(
+                &session,
+                &delta.jobs,
+                delta.fingerprint,
+                self.track_revision,
+            )?;
             self.makespans.insert(key.clone(), schedule.makespan());
             self.schedules.insert(key.clone(), schedule);
         }
@@ -611,7 +650,7 @@ impl<'a> Planner<'a> {
             if let Some((_, incumbent)) = best {
                 // Bound straight from the session skeleton + delta slices;
                 // no job cloning for a width that may be pruned.
-                let jobs = self.session(w).key().skeleton().iter().chain(delta.iter());
+                let jobs = self.session(w).key().skeleton().iter().chain(delta.jobs.iter());
                 if bounds::lower_bound_for(jobs, w) > incumbent {
                     self.width_bound_prunes += 1;
                     continue;
@@ -662,7 +701,7 @@ impl<'a> Planner<'a> {
         let t_max = self.t_max(w)?;
         let delta = self.delta_jobs(config);
         let lb = {
-            let jobs = self.session(w).key().skeleton().iter().chain(delta.iter());
+            let jobs = self.session(w).key().skeleton().iter().chain(delta.jobs.iter());
             bounds::lower_bound_for(jobs, w)
         };
         let c_t = cost::time_cost(lb.min(t_max), t_max);
@@ -716,15 +755,16 @@ impl<'a> Planner<'a> {
         if self.soc.analog.is_empty() {
             return Err(PlanError::NoAnalogCores);
         }
-        let candidates = self.candidates();
+        let inputs = Arc::clone(&self.inputs);
+        let candidates = &inputs.candidates(self.soc, self.opts.enumeration).configs;
         let n = candidates.len();
         // Normalization baseline first (it caps every C_T), then the whole
         // candidate set in one parallel batch; the best-cost fold below
         // then runs entirely on cache hits, in candidate order.
         self.t_max(w)?;
-        self.schedule_batch(&candidates, w)?;
+        self.schedule_batch(candidates, w)?;
         let mut best: Option<EvaluatedConfig> = None;
-        for config in &candidates {
+        for config in candidates {
             let eval = self.evaluate(config, w, weights)?;
             if best.as_ref().is_none_or(|b| eval.total_cost < b.total_cost) {
                 best = Some(eval);
@@ -760,14 +800,15 @@ impl<'a> Planner<'a> {
         if self.soc.analog.is_empty() {
             return Err(PlanError::NoAnalogCores);
         }
-        let candidates = self.candidates();
+        let inputs = Arc::clone(&self.inputs);
+        let candidates = &inputs.candidates(self.soc, self.opts.enumeration).configs;
         let n_candidates = candidates.len();
         let all_shared = SharingConfig::all_shared(self.soc.analog.len());
 
         // Line 1: group by degree of sharing; the all-share baseline (and,
         // in `All` mode, the no-sharing reference) stay out of the groups.
         let groups: Vec<Vec<SharingConfig>> = partition::group_by_shape(
-            candidates.into_iter().filter(|c| *c != all_shared && c.has_sharing()).collect(),
+            candidates.iter().filter(|c| **c != all_shared && c.has_sharing()).cloned().collect(),
         );
 
         // Baseline: schedule the all-share configuration for T_max; its
@@ -899,8 +940,9 @@ impl<'a> Planner<'a> {
     }
 }
 
-/// Reorders a batch of uncached candidates so consecutive candidates share
-/// the longest possible delta prefix (gray-code-style sweep order).
+/// The order of a batch of candidates' deltas in which consecutive
+/// candidates share the longest possible delta prefix (gray-code-style
+/// sweep order), as indices into `deltas`.
 ///
 /// The session's phase orderings enumerate delta jobs in candidate-
 /// independent orders, the canonical one being descending time; a
@@ -912,17 +954,17 @@ impl<'a> Planner<'a> {
 /// captures the reuse. Packing order is free to permute: each candidate's
 /// schedule is deterministic in isolation and results are keyed, so this
 /// affects only how much packed work the trie can reuse.
-fn order_for_prefix_sharing(pending: &mut Vec<(usize, SharingConfig, Vec<TestJob>)>, w: u32) {
-    if pending.len() <= 2 {
-        return;
+fn prefix_sharing_order(deltas: &[&[TestJob]], w: u32) -> Vec<usize> {
+    let n = deltas.len();
+    if n <= 2 {
+        return (0..n).collect();
     }
     let signature = |delta: &[TestJob]| -> Vec<Option<u32>> {
         let mut idx: Vec<usize> = (0..delta.len()).collect();
         idx.sort_by_key(|&i| std::cmp::Reverse(delta[i].staircase.time_at(w)));
         idx.into_iter().map(|i| delta[i].group).collect()
     };
-    let sigs: Vec<Vec<Option<u32>>> = pending.iter().map(|(_, _, d)| signature(d)).collect();
-    let n = pending.len();
+    let sigs: Vec<Vec<Option<u32>>> = deltas.iter().map(|d| signature(d)).collect();
     let mut used = vec![false; n];
     let mut chain: Vec<usize> = Vec::with_capacity(n);
     let mut current = 0usize;
@@ -944,9 +986,7 @@ fn order_for_prefix_sharing(pending: &mut Vec<(usize, SharingConfig, Vec<TestJob
         chain.push(j);
         current = j;
     }
-    let mut taken: Vec<Option<(usize, SharingConfig, Vec<TestJob>)>> =
-        pending.drain(..).map(Some).collect();
-    *pending = chain.into_iter().map(|i| taken[i].take().expect("each index used once")).collect();
+    chain
 }
 
 #[cfg(test)]
@@ -1120,6 +1160,76 @@ mod tests {
             pruned.stats()
         );
         assert_eq!(full.stats().width_bound_prunes, 0);
+    }
+
+    /// A second planner on a shared service that finds the odd half of
+    /// the candidates cached and packs the even half.
+    fn mixed_batch(effort: Effort) -> (PlanStats, ServiceStatsDelta) {
+        msoc_par::with_threads(1, || {
+            let service = PlanService::new();
+            let soc = soc();
+            let opts = || PlannerOptions { effort, ..PlannerOptions::default() };
+            let mut first = Planner::with_service(&soc, opts(), &service);
+            let candidates = first.candidates();
+            let odd: Vec<SharingConfig> = candidates.iter().skip(1).step_by(2).cloned().collect();
+            first.schedule_batch(&odd, 16).unwrap();
+            let before = service.stats();
+            let mut second = Planner::with_service(&soc, opts(), &service);
+            second.schedule_batch(&candidates, 16).unwrap();
+            let after = service.stats();
+            let delta = ServiceStatsDelta {
+                hits: after.schedule_hits - before.schedule_hits,
+                misses: after.schedule_misses - before.schedule_misses,
+            };
+            (second.stats(), delta)
+        })
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct ServiceStatsDelta {
+        hits: u64,
+        misses: u64,
+    }
+
+    #[test]
+    fn mixed_batches_pack_exactly_as_when_every_batch_warmed() {
+        // Pinned against the planner that warmed and ordered every batch:
+        // a batch with a miss still runs that way, so it keeps the same
+        // packs and the same trie reuse.
+        let (stats, service) = mixed_batch(Effort::Quick);
+        assert_eq!(service, ServiceStatsDelta { hits: 13, misses: 13 });
+        assert_eq!(
+            stats,
+            PlanStats {
+                skeleton_hits: 39,
+                skeleton_misses: 0,
+                delta_packs: 13,
+                pruned_passes: 26,
+                prefix_hits: 39,
+                prefix_jobs_restored: 391,
+                max_prefix_depth: 18,
+                ..PlanStats::default()
+            }
+        );
+    }
+
+    #[test]
+    fn all_hit_batches_touch_no_checkpoint() {
+        // Thorough sweeps overflow the session's checkpoint cap, so a
+        // warm-up before an all-hit batch would re-pack evicted skeletons.
+        let soc = soc();
+        let opts = || PlannerOptions { effort: Effort::Thorough, ..PlannerOptions::default() };
+        let service = PlanService::new();
+        let mut first = Planner::with_service(&soc, opts(), &service);
+        let candidates = first.candidates();
+        first.schedule_batch(&candidates, 16).unwrap();
+        assert!(first.stats().checkpoint_evictions > 0, "{:?}", first.stats());
+        let before = service.stats();
+        let mut second = Planner::with_service(&soc, opts(), &service);
+        second.schedule_batch(&candidates, 16).unwrap();
+        let after = service.stats();
+        assert_eq!(after.schedule_hits - before.schedule_hits, candidates.len() as u64);
+        assert_eq!(second.stats(), PlanStats::default(), "an all-hit batch packs nothing");
     }
 
     #[test]

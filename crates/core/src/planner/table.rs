@@ -52,11 +52,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use msoc_tam::bounds::WidthBoundCurve;
-use msoc_tam::{PackSession, Schedule, ScheduleError, TestJob};
+use msoc_tam::{PackSession, ScheduleError};
 
 use crate::cost::{self, CostWeights};
 use crate::partition::SharingConfig;
-use crate::planner::{EvaluatedConfig, PlanError, Planner};
+use crate::planner::{DeltaJobs, EvaluatedConfig, PlanError, Planner};
 
 /// Cells per wave. Fixed (not the host's thread count) so the prune
 /// decisions — frozen at wave boundaries — are bit-identical on every
@@ -251,7 +251,7 @@ impl<'a> Planner<'a> {
         // width→bound curves (built over the widest session's skeleton —
         // staircases agree on every shared point, so the curve lower-bounds
         // every narrower width too).
-        let deltas: Vec<Vec<TestJob>> = configs.iter().map(|c| self.delta_jobs(c)).collect();
+        let deltas: Vec<DeltaJobs> = configs.iter().map(|c| self.delta_jobs(c)).collect();
         let area_costs: Vec<f64> = configs
             .iter()
             .map(|c| {
@@ -269,7 +269,7 @@ impl<'a> Planner<'a> {
         let widest_skeleton = sessions[widest_idx].key().skeleton();
         let curves: Vec<WidthBoundCurve<'_>> = deltas
             .iter()
-            .map(|d| WidthBoundCurve::new(widest_skeleton.iter().chain(d.iter())))
+            .map(|d| WidthBoundCurve::new(widest_skeleton.iter().chain(d.jobs.iter())))
             .collect();
         let cell_bound = |cell: usize| curves[cell / nw].bound_at(widths[cell % nw]);
         let bounds: Vec<u64> = (0..n_cells).map(cell_bound).collect();
@@ -296,11 +296,8 @@ impl<'a> Planner<'a> {
             let baseline_cells: Vec<PendingCell> = (0..nw)
                 .map(|wi| PendingCell { cell: wi, session: Arc::clone(&sessions[wi]) })
                 .collect();
-            let packed = self.pack_cells(
-                &baseline_cells,
-                |_| baseline_delta.as_slice(),
-                |_| all_shared.clone(),
-            )?;
+            let packed =
+                self.pack_cells(&baseline_cells, |_| &baseline_delta, |_| all_shared.clone())?;
             for (wi, m) in packed {
                 t_max[wi] = Some(m);
                 baseline_packed[wi] = true;
@@ -416,7 +413,7 @@ impl<'a> Planner<'a> {
             }
             let packed = self.pack_cells(
                 &to_pack,
-                |cell| deltas[cell / nw].as_slice(),
+                |cell| &deltas[cell / nw],
                 |cell| configs[cell / nw].clone(),
             )?;
             for (cell, makespan) in packed {
@@ -503,10 +500,11 @@ impl<'a> Planner<'a> {
     }
 
     /// Packs one wave of cells in parallel through the service's schedule
-    /// cache, warming each involved session's skeleton checkpoints first.
-    /// Results come back as `(cell, makespan)` with the schedules landed
-    /// in the planner's makespan/schedule caches; the earliest (by cell
-    /// index) failure wins error reporting, like `schedule_batch`.
+    /// cache. A wave the cache answers whole touches no session; otherwise
+    /// each cell warms its session's skeleton checkpoints first. Results
+    /// come back as `(cell, makespan)` with the schedules landed in the
+    /// planner's makespan/schedule caches; the earliest (by cell index)
+    /// failure wins error reporting, like `schedule_batch`.
     fn pack_cells<'d, F, G>(
         &mut self,
         to_pack: &[PendingCell],
@@ -514,19 +512,17 @@ impl<'a> Planner<'a> {
         config_for: G,
     ) -> Result<Vec<(usize, u64)>, PlanError>
     where
-        F: Fn(usize) -> &'d [TestJob] + Sync,
+        F: Fn(usize) -> &'d DeltaJobs,
         G: Fn(usize) -> SharingConfig,
     {
-        for pending in to_pack {
-            pending.session.warm();
-        }
-        let results: Vec<Result<Arc<Schedule>, ScheduleError>> = {
-            let service = self.service();
-            let tracked = self.track_revision;
-            msoc_par::map(to_pack, |_, pending| {
-                service.pack_tracked(&pending.session, jobs_for(pending.cell), tracked)
-            })
-        };
+        let work: Vec<_> =
+            to_pack.iter().map(|pending| (&pending.session, jobs_for(pending.cell))).collect();
+        let results = self.lookup_then_pack(&work, || {
+            for pending in to_pack {
+                pending.session.warm();
+            }
+            (0..to_pack.len()).collect()
+        });
         let mut packed: Vec<(usize, u64)> = Vec::with_capacity(to_pack.len());
         let mut first_error: Option<(usize, ScheduleError)> = None;
         for (pending, result) in to_pack.iter().zip(results) {

@@ -28,7 +28,9 @@ use std::time::{Duration, Instant};
 use crate::cost::CostWeights;
 use crate::partition::SharingConfig;
 use crate::planner::table::TableReport;
-use crate::planner::{Interrupted, PlanError, PlanReport, PlanStats, Planner, PlannerOptions};
+use crate::planner::{
+    Interrupted, PlanError, PlanInputs, PlanReport, PlanStats, Planner, PlannerOptions,
+};
 use crate::soc::MixedSignalSoc;
 
 use super::{PlanService, SocHandle};
@@ -138,7 +140,8 @@ pub enum Priority {
 }
 
 /// The SOC a job plans: owned by the job, or a registered handle whose
-/// cached fingerprints (and revision lineage) the service can exploit.
+/// cached fingerprints, plan inputs and revision lineage the service can
+/// exploit.
 #[derive(Debug, Clone)]
 pub(crate) enum SocSource {
     Owned(Arc<MixedSignalSoc>),
@@ -150,6 +153,16 @@ impl SocSource {
         match self {
             SocSource::Owned(soc) => soc,
             SocSource::Handle(handle) => handle.soc(),
+        }
+    }
+
+    /// The plan-inputs memo one run of the job reads: the handle's, or a
+    /// fresh one for an owned SOC, freed with the run so that a job kept
+    /// for later keeps no derived inputs alive.
+    fn inputs(&self) -> Arc<PlanInputs> {
+        match self {
+            SocSource::Owned(_) => Arc::default(),
+            SocSource::Handle(handle) => Arc::clone(handle.inputs()),
         }
     }
 
@@ -672,7 +685,8 @@ impl PlanService {
             panic!("{message}");
         }
         let soc = job.soc.soc();
-        let mut planner = Planner::with_service(soc, job.opts.clone(), self);
+        let inputs = job.soc.inputs();
+        let mut planner = Planner::with_inputs(soc, Arc::clone(&inputs), job.opts.clone(), self);
         planner.set_control(Some(JobControl::new(job)));
         planner.set_revision_tracking(job.soc.is_revised());
         let result = match &job.spec {
@@ -681,10 +695,10 @@ impl PlanService {
             }
             JobSpec::Table { widths } => {
                 let configs = match &job.configs {
-                    Some(configs) => configs.clone(),
-                    None => planner.candidates(),
+                    Some(configs) => configs,
+                    None => &inputs.candidates(soc, job.opts.enumeration).configs,
                 };
-                planner.plan_table(&configs, widths, job.weights).map(JobResult::Table)
+                planner.plan_table(configs, widths, job.weights).map(JobResult::Table)
             }
             JobSpec::BestWidth { widths } => {
                 let config = match &job.configs {

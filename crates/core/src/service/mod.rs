@@ -602,42 +602,88 @@ impl PlanService {
         session: &Arc<PackSession>,
         delta: &[TestJob],
     ) -> Result<Arc<Schedule>, ScheduleError> {
-        self.pack_tracked(session, delta, false)
+        self.pack_tracked(session, delta, fingerprint_jobs(delta), false)
     }
 
-    /// [`Self::pack`] with revision attribution (see
-    /// [`Self::session_tracked`]).
+    /// The schedule-cache key of a delta with fingerprint `delta_fp` on
+    /// the session keyed `session_key`.
+    fn schedule_key(session_key: &SessionKey, delta_fp: u64) -> u64 {
+        let mut h = StableHasher::new();
+        h.write_u64(session_key.fingerprint());
+        h.write_u64(delta_fp);
+        h.finish()
+    }
+
+    /// The cached schedule of `delta` on `session_key` under `key`, if
+    /// any. Content-exact: key equality is a pointer compare in the common
+    /// case (sessions come from this service's cache, so equal content
+    /// means the same key `Arc`) and a full compare for rebuilt and
+    /// externally constructed sessions — and fingerprint collisions.
+    fn cached(
+        state: &ShardState,
+        key: u64,
+        session_key: &SessionKey,
+        delta: &[TestJob],
+    ) -> Option<Arc<Schedule>> {
+        let bucket = state.schedules.get(&key)?;
+        let entry = bucket.iter().find(|e| *e.key == *session_key && e.delta == delta)?;
+        Some(Arc::clone(&entry.schedule))
+    }
+
+    /// Answers every `(session, delta, delta fingerprint)` triple from the
+    /// schedule cache, or none of them.
+    ///
+    /// When all hit, each counts one lookup and one hit (and, with
+    /// `tracked`, one [revision hit](ServiceStats::revision_cache_hits)),
+    /// exactly as [`Self::pack_tracked`] would. When one misses, `None`
+    /// comes back and nothing is counted: the caller then runs the batch
+    /// through [`Self::pack_tracked`], whose counted lookups interleave
+    /// with its inserts — an insert can evict a later batch-mate's entry.
+    pub(crate) fn lookup_all(
+        &self,
+        triples: &[(&PackSession, &[TestJob], u64)],
+        tracked: bool,
+    ) -> Option<Vec<Arc<Schedule>>> {
+        let mut keys = Vec::with_capacity(triples.len());
+        let mut hits = Vec::with_capacity(triples.len());
+        for &(session, delta, delta_fp) in triples {
+            let key = Self::schedule_key(session.key(), delta_fp);
+            let state = self.shards[shard_index(key)].lock();
+            hits.push(Self::cached(&state, key, session.key(), delta)?);
+            keys.push(key);
+        }
+        for key in keys {
+            let mut state = self.shards[shard_index(key)].lock();
+            state.schedule_lookups += 1;
+            state.schedule_hits += 1;
+        }
+        if tracked {
+            self.revision_cache_hits.fetch_add(hits.len() as u64, Ordering::Relaxed);
+        }
+        Some(hits)
+    }
+
+    /// [`Self::pack`] of a delta whose [`fingerprint_jobs`] is `delta_fp`,
+    /// with revision attribution (see [`Self::session_tracked`]).
     pub(crate) fn pack_tracked(
         &self,
-        session: &Arc<PackSession>,
+        session: &PackSession,
         delta: &[TestJob],
+        delta_fp: u64,
         tracked: bool,
     ) -> Result<Arc<Schedule>, ScheduleError> {
         let session_key = session.key();
-        let mut h = StableHasher::new();
-        h.write_u64(session_key.fingerprint());
-        h.write_u64(fingerprint_jobs(delta));
-        let key = h.finish();
-        // Content-exact hit check: key equality is a pointer compare in
-        // the common case (sessions come from this service's cache, so
-        // equal content means the same key `Arc`) and a full compare for
-        // rebuilt and externally constructed sessions — and fingerprint
-        // collisions.
-        let matches = |e: &ScheduleEntry| *e.key == **session_key && e.delta == delta;
-
+        let key = Self::schedule_key(session_key, delta_fp);
         let shard = &self.shards[shard_index(key)];
         {
             let mut state = shard.lock();
             state.schedule_lookups += 1;
-            if let Some(bucket) = state.schedules.get(&key) {
-                if let Some(entry) = bucket.iter().find(|e| matches(e)) {
-                    let schedule = Arc::clone(&entry.schedule);
-                    state.schedule_hits += 1;
-                    if tracked {
-                        self.revision_cache_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok(schedule);
+            if let Some(schedule) = Self::cached(&state, key, session_key, delta) {
+                state.schedule_hits += 1;
+                if tracked {
+                    self.revision_cache_hits.fetch_add(1, Ordering::Relaxed);
                 }
+                return Ok(schedule);
             }
             state.schedule_misses += 1;
         }
@@ -656,10 +702,8 @@ impl PlanService {
         // The schedule insert dirties the key shard; bumped under the
         // lock so exporters see bump and insert together.
         shard.tick.fetch_add(1, Ordering::Relaxed);
-        let bucket = state.schedules.entry(key).or_default();
-        let already = bucket.iter().any(&matches);
-        if !already {
-            bucket.push(ScheduleEntry {
+        if Self::cached(&state, key, session_key, delta).is_none() {
+            state.schedules.entry(key).or_default().push(ScheduleEntry {
                 key: Arc::clone(session_key),
                 delta: delta.to_vec(),
                 schedule: Arc::clone(&schedule),

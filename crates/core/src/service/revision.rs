@@ -27,7 +27,7 @@ use msoc_analog::AnalogCoreSpec;
 use msoc_itc02::Module;
 use msoc_tam::{combine_subtree_fingerprints, StableHasher};
 
-use crate::planner::PlanError;
+use crate::planner::{PlanError, PlanInputs};
 use crate::soc::MixedSignalSoc;
 
 use super::PlanService;
@@ -73,6 +73,9 @@ struct HandleInner {
     /// 0 for a freshly registered SOC; parent revision + 1 after
     /// [`SocHandle::revise`].
     revision: u64,
+    /// The plan inputs every job of this handle shares, filled lazily; a
+    /// revision starts an empty one.
+    inputs: Arc<PlanInputs>,
 }
 
 impl PlanService {
@@ -90,6 +93,7 @@ impl PlanService {
                 analog_fps,
                 fingerprint,
                 revision: 0,
+                inputs: Arc::default(),
             }),
         }
     }
@@ -106,6 +110,11 @@ impl SocHandle {
     /// regardless of how many revisions produced it).
     pub fn fingerprint(&self) -> u64 {
         self.inner.fingerprint
+    }
+
+    /// The handle's plan-inputs memo.
+    pub(crate) fn inputs(&self) -> &Arc<PlanInputs> {
+        &self.inner.inputs
     }
 
     /// How many [`revise`](Self::revise) steps produced this handle
@@ -163,6 +172,7 @@ impl SocHandle {
                 analog_fps,
                 fingerprint,
                 revision: self.inner.revision + 1,
+                inputs: Arc::default(),
             }),
         })
     }

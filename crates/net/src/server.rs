@@ -147,23 +147,37 @@ pub fn execute_jobs(
     registry: &HashMap<u64, SocHandle>,
     jobs: &[WireJob],
 ) -> Vec<WireOutcome> {
-    execute_timed(service, registry, jobs).into_iter().map(|(outcome, _)| outcome).collect()
+    let handles = resolve(registry, jobs);
+    execute_timed(service, &handles, jobs).into_iter().map(|(outcome, _)| outcome).collect()
 }
 
-/// [`execute_jobs`], pairing each outcome with the job's own planning
-/// wall time in microseconds: [`JobReport::wall`](msoc_core::JobReport)
-/// for a completed job, 0 for a job without a report (rejected at
-/// validation or admission, interrupted, failed).
+/// The registered handle each job names, in job order: `None` for an
+/// inline SOC or an unknown id. One handle clone per job, so the
+/// registry lock (where there is one) is held only for the lookups.
+fn resolve(registry: &HashMap<u64, SocHandle>, jobs: &[WireJob]) -> Vec<Option<SocHandle>> {
+    jobs.iter()
+        .map(|job| match &job.soc {
+            WireSocRef::Registered(id) => registry.get(id).cloned(),
+            WireSocRef::Inline(_) => None,
+        })
+        .collect()
+}
+
+/// [`execute_jobs`] over [`resolve`]d handles, pairing each outcome with
+/// the job's own planning wall time in microseconds:
+/// [`JobReport::wall`](msoc_core::JobReport) for a completed job, 0 for a
+/// job without a report (rejected at validation or admission,
+/// interrupted, failed).
 fn execute_timed(
     service: &PlanService,
-    registry: &HashMap<u64, SocHandle>,
+    handles: &[Option<SocHandle>],
     jobs: &[WireJob],
 ) -> Vec<(WireOutcome, u64)> {
     let mut outcomes: Vec<Option<(WireOutcome, u64)>> = vec![None; jobs.len()];
     let mut built = Vec::with_capacity(jobs.len());
     let mut positions = Vec::with_capacity(jobs.len());
-    for (i, job) in jobs.iter().enumerate() {
-        match build_job(registry, job) {
+    for (i, (job, handle)) in jobs.iter().zip(handles).enumerate() {
+        match build_job(handle.as_ref(), job) {
             Ok(core_job) => {
                 built.push(core_job);
                 positions.push(i);
@@ -183,16 +197,12 @@ fn execute_timed(
         .collect()
 }
 
-/// Builds one core job from its wire form, resolving registered SOC
-/// ids through the shard's registry.
-fn build_job(
-    registry: &HashMap<u64, SocHandle>,
-    job: &WireJob,
-) -> Result<msoc_core::Job, WireError> {
+/// Builds one core job from its wire form; `handle` is the registered
+/// SOC the job names, if the registry knows it.
+fn build_job(handle: Option<&SocHandle>, job: &WireJob) -> Result<msoc_core::Job, WireError> {
     let mut builder = match &job.soc {
         WireSocRef::Registered(id) => {
-            let handle = registry
-                .get(id)
+            let handle = handle
                 .ok_or_else(|| WireError::Corrupt(format!("unknown registered soc id {id}")))?;
             JobBuilder::for_handle(handle)
         }
@@ -399,8 +409,8 @@ fn dispatch(request: Request, shards: &[ShardRuntime<'_, '_>]) -> Response {
         }
         Request::Submit { tenant, jobs } => {
             let shard = &shards[tenant_shard(&tenant, shards.len())];
-            let registry = shard.registry.lock().expect("registry lock").clone();
-            let timed = execute_timed(shard.service, &registry, &jobs);
+            let handles = resolve(&shard.registry.lock().expect("registry lock"), &jobs);
+            let timed = execute_timed(shard.service, &handles, &jobs);
             let mut latency = shard.latency.lock().expect("latency lock");
             for (outcome, wall_us) in &timed {
                 latency[class_index(outcome.class())].record(*wall_us);

@@ -169,6 +169,43 @@ fn latency_classes_record_each_jobs_own_wall_time() {
 }
 
 #[test]
+fn an_unknown_id_rejects_only_its_own_job() {
+    // Registered ids resolve per job: an unknown id between known and
+    // inline jobs is rejected alone, and every sibling answers exactly
+    // like the same job with its SOC inline, in a batch of its own.
+    let soc = MixedSignalSoc::d695m();
+    let inline = || WireSocRef::Inline(WireSoc::from_soc(&soc));
+    let specs = [WireSpec::Single { width: 16 }, WireSpec::BestWidth { widths: vec![32, 24] }];
+    let oracle: Vec<Vec<u8>> = msoc_net::serial_replay(
+        &specs.iter().map(|spec| vec![WireJob::new(inline(), spec.clone())]).collect::<Vec<_>>(),
+    );
+    with_server(ServerConfig::default(), |addr| {
+        let mut client = Client::connect(addr, "tenant-ids").expect("connect");
+        let soc_id = client.register(WireSoc::from_soc(&soc)).expect("register");
+        let batch = vec![
+            WireJob::new(WireSocRef::Registered(soc_id), specs[0].clone()),
+            WireJob::new(WireSocRef::Registered(soc_id + 1), specs[0].clone()),
+            WireJob::new(inline(), specs[1].clone()),
+            WireJob::new(WireSocRef::Registered(soc_id), specs[1].clone()),
+        ];
+        // Twice: the second request reuses the first one's handle.
+        for _ in 0..2 {
+            let outcomes = client.submit(batch.clone()).expect("submit");
+            let unknown = format!("unknown registered soc id {}", soc_id + 1);
+            assert!(
+                matches!(&outcomes[1], WireOutcome::Rejected { error } if error.contains(&unknown)),
+                "{:?}",
+                outcomes[1],
+            );
+            for (outcome, want) in [(0, 0), (2, 1), (3, 1)] {
+                let got = WireOutcome::encode_batch(std::slice::from_ref(&outcomes[outcome]));
+                assert_eq!(got, oracle[want], "job {outcome}: {:?}", outcomes[outcome]);
+            }
+        }
+    });
+}
+
+#[test]
 fn shutdown_flushes_snapshots_and_boot_recovers_them() {
     let root = std::env::temp_dir().join(format!("msoc_net_loopback_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);

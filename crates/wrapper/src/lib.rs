@@ -35,4 +35,4 @@ mod design;
 mod staircase;
 
 pub use design::WrapperDesign;
-pub use staircase::{Staircase, StaircasePoint};
+pub use staircase::{Staircase, StaircasePoint, StaircaseScan};

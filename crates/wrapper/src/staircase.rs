@@ -60,20 +60,9 @@ impl Staircase {
     /// Panics if `max_width == 0`.
     pub fn for_module(module: &Module, max_width: u32) -> Self {
         assert!(max_width > 0, "staircase needs at least width 1");
-        let floor = time_floor(module);
-        let mut points = Vec::new();
-        let mut best = u64::MAX;
-        for w in 1..=max_width {
-            let t = WrapperDesign::design(module, w).module_test_time(module);
-            if t < best {
-                best = t;
-                points.push(StaircasePoint { width: w, time: t });
-            }
-            if t <= floor {
-                break;
-            }
-        }
-        Staircase { points }
+        let mut scan = StaircaseScan::new(module);
+        scan.extend_to(module, max_width);
+        Staircase { points: scan.points }
     }
 
     /// Builds a staircase from explicit points (used for analog cores whose
@@ -144,6 +133,84 @@ impl Staircase {
             .map(|p| u64::from(p.width) * p.time)
             .min()
             .expect("staircase is non-empty")
+    }
+}
+
+/// A [`Staircase::for_module`] scan that can be widened later.
+///
+/// `for_module(m, w)` designs the wrappers of widths `1..=w` in order, so
+/// its points are exactly the points of any wider scan of `m` with
+/// `width <= w`. A scan kept across requests therefore serves every width
+/// it has covered by [truncation](Self::truncated), and a wider request
+/// designs only the widths not yet scanned. Once the scan reaches the
+/// module's time floor it is complete and covers every width.
+///
+/// # Examples
+///
+/// ```
+/// use msoc_itc02::Module;
+/// use msoc_wrapper::{Staircase, StaircaseScan};
+///
+/// let m = Module::new_scan_core(1, 8, 8, 0, vec![30, 30, 30, 30], 20);
+/// let mut scan = StaircaseScan::new(&m);
+/// scan.extend_to(&m, 12);
+/// scan.extend_to(&m, 4); // already covered: designs nothing
+/// assert_eq!(scan.truncated(4), Staircase::for_module(&m, 4));
+/// assert_eq!(scan.truncated(12), Staircase::for_module(&m, 12));
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StaircaseScan {
+    points: Vec<StaircasePoint>,
+    /// Widths `1..=scanned` have been designed.
+    scanned: u32,
+    floor: u64,
+    /// The floor was reached: no wider width can add a point.
+    complete: bool,
+}
+
+impl StaircaseScan {
+    /// An empty scan of `module` (no width designed yet).
+    pub fn new(module: &Module) -> Self {
+        StaircaseScan { points: Vec::new(), scanned: 0, floor: time_floor(module), complete: false }
+    }
+
+    /// Whether the scan already answers `max_width` (see
+    /// [`Self::truncated`]).
+    pub fn covers(&self, max_width: u32) -> bool {
+        self.complete || max_width <= self.scanned
+    }
+
+    /// Designs the widths up to `max_width` not scanned yet, stopping at
+    /// the module's time floor. `module` must be the module the scan was
+    /// made for.
+    pub fn extend_to(&mut self, module: &Module, max_width: u32) {
+        while !self.covers(max_width) {
+            let w = self.scanned + 1;
+            let t = WrapperDesign::design(module, w).module_test_time(module);
+            if t < self.points.last().map_or(u64::MAX, |p| p.time) {
+                self.points.push(StaircasePoint { width: w, time: t });
+            }
+            self.scanned = w;
+            self.complete = t <= self.floor;
+        }
+    }
+
+    /// The points designed so far.
+    pub fn points(&self) -> &[StaircasePoint] {
+        &self.points
+    }
+
+    /// Equals `Staircase::for_module(module, max_width)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_width == 0` or the scan does not [cover](Self::covers)
+    /// `max_width`.
+    pub fn truncated(&self, max_width: u32) -> Staircase {
+        assert!(max_width > 0, "staircase needs at least width 1");
+        assert!(self.covers(max_width), "scan does not reach width {max_width}");
+        let end = self.points.partition_point(|p| p.width <= max_width);
+        Staircase { points: self.points[..end].to_vec() }
     }
 }
 

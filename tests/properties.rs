@@ -10,7 +10,7 @@ use msoc::tam::{
     bounds, schedule_with_effort, schedule_with_engine, Effort, Engine, JobKind, PackSession,
     ScheduleProblem, TestJob,
 };
-use msoc::wrapper::StaircasePoint;
+use msoc::wrapper::{StaircasePoint, StaircaseScan};
 
 /// Strategy: a plausible scan core.
 fn arb_module() -> impl Strategy<Value = Module> {
@@ -82,6 +82,26 @@ proptest! {
     #[test]
     fn staircase_floor_exit_matches_the_full_scan(m in arb_module()) {
         assert_floor_exit_matches_full_scan(&m);
+    }
+
+    #[test]
+    fn staircase_scan_truncations_match_for_module_in_any_request_order(
+        m in arb_module(),
+        widths in prop::collection::vec(1u32..=160, 1..=12),
+    ) {
+        // A memoised scan serves each request by extending and truncating;
+        // every width asked so far must still truncate exactly.
+        let mut scan = StaircaseScan::new(&m);
+        for (i, &w) in widths.iter().enumerate() {
+            scan.extend_to(&m, w);
+            for &seen in &widths[..=i] {
+                prop_assert_eq!(scan.truncated(seen), Staircase::for_module(&m, seen));
+            }
+        }
+        // Never scanned past the floor: no more points than the full
+        // staircase holds.
+        let full = Staircase::for_module(&m, 160);
+        prop_assert!(scan.points().len() <= full.points().len());
     }
 
     #[test]
