@@ -99,7 +99,7 @@ impl Biquad {
     /// inner loop in `msoc_analog::dsp::goertzel`. For a stable filter
     /// the weights are bounded by the impulse response, so the chunked
     /// arithmetic is as well-conditioned as four serial steps; results
-    /// agree with [`Self::process_scalar`] to floating-point rounding
+    /// agree with the per-sample path to floating-point rounding
     /// (differential-tested), not bit-for-bit.
     pub fn process(&mut self, input: &[f64]) -> Vec<f64> {
         let mut out = input.to_vec();
@@ -167,11 +167,10 @@ impl Biquad {
         }
     }
 
-    /// The plain per-sample slice path, kept as the differential reference
-    /// for the chunked [`Self::process`] (tests) and as the A/B baseline
-    /// for the `dsp` benchmarks.
-    #[doc(hidden)]
-    pub fn process_scalar(&mut self, input: &[f64]) -> Vec<f64> {
+    /// The plain per-sample slice path: the differential reference for
+    /// the chunked [`Self::process`].
+    #[cfg(test)]
+    fn process_scalar(&mut self, input: &[f64]) -> Vec<f64> {
         input.iter().map(|&x| self.process_sample(x)).collect()
     }
 

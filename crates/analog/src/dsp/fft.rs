@@ -10,7 +10,7 @@
 //! multiply per *four* butterflies and expose the add/sub arithmetic as
 //! independent work the CPU can overlap. Each chain also performs 4× fewer
 //! recurrence multiplies, so twiddle rounding drift is no worse than the
-//! serial form (differential-tested against [`fft_scalar`]).
+//! serial form (differential-tested against the textbook loop).
 
 use super::complex::Complex;
 
@@ -48,13 +48,10 @@ pub fn ifft(data: &mut [Complex]) {
     }
 }
 
-/// In-place forward FFT through the serial one-twiddle-chain butterflies.
-///
-/// The differential reference and A/B baseline for the 4-wide chunked
-/// [`fft`] hot path (see the `dsp/fft_butterfly` bench); not part of the
-/// public API surface.
-#[doc(hidden)]
-pub fn fft_scalar(data: &mut [Complex]) {
+/// In-place forward FFT through the serial one-twiddle-chain butterflies:
+/// the differential reference for the 4-wide chunked [`fft`] hot path.
+#[cfg(test)]
+fn fft_scalar(data: &mut [Complex]) {
     transform_scalar(data, false);
 }
 
@@ -72,6 +69,7 @@ fn bit_reverse(data: &mut [Complex]) {
 
 /// The textbook butterfly stages: one running twiddle, one serial
 /// multiply per butterfly.
+#[cfg(test)]
 fn transform_scalar(data: &mut [Complex], inverse: bool) {
     let n = data.len();
     assert!(is_power_of_two(n), "FFT length must be a power of two, got {n}");

@@ -89,11 +89,10 @@ fn goertzel_state(samples: &[f64], coeff: f64) -> (f64, f64) {
     (s_prev, s_prev2)
 }
 
-/// The plain serial resonator, kept as the differential reference for the
-/// chunked [`goertzel_state`] (tests) and as the A/B baseline for the
-/// `dsp` benchmarks.
-#[doc(hidden)]
-pub fn goertzel_state_scalar(samples: &[f64], coeff: f64) -> (f64, f64) {
+/// The plain serial resonator: the differential reference for the
+/// chunked [`goertzel_state`].
+#[cfg(test)]
+fn goertzel_state_scalar(samples: &[f64], coeff: f64) -> (f64, f64) {
     let (mut s_prev, mut s_prev2) = (0.0f64, 0.0f64);
     for &x in samples {
         let s = x + coeff * s_prev - s_prev2;

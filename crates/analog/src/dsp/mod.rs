@@ -14,8 +14,6 @@ mod spectrum;
 mod window;
 
 pub use complex::Complex;
-#[doc(hidden)]
-pub use fft::fft_scalar;
 pub use fft::{fft, ifft, is_power_of_two, next_power_of_two};
 pub use spectrum::{amplitude_spectrum, magnitude_db, Spectrum};
 pub use window::Window;

@@ -247,6 +247,21 @@ pub struct PlanStats {
     pub cost_bound_prunes: u64,
 }
 
+/// One `(config, session width)` schedule request of a batch: what it
+/// packs, and the rank that orders its error among the batch's (lowest
+/// first).
+struct Pending {
+    config: SharingConfig,
+    rank: usize,
+    session: Arc<PackSession>,
+    delta: DeltaJobs,
+}
+
+/// The packing order that packs a batch's misses as they come.
+fn in_batch_order(batch: &[Pending]) -> Vec<usize> {
+    (0..batch.len()).collect()
+}
+
 /// A session the planner acquired from its service, with the counter
 /// baseline at acquisition time (so [`Planner::stats`] reports the
 /// planner's own activity even on a warm shared session).
@@ -409,8 +424,7 @@ impl<'a> Planner<'a> {
         if !self.sessions.contains_key(&w) {
             let skeleton = self.inputs.skeleton(self.soc, w);
             let (effort, engine) = (self.opts.effort, self.opts.engine);
-            let session =
-                self.service.session_tracked(w, effort, engine, skeleton, self.track_revision);
+            let session = self.service.session(w, effort, engine, skeleton, self.track_revision);
             let baseline = session.stats();
             self.sessions.insert(w, AcquiredSession { session, baseline });
         }
@@ -424,39 +438,75 @@ impl<'a> Planner<'a> {
         self.inputs.delta(self.soc, opts.enumeration, opts.self_test_cycles, config)
     }
 
-    /// Schedules each `(session, delta)` pair through the service's
-    /// schedule cache, results in input order.
+    /// Schedules `batch` through the service's schedule cache and lands
+    /// each schedule in the planner's makespan/schedule caches, in batch
+    /// order: the planner's one route to that cache.
     ///
-    /// A batch the cache answers whole costs one counted lookup per pair
-    /// and nothing else. Otherwise `prepare` warms what the packs need and
-    /// returns every pair's index in packing order, and the pairs fan out
-    /// over the available cores, each a counted lookup then, on a miss, a
-    /// pack.
+    /// Every request costs one counted lookup, a hit or a miss. Only when
+    /// something missed does the batch do more: each session with a miss
+    /// warms its base skeleton checkpoints, so the concurrent packs hit a
+    /// hot cache instead of all racing to pack the same orderings, and the
+    /// misses fan out over the available cores in the packing order
+    /// `order` gives the whole batch, hits filtered out.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of the failed request with the lowest rank, after
+    /// landing every schedule that did pack.
     fn lookup_then_pack(
-        &self,
-        work: &[(&Arc<PackSession>, &DeltaJobs)],
-        prepare: impl FnOnce() -> Vec<usize>,
-    ) -> Vec<Result<Arc<Schedule>, ScheduleError>> {
+        &mut self,
+        batch: Vec<Pending>,
+        order: impl FnOnce(&[Pending]) -> Vec<usize>,
+    ) -> Result<Vec<Arc<Schedule>>, PlanError> {
         let service = &*self.service;
         let tracked = self.track_revision;
-        let triples: Vec<(&PackSession, &[TestJob], u64)> = work
+        let mut results: Vec<Option<Result<Arc<Schedule>, ScheduleError>>> = batch
             .iter()
-            .map(|&(session, delta)| (&**session, &*delta.jobs, delta.fingerprint))
+            .map(|p| {
+                service.lookup(&p.session, &p.delta.jobs, p.delta.fingerprint, tracked).map(Ok)
+            })
             .collect();
-        if let Some(hits) = service.lookup_all(&triples, tracked) {
-            return hits.into_iter().map(Ok).collect();
+        if results.iter().any(Option::is_none) {
+            let mut warmed: Vec<&Arc<PackSession>> = Vec::new();
+            for (p, _) in batch.iter().zip(&results).filter(|(_, r)| r.is_none()) {
+                if !warmed.iter().any(|s| Arc::ptr_eq(s, &p.session)) {
+                    p.session.warm();
+                    warmed.push(&p.session);
+                }
+            }
+            let misses: Vec<usize> =
+                order(&batch).into_iter().filter(|&i| results[i].is_none()).collect();
+            let packed = msoc_par::map(&misses, |_, &i| {
+                let p = &batch[i];
+                service.pack_miss(&p.session, &p.delta.jobs, p.delta.fingerprint)
+            });
+            for (i, result) in misses.into_iter().zip(packed) {
+                results[i] = Some(result);
+            }
         }
-        let order = prepare();
-        let packed = msoc_par::map(&order, |_, &i| {
-            let (session, delta, delta_fp) = triples[i];
-            service.pack_tracked(session, delta, delta_fp, tracked)
-        });
-        let mut results: Vec<Option<Result<Arc<Schedule>, ScheduleError>>> =
-            (0..work.len()).map(|_| None).collect();
-        for (i, result) in order.into_iter().zip(packed) {
-            results[i] = Some(result);
+        let mut landed = Vec::with_capacity(batch.len());
+        let mut first_error: Option<(usize, ScheduleError)> = None;
+        for (p, result) in batch.into_iter().zip(results) {
+            match result.expect("the order covers every miss") {
+                Ok(schedule) => {
+                    // Full schedules are kept only until the sweep's report
+                    // prunes the losers (see `report`); makespans stay.
+                    let key = (p.config, p.session.key().tam_width());
+                    self.makespans.insert(key.clone(), schedule.makespan());
+                    self.schedules.insert(key, Arc::clone(&schedule));
+                    landed.push(schedule);
+                }
+                Err(e) => {
+                    if first_error.as_ref().is_none_or(|(rank, _)| p.rank < *rank) {
+                        first_error = Some((p.rank, e));
+                    }
+                }
+            }
         }
-        results.into_iter().map(|r| r.expect("the order covers every pair")).collect()
+        match first_error {
+            Some((_, e)) => Err(e.into()),
+            None => Ok(landed),
+        }
     }
 
     /// Aggregate reuse statistics over the planner's sessions plus the
@@ -528,14 +578,14 @@ impl<'a> Planner<'a> {
     /// its wall time (each evaluation is a full multi-start pack), and the
     /// configurations are independent, so this is the planner's main
     /// parallel section. Configurations the planner has not seen are first
-    /// looked up in the service's schedule cache; a batch the cache
-    /// answers whole neither orders nor warms anything. Otherwise the
-    /// batch is packed in a group-signature gray-code-style order —
-    /// greedy nearest-neighbor on the delta jobs' group assignments in the
-    /// session's canonical by-time ordering — so consecutive candidates
-    /// differ in as few wrapper groups as possible and the session's
-    /// delta-prefix trie restores the longest common packed prefix (cached
-    /// candidates in that order are hits and pack nothing). The packing
+    /// looked up in the service's schedule cache, one counted lookup each;
+    /// a batch the cache answers whole neither orders nor warms anything.
+    /// The misses are packed in a group-signature gray-code-style order of
+    /// the whole batch — greedy nearest-neighbor on the delta jobs' group
+    /// assignments in the session's canonical by-time ordering — so
+    /// consecutive candidates differ in as few wrapper groups as possible
+    /// and the session's delta-prefix trie restores the longest common
+    /// packed prefix (the hits in that order are skipped). The packing
     /// order is pure scheduling-work layout: every candidate's schedule is
     /// deterministic in isolation, results land in the same caches the
     /// serial path reads, and errors surface in input order, keeping
@@ -550,47 +600,27 @@ impl<'a> Planner<'a> {
     /// the batch packs, so interruption never abandons a partial batch.
     pub fn schedule_batch(&mut self, configs: &[SharingConfig], w: u32) -> Result<(), PlanError> {
         self.check_interrupt()?;
-        let mut pending: Vec<(usize, SharingConfig, DeltaJobs)> = Vec::new();
-        for (pos, config) in configs.iter().enumerate() {
-            let key = (config.clone(), w);
-            if self.makespans.contains_key(&key) || pending.iter().any(|(_, c, _)| c == config) {
+        let session = Arc::clone(self.session(w));
+        let mut batch: Vec<Pending> = Vec::new();
+        for (rank, config) in configs.iter().enumerate() {
+            if self.makespans.contains_key(&(config.clone(), w))
+                || batch.iter().any(|p| p.config == *config)
+            {
                 continue;
             }
             let delta = self.delta_jobs(config);
-            pending.push((pos, config.clone(), delta));
+            batch.push(Pending {
+                config: config.clone(),
+                rank,
+                session: Arc::clone(&session),
+                delta,
+            });
         }
-        let session = Arc::clone(self.session(w));
-        let work: Vec<_> = pending.iter().map(|(_, _, delta)| (&session, delta)).collect();
-        let scheduled = self.lookup_then_pack(&work, || {
-            // Warm the base skeleton checkpoints before fanning out, so
-            // the concurrent candidate packs hit a hot cache instead of
-            // all racing to pack the same orderings.
-            session.warm();
-            let deltas: Vec<&[TestJob]> = pending.iter().map(|(_, _, d)| &*d.jobs).collect();
+        self.lookup_then_pack(batch, |batch| {
+            let deltas: Vec<&[TestJob]> = batch.iter().map(|p| &*p.delta.jobs).collect();
             prefix_sharing_order(&deltas, w)
-        });
-        let mut first_error: Option<(usize, ScheduleError)> = None;
-        for ((pos, config, _), result) in pending.into_iter().zip(scheduled) {
-            match result {
-                Ok(schedule) => {
-                    self.makespans.insert((config.clone(), w), schedule.makespan());
-                    // Full schedules are kept only until the sweep's report
-                    // prunes the losers (see `report`): every candidate is
-                    // packed once, but only pinned entries survive across
-                    // sweeps.
-                    self.schedules.insert((config, w), schedule);
-                }
-                Err(e) => {
-                    if first_error.as_ref().is_none_or(|(p, _)| pos < *p) {
-                        first_error = Some((pos, e));
-                    }
-                }
-            }
-        }
-        match first_error {
-            Some((_, e)) => Err(e.into()),
-            None => Ok(()),
-        }
+        })?;
+        Ok(())
     }
 
     /// The full schedule for one configuration (cached and pinned).
@@ -608,14 +638,8 @@ impl<'a> Planner<'a> {
         if !self.schedules.contains_key(&key) {
             let delta = self.delta_jobs(config);
             let session = Arc::clone(self.session(w));
-            let schedule = self.service.pack_tracked(
-                &session,
-                &delta.jobs,
-                delta.fingerprint,
-                self.track_revision,
-            )?;
-            self.makespans.insert(key.clone(), schedule.makespan());
-            self.schedules.insert(key.clone(), schedule);
+            let request = Pending { config: config.clone(), rank: 0, session, delta };
+            self.lookup_then_pack(vec![request], in_batch_order)?;
         }
         self.pinned.insert(key.clone());
         Ok(self.schedules[&key].as_ref())
@@ -1230,6 +1254,38 @@ mod tests {
         let after = service.stats();
         assert_eq!(after.schedule_hits - before.schedule_hits, candidates.len() as u64);
         assert_eq!(second.stats(), PlanStats::default(), "an all-hit batch packs nothing");
+    }
+
+    #[test]
+    fn a_batch_packs_only_what_it_missed_at_its_start() {
+        // One schedule per shard: each pack's insert evicts its shard's
+        // entry, which may belong to a batch-mate that was cached when the
+        // batch began. That mate was looked up before any pack, so it is
+        // still a hit and is not packed again.
+        msoc_par::with_threads(1, || {
+            let service = PlanService::with_caps(16, 256);
+            let soc = soc();
+            let opts = || PlannerOptions { effort: Effort::Quick, ..PlannerOptions::default() };
+            let mut first = Planner::with_service(&soc, opts(), &service);
+            let candidates = first.candidates();
+            first.schedule_batch(&candidates, 16).unwrap();
+            let mut second = Planner::with_service(&soc, opts(), &service);
+            let session = Arc::clone(second.session(16));
+            let misses_at_start = candidates
+                .iter()
+                .filter(|config| {
+                    let delta = second.delta_jobs(config);
+                    service.lookup(&session, &delta.jobs, delta.fingerprint, false).is_none()
+                })
+                .count() as u64;
+            assert!(0 < misses_at_start && misses_at_start < candidates.len() as u64);
+            let before = service.stats();
+            second.schedule_batch(&candidates, 16).unwrap();
+            let after = service.stats();
+            assert!(after.schedule_evictions > before.schedule_evictions, "{after:?}");
+            assert_eq!(after.schedule_misses - before.schedule_misses, misses_at_start);
+            assert_eq!(second.stats().delta_packs, misses_at_start, "{:?}", second.stats());
+        });
     }
 
     #[test]

@@ -52,11 +52,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use msoc_tam::bounds::WidthBoundCurve;
-use msoc_tam::{PackSession, ScheduleError};
+use msoc_tam::PackSession;
 
 use crate::cost::{self, CostWeights};
 use crate::partition::SharingConfig;
-use crate::planner::{DeltaJobs, EvaluatedConfig, PlanError, Planner};
+use crate::planner::{in_batch_order, DeltaJobs, EvaluatedConfig, Pending, PlanError, Planner};
 
 /// Cells per wave. Fixed (not the host's thread count) so the prune
 /// decisions — frozen at wave boundaries — are bit-identical on every
@@ -179,12 +179,6 @@ impl TableReport {
     }
 }
 
-/// One cell queued for packing in a wave.
-struct PendingCell {
-    cell: usize,
-    session: Arc<PackSession>,
-}
-
 impl<'a> Planner<'a> {
     /// Plans the full `configs × widths` matrix through one shared
     /// incumbent (see the [module docs](self)).
@@ -292,14 +286,18 @@ impl<'a> Planner<'a> {
         let mut baseline_packed = vec![false; nw];
         if !lazy {
             self.check_interrupt()?;
-            let baseline_delta = self.delta_jobs(&all_shared);
-            let baseline_cells: Vec<PendingCell> = (0..nw)
-                .map(|wi| PendingCell { cell: wi, session: Arc::clone(&sessions[wi]) })
+            let delta = self.delta_jobs(&all_shared);
+            let baselines: Vec<Pending> = (0..nw)
+                .map(|wi| Pending {
+                    config: all_shared.clone(),
+                    rank: wi,
+                    session: Arc::clone(&sessions[wi]),
+                    delta: delta.clone(),
+                })
                 .collect();
-            let packed =
-                self.pack_cells(&baseline_cells, |_| &baseline_delta, |_| all_shared.clone())?;
-            for (wi, m) in packed {
-                t_max[wi] = Some(m);
+            let packed = self.lookup_then_pack(baselines, in_batch_order)?;
+            for (wi, schedule) in packed.iter().enumerate() {
+                t_max[wi] = Some(schedule.makespan());
                 baseline_packed[wi] = true;
             }
         }
@@ -366,7 +364,7 @@ impl<'a> Planner<'a> {
             // they are identical regardless of how the packs below
             // interleave across threads.
             let frozen = incumbent.load(Ordering::Relaxed);
-            let mut to_pack: Vec<PendingCell> = Vec::new();
+            let mut to_pack: Vec<usize> = Vec::new();
             for &cell in wave {
                 let (c, wi) = (cell / nw, cell % nw);
                 // Structurally infeasible cells never reach the waves
@@ -406,17 +404,25 @@ impl<'a> Planner<'a> {
                     }
                     continue;
                 }
-                to_pack.push(PendingCell { cell, session: Arc::clone(&sessions[wi]) });
+                to_pack.push(cell);
             }
             if to_pack.is_empty() {
                 continue;
             }
-            let packed = self.pack_cells(
-                &to_pack,
-                |cell| &deltas[cell / nw],
-                |cell| configs[cell / nw].clone(),
-            )?;
-            for (cell, makespan) in packed {
+            // Each cell ranks by its index: the earliest failed cell wins
+            // error reporting, like `schedule_batch`'s input order.
+            let batch: Vec<Pending> = to_pack
+                .iter()
+                .map(|&cell| Pending {
+                    config: configs[cell / nw].clone(),
+                    rank: cell,
+                    session: Arc::clone(&sessions[cell % nw]),
+                    delta: deltas[cell / nw].clone(),
+                })
+                .collect();
+            let packed = self.lookup_then_pack(batch, in_batch_order)?;
+            for (&cell, schedule) in to_pack.iter().zip(packed) {
+                let makespan = schedule.makespan();
                 let (c, wi) = (cell / nw, cell % nw);
                 outcomes[cell] = Some(CellOutcome::Packed { makespan });
                 stats.packed += 1;
@@ -497,53 +503,6 @@ impl<'a> Planner<'a> {
             cells,
             stats,
         })
-    }
-
-    /// Packs one wave of cells in parallel through the service's schedule
-    /// cache. A wave the cache answers whole touches no session; otherwise
-    /// each cell warms its session's skeleton checkpoints first. Results
-    /// come back as `(cell, makespan)` with the schedules landed in the
-    /// planner's makespan/schedule caches; the earliest (by cell index)
-    /// failure wins error reporting, like `schedule_batch`.
-    fn pack_cells<'d, F, G>(
-        &mut self,
-        to_pack: &[PendingCell],
-        jobs_for: F,
-        config_for: G,
-    ) -> Result<Vec<(usize, u64)>, PlanError>
-    where
-        F: Fn(usize) -> &'d DeltaJobs,
-        G: Fn(usize) -> SharingConfig,
-    {
-        let work: Vec<_> =
-            to_pack.iter().map(|pending| (&pending.session, jobs_for(pending.cell))).collect();
-        let results = self.lookup_then_pack(&work, || {
-            for pending in to_pack {
-                pending.session.warm();
-            }
-            (0..to_pack.len()).collect()
-        });
-        let mut packed: Vec<(usize, u64)> = Vec::with_capacity(to_pack.len());
-        let mut first_error: Option<(usize, ScheduleError)> = None;
-        for (pending, result) in to_pack.iter().zip(results) {
-            match result {
-                Ok(schedule) => {
-                    let key = (config_for(pending.cell), pending.session.key().tam_width());
-                    packed.push((pending.cell, schedule.makespan()));
-                    self.makespans.insert(key.clone(), schedule.makespan());
-                    self.schedules.insert(key, schedule);
-                }
-                Err(e) => {
-                    if first_error.as_ref().is_none_or(|(c, _)| pending.cell < *c) {
-                        first_error = Some((pending.cell, e));
-                    }
-                }
-            }
-        }
-        match first_error {
-            Some((_, e)) => Err(e.into()),
-            None => Ok(packed),
-        }
     }
 }
 

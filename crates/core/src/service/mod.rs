@@ -87,8 +87,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use msoc_tam::{
-    fingerprint_jobs, Effort, Engine, PackSession, Schedule, ScheduleError, SessionKey,
-    SessionStats, StableHasher, TestJob,
+    Effort, Engine, PackSession, Schedule, ScheduleError, SessionKey, SessionStats, StableHasher,
+    TestJob,
 };
 
 /// Default bound on retained schedules in the service's schedule cache.
@@ -385,26 +385,10 @@ impl PlanService {
         PlanService::with_caps(SCHEDULE_CACHE_CAP, SESSION_CACHE_CAP)
     }
 
-    /// Creates an empty service retaining at most `cap` solved schedules
-    /// (oldest-first eviction, enforced per shard — see
-    /// [`Self::with_caps`]). Results never depend on the cap — an evicted
-    /// schedule is re-packed on its next request.
-    pub fn with_schedule_cap(cap: usize) -> Self {
-        PlanService::with_caps(cap, SESSION_CACHE_CAP)
-    }
-
-    /// Creates an empty service retaining at most `cap` live pack
-    /// sessions (least-recently-requested eviction, enforced per shard —
-    /// see [`Self::with_caps`] — and counted in
-    /// [`ServiceStats::session_evictions`]). Results never depend on the
-    /// cap: an evicted session is rebuilt cold — and re-packs
-    /// bit-identically — on its next request.
-    pub fn with_session_cap(cap: usize) -> Self {
-        PlanService::with_caps(SCHEDULE_CACHE_CAP, cap)
-    }
-
-    /// Creates an empty service with explicit schedule- and session-cache
-    /// bounds.
+    /// Creates an empty service retaining at most `schedule_cap` solved
+    /// schedules (oldest-first eviction) and `session_cap` live pack
+    /// sessions (least-recently-requested eviction, counted in
+    /// [`ServiceStats::session_evictions`]).
     ///
     /// Both caps are enforced **per shard** (each of the `SHARDS` shards
     /// gets `cap.div_ceil(SHARDS)`, at least 1), so the effective total
@@ -484,23 +468,12 @@ impl PlanService {
     /// `skeleton` is built by the caller (it is also the content key);
     /// the returned session may have been created by an earlier planner —
     /// possibly for a *different* [`MixedSignalSoc`](crate::MixedSignalSoc) value with the same
-    /// digital part — and already carry warm checkpoints.
-    pub fn session(
-        &self,
-        tam_width: u32,
-        effort: Effort,
-        engine: Engine,
-        skeleton: Vec<TestJob>,
-    ) -> Arc<PackSession> {
-        self.session_tracked(tam_width, effort, engine, skeleton, false)
-    }
-
-    /// [`Self::session`] with revision attribution: when `tracked`, a
-    /// cache hit is also counted in
+    /// digital part — and already carry warm checkpoints. When `tracked`,
+    /// a cache hit is also counted in
     /// [`ServiceStats::revision_cache_hits`] (the caller is planning a
     /// revised [`SocHandle`] and the hit proves unchanged content was
     /// reused rather than rebuilt).
-    pub(crate) fn session_tracked(
+    pub(crate) fn session(
         &self,
         tam_width: u32,
         effort: Effort,
@@ -590,21 +563,6 @@ impl PlanService {
         drop(retired);
     }
 
-    /// Packs `delta` on `session` through the schedule cache: a warm hit
-    /// returns the previously solved schedule (content-verified), a miss
-    /// packs outside the lock and caches the result.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScheduleError`] exactly as [`PackSession::pack`] would.
-    pub fn pack(
-        &self,
-        session: &Arc<PackSession>,
-        delta: &[TestJob],
-    ) -> Result<Arc<Schedule>, ScheduleError> {
-        self.pack_tracked(session, delta, fingerprint_jobs(delta), false)
-    }
-
     /// The schedule-cache key of a delta with fingerprint `delta_fp` on
     /// the session keyed `session_key`.
     fn schedule_key(session_key: &SessionKey, delta_fp: u64) -> u64 {
@@ -630,64 +588,50 @@ impl PlanService {
         Some(Arc::clone(&entry.schedule))
     }
 
-    /// Answers every `(session, delta, delta fingerprint)` triple from the
-    /// schedule cache, or none of them.
-    ///
-    /// When all hit, each counts one lookup and one hit (and, with
-    /// `tracked`, one [revision hit](ServiceStats::revision_cache_hits)),
-    /// exactly as [`Self::pack_tracked`] would. When one misses, `None`
-    /// comes back and nothing is counted: the caller then runs the batch
-    /// through [`Self::pack_tracked`], whose counted lookups interleave
-    /// with its inserts — an insert can evict a later batch-mate's entry.
-    pub(crate) fn lookup_all(
-        &self,
-        triples: &[(&PackSession, &[TestJob], u64)],
-        tracked: bool,
-    ) -> Option<Vec<Arc<Schedule>>> {
-        let mut keys = Vec::with_capacity(triples.len());
-        let mut hits = Vec::with_capacity(triples.len());
-        for &(session, delta, delta_fp) in triples {
-            let key = Self::schedule_key(session.key(), delta_fp);
-            let state = self.shards[shard_index(key)].lock();
-            hits.push(Self::cached(&state, key, session.key(), delta)?);
-            keys.push(key);
-        }
-        for key in keys {
-            let mut state = self.shards[shard_index(key)].lock();
-            state.schedule_lookups += 1;
-            state.schedule_hits += 1;
-        }
-        if tracked {
-            self.revision_cache_hits.fetch_add(hits.len() as u64, Ordering::Relaxed);
-        }
-        Some(hits)
-    }
-
-    /// [`Self::pack`] of a delta whose [`fingerprint_jobs`] is `delta_fp`,
-    /// with revision attribution (see [`Self::session_tracked`]).
-    pub(crate) fn pack_tracked(
+    /// One counted schedule-cache lookup of `delta`, whose
+    /// [`fingerprint_jobs`](msoc_tam::fingerprint_jobs) is `delta_fp`, on
+    /// `session`: a hit returns the cached schedule, a miss `None`. Each
+    /// call counts one lookup and one hit or one miss, and with `tracked`
+    /// a hit is also a [revision hit](ServiceStats::revision_cache_hits).
+    pub(crate) fn lookup(
         &self,
         session: &PackSession,
         delta: &[TestJob],
         delta_fp: u64,
         tracked: bool,
+    ) -> Option<Arc<Schedule>> {
+        let key = Self::schedule_key(session.key(), delta_fp);
+        let mut state = self.shards[shard_index(key)].lock();
+        state.schedule_lookups += 1;
+        let hit = Self::cached(&state, key, session.key(), delta);
+        if hit.is_some() {
+            state.schedule_hits += 1;
+            if tracked {
+                self.revision_cache_hits.fetch_add(1, Ordering::Relaxed);
+            }
+        } else {
+            state.schedule_misses += 1;
+        }
+        hit
+    }
+
+    /// Packs a delta that [`Self::lookup`] missed, outside every lock, and
+    /// caches the result. Counts nothing: the lookup already counted the
+    /// miss. A racing batch that packed the same key first keeps its
+    /// entry; both schedules are bit-identical.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScheduleError`] exactly as [`PackSession::pack`] would.
+    pub(crate) fn pack_miss(
+        &self,
+        session: &PackSession,
+        delta: &[TestJob],
+        delta_fp: u64,
     ) -> Result<Arc<Schedule>, ScheduleError> {
         let session_key = session.key();
         let key = Self::schedule_key(session_key, delta_fp);
         let shard = &self.shards[shard_index(key)];
-        {
-            let mut state = shard.lock();
-            state.schedule_lookups += 1;
-            if let Some(schedule) = Self::cached(&state, key, session_key, delta) {
-                state.schedule_hits += 1;
-                if tracked {
-                    self.revision_cache_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                return Ok(schedule);
-            }
-            state.schedule_misses += 1;
-        }
-
         let schedule = Arc::new(session.pack(delta)?);
         // The pack mutated `session`'s checkpoint trie, which exports with
         // the session homed at its *fingerprint* shard — dirty that shard
@@ -904,7 +848,7 @@ mod tests {
         // shard evicts. Evicted sessions are rebuilt cold on re-request,
         // and every schedule they serve is still bit-identical to an
         // uncached planner's.
-        let service = PlanService::with_session_cap(1);
+        let service = PlanService::with_caps(SCHEDULE_CACHE_CAP, 1);
         let soc = MixedSignalSoc::d695m();
         let all = SharingConfig::all_shared(5);
         let widths: Vec<u32> = (11..11 + SHARDS as u32 + 2).collect();
@@ -931,6 +875,15 @@ mod tests {
         }
     }
 
+    /// Schedules `delta` on `session` the way a planner batch of one pair
+    /// does: one counted lookup, then a pack on a miss.
+    fn pack(service: &PlanService, session: &PackSession, delta: &[TestJob]) -> Arc<Schedule> {
+        let fp = msoc_tam::fingerprint_jobs(delta);
+        service
+            .lookup(session, delta, fp, false)
+            .unwrap_or_else(|| service.pack_miss(session, delta, fp).expect("feasible"))
+    }
+
     #[test]
     fn evicted_sessions_free_their_tries_while_their_schedules_still_hit() {
         // One session per shard: two keys homed in the same shard evict
@@ -946,15 +899,15 @@ mod tests {
         let first = 4;
         let second = (first + 1..).find(|&w| home(w) == home(first)).expect("a shard-mate");
 
-        let session = service.session(first, effort, engine, skeleton.clone());
-        let schedule = service.pack(&session, &delta).unwrap();
+        let session = service.session(first, effort, engine, skeleton.clone(), false);
+        let schedule = pack(&service, &session, &delta);
         assert!(session.stats().skeleton_misses > 0, "the pack fills the trie");
         let probe = Arc::downgrade(&session);
         drop(session);
         assert!(probe.upgrade().is_some(), "the session cache holds the session");
 
-        let other = service.session(second, effort, engine, skeleton.clone());
-        service.pack(&other, &delta).unwrap();
+        let other = service.session(second, effort, engine, skeleton.clone(), false);
+        pack(&service, &other, &delta);
         assert_eq!(service.stats().session_evictions, 1, "{:?}", service.stats());
         // The export names the evicted session by key only, then frees it.
         let snapshot = service.export_snapshot();
@@ -966,9 +919,9 @@ mod tests {
 
         // The cached schedule still answers a rebuilt session of equal
         // content, without packing.
-        let rebuilt = service.session(first, effort, engine, skeleton);
+        let rebuilt = service.session(first, effort, engine, skeleton, false);
         let before = service.stats();
-        assert_eq!(service.pack(&rebuilt, &delta).unwrap(), schedule);
+        assert_eq!(pack(&service, &rebuilt, &delta), schedule);
         let after = service.stats();
         assert_eq!(after.schedule_hits, before.schedule_hits + 1, "{after:?}");
         assert_eq!(rebuilt.stats().delta_packs, 0, "a hit packs nothing: {after:?}");
@@ -1031,7 +984,7 @@ mod tests {
         // Cap 1 = one schedule per shard; the planner's full candidate
         // enumeration (26 configs) outnumbers the shards, so eviction is
         // guaranteed by pigeonhole.
-        let service = PlanService::with_schedule_cap(1);
+        let service = PlanService::with_caps(1, SESSION_CACHE_CAP);
         let soc = MixedSignalSoc::d695m();
         let mut p = Planner::with_service(&soc, quick_opts(), &service);
         let configs: Vec<SharingConfig> = p.candidates();
