@@ -63,7 +63,9 @@ use msoc_core::{
     PlanError, PlanReport, PlanService, Planner, PlannerOptions, Priority, ServiceSnapshot,
     SharingConfig, SnapshotDaemon, SnapshotStore, SocHandle,
 };
-use msoc_tam::{schedule_with_engine, Effort, Engine, Schedule, ScheduleProblem};
+use msoc_tam::{
+    schedule_with_effort, schedule_with_engine, Effort, Engine, Schedule, ScheduleProblem,
+};
 
 const WIDTHS: [u32; 5] = [16, 24, 32, 48, 64];
 const MIN_SKELETON_REUSES_PER_WIDTH: u64 = 20;
@@ -265,10 +267,7 @@ fn run_sweep(soc: &MixedSignalSoc, w: u32) -> Fields {
     let (scratch, scratch_ms) = timed(|| {
         problems
             .iter()
-            .map(|p| {
-                schedule_with_engine(p, Effort::Thorough, Engine::Skyline)
-                    .expect("sweep is feasible")
-            })
+            .map(|p| schedule_with_effort(p, Effort::Thorough).expect("sweep is feasible"))
             .collect::<Vec<Schedule>>()
     });
     for (config, scratch) in candidates.iter().zip(&scratch) {

@@ -11,8 +11,7 @@ use std::sync::Arc;
 
 use msoc_awrapper::{AreaModel, IncompatibleSharing, SharingPolicy};
 use msoc_tam::{
-    bounds, Effort, Engine, PackSession, Schedule, ScheduleError, ScheduleProblem, SessionStats,
-    TestJob,
+    bounds, Effort, PackSession, Schedule, ScheduleError, ScheduleProblem, SessionStats, TestJob,
 };
 
 use crate::cost::{self, CostWeights};
@@ -43,10 +42,6 @@ pub struct PlannerOptions {
     pub sharing_policy: SharingPolicy,
     /// Scheduling effort per configuration.
     pub effort: Effort,
-    /// Packing engine for every schedule the planner builds. The default
-    /// skyline engine and the naive reference produce identical schedules;
-    /// the knob exists for A/B benchmarking.
-    pub engine: Engine,
     /// Candidate enumeration mode.
     pub enumeration: Enumeration,
     /// When set, every wrapper additionally runs a converter BIST session
@@ -64,7 +59,6 @@ impl Default for PlannerOptions {
             area_model: AreaModel::paper_calibrated(),
             sharing_policy: SharingPolicy::default(),
             effort: Effort::Standard,
-            engine: Engine::default(),
             enumeration: Enumeration::Paper,
             self_test_cycles: None,
         }
@@ -423,8 +417,7 @@ impl<'a> Planner<'a> {
     fn session(&mut self, w: u32) -> &Arc<PackSession> {
         if !self.sessions.contains_key(&w) {
             let skeleton = self.inputs.skeleton(self.soc, w);
-            let (effort, engine) = (self.opts.effort, self.opts.engine);
-            let session = self.service.session(w, effort, engine, skeleton, self.track_revision);
+            let session = self.service.session(w, self.opts.effort, skeleton, self.track_revision);
             let baseline = session.stats();
             self.sessions.insert(w, AcquiredSession { session, baseline });
         }
@@ -1138,22 +1131,17 @@ mod tests {
 
     #[test]
     fn session_packs_match_from_scratch_schedules() {
-        use msoc_tam::schedule_with_engine;
+        use msoc_tam::{schedule_with_engine, Engine};
         let soc = soc();
-        for engine in [Engine::Skyline, Engine::Naive] {
-            let mut p = Planner::with_options(
-                &soc,
-                PlannerOptions { effort: Effort::Quick, engine, ..PlannerOptions::default() },
-            );
-            for config in [
-                SharingConfig::all_shared(5),
-                SharingConfig::new(5, vec![vec![0, 1], vec![2, 3], vec![4]]),
-            ] {
-                let via_session = p.schedule_for(&config, 16).unwrap().clone();
-                let problem = p.build_problem(&config, 16);
-                let scratch = schedule_with_engine(&problem, Effort::Quick, engine).unwrap();
-                assert_eq!(via_session, scratch, "session diverged for {config} ({engine:?})");
-            }
+        let mut p = quick_planner(&soc);
+        for config in [
+            SharingConfig::all_shared(5),
+            SharingConfig::new(5, vec![vec![0, 1], vec![2, 3], vec![4]]),
+        ] {
+            let via_session = p.schedule_for(&config, 16).unwrap().clone();
+            let problem = p.build_problem(&config, 16);
+            let oracle = schedule_with_engine(&problem, Effort::Quick, Engine::Naive).unwrap();
+            assert_eq!(via_session, oracle, "session diverged from the oracle for {config}");
         }
     }
 

@@ -1,7 +1,7 @@
-//! The crash-safe snapshot daemon: differential, content-addressed,
-//! bounded-staleness export of a [`PlanService`]'s warm state into any
-//! [`SnapshotStore`], plus boot-time recovery that quarantines torn or
-//! tampered generations and boots from the newest intact one.
+//! The crash-safe snapshot daemon: differential, content-addressed
+//! export of a [`PlanService`]'s warm state into any [`SnapshotStore`],
+//! plus boot-time recovery that quarantines torn or tampered generations
+//! and boots from the newest intact one.
 //!
 //! # Export loop
 //!
@@ -12,11 +12,6 @@
 //! * **Differential**: nothing happens unless
 //!   [`PlanService::session_ticks`] advanced since the last generation —
 //!   the cheap, lock-free "did anything warm up?" signal.
-//! * **Bounded staleness**: small advances may be deferred
-//!   ([`DaemonConfig::min_dirty_ticks`]) to batch churny traffic, but
-//!   never longer than [`DaemonConfig::max_staleness`] — a dirty service
-//!   is persisted within the bound or the attempt is on record as a
-//!   failure.
 //! * **Content-addressed**: the blob name embeds the FNV-1a hash of the
 //!   v2 bytes ([`blob_name`]), so a tick advance that did not change the
 //!   exportable content (pure cache hits) is skipped for free — equal
@@ -24,9 +19,9 @@
 //! * **Retry/backoff**: store failures are retried up to
 //!   [`DaemonConfig::max_attempts`] times under capped exponential
 //!   backoff with deterministic jitter; every persisted generation is
-//!   read back and re-hashed ([`DaemonConfig::verify_reads`]), so even a
-//!   backend that *silently* corrupts accepted writes eventually holds
-//!   an intact copy or the export is reported failed — never trusted.
+//!   read back and re-hashed, so even a backend that *silently* corrupts
+//!   accepted writes eventually holds an intact copy or the export is
+//!   reported failed — never trusted.
 //! * **Pruning**: after each persisted generation the oldest ones beyond
 //!   [`DaemonConfig::keep_generations`] are removed (best-effort; a
 //!   failed prune is counted, not fatal).
@@ -43,7 +38,7 @@
 //! one outcome that is always available.
 
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use super::snapshot::{fnv, ExportCache, SectionSizes};
 use super::store::{blob_name, draw, parse_blob_name, SnapshotStore, StoreError};
@@ -64,17 +59,8 @@ pub struct DaemonConfig {
     pub base_backoff: Duration,
     /// Upper bound of the exponential backoff (before jitter).
     pub max_backoff: Duration,
-    /// Defer exporting until at least this many session ticks are dirty
-    /// (batches churny traffic; 1 = export on any advance)...
-    pub min_dirty_ticks: u64,
-    /// ...but never defer a dirty service longer than this.
-    pub max_staleness: Duration,
     /// Seed of the deterministic backoff jitter.
     pub jitter_seed: u64,
-    /// Read every persisted generation back and verify its content hash
-    /// before trusting it (catches silent backend corruption at write
-    /// time instead of at the next boot).
-    pub verify_reads: bool,
 }
 
 impl Default for DaemonConfig {
@@ -84,10 +70,7 @@ impl Default for DaemonConfig {
             max_attempts: 12,
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(100),
-            min_dirty_ticks: 1,
-            max_staleness: Duration::from_secs(30),
             jitter_seed: 0x5EED_DAE3_0115_0001,
-            verify_reads: true,
         }
     }
 }
@@ -99,13 +82,10 @@ pub struct DaemonStats {
     pub polls: u64,
     /// Polls that found the service clean (no tick advance).
     pub clean_polls: u64,
-    /// Polls deferred inside the staleness bound.
-    pub deferred_polls: u64,
     /// Exports skipped because the content hash matched the newest
     /// persisted generation (the content-addressing dividend).
     pub unchanged_skips: u64,
-    /// Generations durably persisted (verified when
-    /// [`DaemonConfig::verify_reads`]).
+    /// Generations durably persisted and verified by read-back.
     pub exports_persisted: u64,
     /// Exports abandoned after [`DaemonConfig::max_attempts`] attempts.
     pub exports_failed: u64,
@@ -130,12 +110,6 @@ pub struct DaemonStats {
 pub enum ExportOutcome {
     /// The service has not advanced since the last generation.
     Clean,
-    /// The service is dirty, but within the staleness bound — deferred
-    /// to batch more traffic.
-    Deferred {
-        /// Session ticks accumulated since the last generation.
-        dirty_ticks: u64,
-    },
     /// The service advanced but its exportable content is unchanged
     /// (byte-identical to the newest generation) — nothing written.
     Unchanged,
@@ -188,8 +162,6 @@ pub struct SnapshotDaemon<'a, S: SnapshotStore> {
     /// Next generation number to assign (resumes past the store's
     /// newest on attach).
     next_generation: u64,
-    /// When the service first went dirty after the last generation.
-    dirty_since: Option<Instant>,
     /// Jitter stream.
     rng: u64,
     /// Differential export state: clean shards re-export from here.
@@ -223,7 +195,6 @@ impl<'a, S: SnapshotStore> SnapshotDaemon<'a, S> {
             last_tick: None,
             last_hash,
             next_generation,
-            dirty_since: None,
             cache: ExportCache::new(),
             stats: DaemonStats::default(),
         }
@@ -244,29 +215,21 @@ impl<'a, S: SnapshotStore> SnapshotDaemon<'a, S> {
         self.stats
     }
 
-    /// One daemon step: export-if-dirty under the bounded-staleness
-    /// policy (see the module docs).
+    /// One daemon step: export if the service advanced since the last
+    /// generation (see the module docs).
     pub fn poll(&mut self) -> ExportOutcome {
         self.stats.polls += 1;
         let tick = self.service.session_ticks();
         // Tick 0 = the service never saw a session request; there is
         // nothing worth persisting yet.
         if tick == 0 || self.last_tick == Some(tick) {
-            self.dirty_since = None;
             self.stats.clean_polls += 1;
             return ExportOutcome::Clean;
-        }
-        let since = *self.dirty_since.get_or_insert_with(Instant::now);
-        let dirty_ticks = tick.saturating_sub(self.last_tick.unwrap_or(0));
-        if dirty_ticks < self.config.min_dirty_ticks && since.elapsed() < self.config.max_staleness
-        {
-            self.stats.deferred_polls += 1;
-            return ExportOutcome::Deferred { dirty_ticks };
         }
         self.export(tick)
     }
 
-    /// Exports immediately, bypassing the staleness policy (still skips
+    /// Exports immediately, even when no tick advanced (still skips
     /// byte-identical content). The crash-consistent flush for graceful
     /// shutdown.
     pub fn export_now(&mut self) -> ExportOutcome {
@@ -284,7 +247,6 @@ impl<'a, S: SnapshotStore> SnapshotDaemon<'a, S> {
             // and the content-addressed name proves it without touching
             // the store.
             self.last_tick = Some(tick);
-            self.dirty_since = None;
             self.stats.unchanged_skips += 1;
             return ExportOutcome::Unchanged;
         }
@@ -298,7 +260,6 @@ impl<'a, S: SnapshotStore> SnapshotDaemon<'a, S> {
                     self.next_generation = generation + 1;
                     self.last_hash = Some(hash);
                     self.last_tick = Some(tick);
-                    self.dirty_since = None;
                     self.stats.exports_persisted += 1;
                     self.stats.last_generation = Some(generation);
                     self.prune();
@@ -326,18 +287,16 @@ impl<'a, S: SnapshotStore> SnapshotDaemon<'a, S> {
         }
     }
 
-    /// One persist attempt: put, then (configurably) read back and
-    /// re-hash — a backend that accepted the write but stored garbage
-    /// fails here instead of at the next boot.
+    /// One persist attempt: put, then read back and re-hash — a backend
+    /// that accepted the write but stored garbage fails here instead of
+    /// at the next boot.
     fn try_persist(&mut self, name: &str, bytes: &[u8], hash: u64) -> Result<(), StoreError> {
         self.store.put(name, bytes)?;
-        if self.config.verify_reads {
-            let readback = self.store.get(name)?;
-            if fnv(&readback) != hash {
-                return Err(StoreError::Io(format!(
-                    "read-back of {name} does not match what was written"
-                )));
-            }
+        let readback = self.store.get(name)?;
+        if fnv(&readback) != hash {
+            return Err(StoreError::Io(format!(
+                "read-back of {name} does not match what was written"
+            )));
         }
         Ok(())
     }
@@ -549,31 +508,6 @@ mod tests {
         assert_eq!(store.list().unwrap().len(), 1, "unchanged content writes nothing");
         assert_eq!(reattached.stats().unchanged_skips, 1);
         assert_eq!(daemon.stats().exports_persisted, 1);
-    }
-
-    #[test]
-    fn staleness_policy_defers_small_advances_but_never_past_the_bound() {
-        let service = PlanService::new();
-        let store = MemStore::new();
-        let config = DaemonConfig {
-            min_dirty_ticks: 1_000_000,
-            max_staleness: Duration::from_secs(3600),
-            ..fast_config()
-        };
-        let mut daemon = SnapshotDaemon::with_config(&service, &store, config);
-        warm(&service, 16);
-        match daemon.poll() {
-            ExportOutcome::Deferred { dirty_ticks } => assert!(dirty_ticks > 0),
-            other => panic!("a small advance inside the bound must defer: {other:?}"),
-        }
-        // A zero staleness bound forces the export on the next poll.
-        daemon.config.max_staleness = Duration::ZERO;
-        assert!(matches!(daemon.poll(), ExportOutcome::Persisted { .. }));
-        // export_now bypasses the policy entirely.
-        warm(&service, 24);
-        daemon.config.max_staleness = Duration::from_secs(3600);
-        assert!(matches!(daemon.poll(), ExportOutcome::Deferred { .. }));
-        assert!(matches!(daemon.export_now(), ExportOutcome::Persisted { .. }));
     }
 
     #[test]

@@ -301,7 +301,7 @@ impl JobBuilder {
         self
     }
 
-    /// Planner options (effort, engine, area model, …).
+    /// Planner options (effort, area model, enumeration, …).
     pub fn opts(mut self, opts: PlannerOptions) -> Self {
         self.opts = opts;
         self

@@ -8,7 +8,7 @@
 //!
 //! * **Session cache** — [`PackSession`]s keyed by their stable content
 //!   [fingerprint](SessionKey::fingerprint) (skeleton jobs + TAM width +
-//!   effort + engine). Two planners for the same digital SOC — or two
+//!   effort). Two planners for the same digital SOC — or two
 //!   *runs* of the same plan request hours apart — share one session, and
 //!   with it every skeleton checkpoint and delta-prefix snapshot the
 //!   session has accumulated.
@@ -87,8 +87,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use msoc_tam::{
-    Effort, Engine, PackSession, Schedule, ScheduleError, SessionKey, SessionStats, StableHasher,
-    TestJob,
+    Effort, PackSession, Schedule, ScheduleError, SessionKey, SessionStats, StableHasher, TestJob,
 };
 
 /// Default bound on retained schedules in the service's schedule cache.
@@ -462,7 +461,7 @@ impl PlanService {
         self.session_tick.load(Ordering::Relaxed)
     }
 
-    /// The session for `(tam_width, effort, engine, skeleton)`, shared
+    /// The session for `(tam_width, effort, skeleton)`, shared
     /// across every planner bound to this service.
     ///
     /// `skeleton` is built by the caller (it is also the content key);
@@ -477,7 +476,6 @@ impl PlanService {
         &self,
         tam_width: u32,
         effort: Effort,
-        engine: Engine,
         mut skeleton: Vec<TestJob>,
         tracked: bool,
     ) -> Arc<PackSession> {
@@ -487,7 +485,7 @@ impl PlanService {
         for job in &mut skeleton {
             job.kind = msoc_tam::JobKind::Skeleton;
         }
-        let fp = msoc_tam::session_fingerprint(tam_width, effort, engine, &skeleton);
+        let fp = msoc_tam::session_fingerprint(tam_width, effort, &skeleton);
         let tick = self.session_tick.fetch_add(1, Ordering::Relaxed) + 1;
         let home = &self.shards[shard_index(fp)];
         let mut state = home.lock();
@@ -502,10 +500,7 @@ impl PlanService {
             .iter_mut()
             .find(|entry| {
                 let key = entry.session.key();
-                key.tam_width() == tam_width
-                    && key.effort() == effort
-                    && key.engine() == engine
-                    && key.skeleton() == skeleton
+                key.tam_width() == tam_width && key.effort() == effort && key.skeleton() == skeleton
             })
             .map(|entry| {
                 entry.last_used = tick;
@@ -518,7 +513,7 @@ impl PlanService {
             }
             return session;
         }
-        let created = Arc::new(PackSession::new(tam_width, skeleton, effort, engine));
+        let created = Arc::new(PackSession::new(tam_width, skeleton, effort));
         state
             .sessions
             .entry(fp)
@@ -894,24 +889,24 @@ mod tests {
         };
         let skeleton = vec![TestJob::new("d0", point(2, 100)), TestJob::new("d1", point(1, 80))];
         let delta = vec![TestJob::delta_in_group("a0", point(1, 40), 0)];
-        let (effort, engine) = (Effort::Quick, Engine::Skyline);
-        let home = |w| shard_index(msoc_tam::session_fingerprint(w, effort, engine, &skeleton));
+        let effort = Effort::Quick;
+        let home = |w| shard_index(msoc_tam::session_fingerprint(w, effort, &skeleton));
         let first = 4;
         let second = (first + 1..).find(|&w| home(w) == home(first)).expect("a shard-mate");
 
-        let session = service.session(first, effort, engine, skeleton.clone(), false);
+        let session = service.session(first, effort, skeleton.clone(), false);
         let schedule = pack(&service, &session, &delta);
         assert!(session.stats().skeleton_misses > 0, "the pack fills the trie");
         let probe = Arc::downgrade(&session);
         drop(session);
         assert!(probe.upgrade().is_some(), "the session cache holds the session");
 
-        let other = service.session(second, effort, engine, skeleton.clone(), false);
+        let other = service.session(second, effort, skeleton.clone(), false);
         pack(&service, &other, &delta);
         assert_eq!(service.stats().session_evictions, 1, "{:?}", service.stats());
         // The export names the evicted session by key only, then frees it.
         let snapshot = service.export_snapshot();
-        assert_eq!(snapshot.tries.iter().filter(|t| t.tries.is_empty()).count(), 1);
+        assert_eq!(snapshot.tries.iter().filter(|t| t.is_none()).count(), 1);
         assert!(
             probe.upgrade().is_none(),
             "an evicted session must be freed, trie included, though a cached schedule names it"
@@ -919,7 +914,7 @@ mod tests {
 
         // The cached schedule still answers a rebuilt session of equal
         // content, without packing.
-        let rebuilt = service.session(first, effort, engine, skeleton, false);
+        let rebuilt = service.session(first, effort, skeleton, false);
         let before = service.stats();
         assert_eq!(pack(&service, &rebuilt, &delta), schedule);
         let after = service.stats();

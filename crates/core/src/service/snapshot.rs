@@ -8,7 +8,7 @@
 //! carries the *schedule cache* — solved schedules plus the exact
 //! session content and delta jobs each one answers for — the session
 //! table those entries reference, and every live session's **checkpoint
-//! trie** ([`CheckpointExport`]), so an imported service replays sweeps
+//! trie** ([`TrieExport`]), so an imported service replays sweeps
 //! warm from disk exactly as warm from RAM: schedule-cache hits need no
 //! packing at all, and novel candidates restore their longest packed
 //! prefix instead of re-packing skeletons.
@@ -64,8 +64,8 @@ use std::sync::Arc;
 use std::collections::{HashMap, HashSet};
 
 use msoc_tam::{
-    fingerprint_jobs, CheckpointExport, CheckpointNode, Effort, Engine, JobKind, PackSession,
-    Schedule, ScheduledTest, SessionKey, StableHasher, TestJob, TrieExport,
+    fingerprint_jobs, CheckpointNode, Effort, JobKind, PackSession, Schedule, ScheduledTest,
+    SessionKey, StableHasher, TestJob, TrieExport,
 };
 use msoc_wrapper::{Staircase, StaircasePoint};
 
@@ -85,9 +85,9 @@ pub struct ServiceSnapshot {
     /// The session table: schedule-only keys, then live sessions in LRU
     /// order (see the [module docs](self)).
     pub(crate) sessions: Vec<Arc<SessionKey>>,
-    /// Per-session checkpoint tries, aligned with `sessions` (an empty
-    /// export restores its session cold).
-    pub(crate) tries: Vec<CheckpointExport>,
+    /// Per-session checkpoint tries, aligned with `sessions` (`None`
+    /// restores its session cold).
+    pub(crate) tries: Vec<Option<TrieExport>>,
     pub(crate) schedules: Vec<ScheduleRecord>,
 }
 
@@ -181,7 +181,7 @@ struct ShardFragment {
     tick: u64,
     /// Live sessions homed in this shard:
     /// `(last_used, session key, checkpoint-trie export)`.
-    sessions: Vec<(u64, Arc<SessionKey>, CheckpointExport)>,
+    sessions: Vec<(u64, Arc<SessionKey>, Option<TrieExport>)>,
     /// Schedule tuples in this shard's FIFO memo order:
     /// `(session key, delta, makespan, entries)`.
     #[allow(clippy::type_complexity)]
@@ -247,8 +247,8 @@ impl ServiceSnapshot {
         SnapshotStats {
             sessions: self.sessions.len(),
             schedules: self.schedules.len(),
-            trie_nodes: self.tries.iter().map(CheckpointExport::node_count).sum(),
-            checkpoints: self.tries.iter().map(CheckpointExport::checkpoint_count).sum(),
+            trie_nodes: self.tries.iter().flatten().map(|t| t.nodes.len()).sum(),
+            checkpoints: self.tries.iter().flatten().map(TrieExport::checkpoint_count).sum(),
             sections: self.encode().1,
         }
     }
@@ -276,11 +276,9 @@ impl ServiceSnapshot {
                 intern(&mut table, &mut ids, job);
             }
         }
-        for cps in &self.tries {
-            for trie in &cps.tries {
-                for job in &trie.contents {
-                    intern(&mut table, &mut ids, job);
-                }
+        for trie in self.tries.iter().flatten() {
+            for job in &trie.contents {
+                intern(&mut table, &mut ids, job);
             }
         }
         for r in &self.schedules {
@@ -307,7 +305,7 @@ impl ServiceSnapshot {
         for s in &self.sessions {
             write_uv(&mut out, u64::from(s.tam_width()));
             out.push(s.effort().code());
-            out.push(s.engine().code());
+            out.push(0); // reserved: the retired engine code
             write_uv(&mut out, s.skeleton().len() as u64);
             for job in s.skeleton() {
                 write_uv(&mut out, ids[job]);
@@ -317,11 +315,10 @@ impl ServiceSnapshot {
 
         // Checkpoint-trie sections, aligned with the session table.
         let mark = out.len();
-        let empty = CheckpointExport::default();
         for (i, s) in self.sessions.iter().enumerate() {
-            let cps = self.tries.get(i).unwrap_or(&empty);
-            write_uv(&mut out, cps.tries.len() as u64);
-            for trie in &cps.tries {
+            let trie = self.tries.get(i).and_then(Option::as_ref);
+            write_uv(&mut out, u64::from(trie.is_some()));
+            if let Some(trie) = trie {
                 write_uv(&mut out, trie.contents.len() as u64);
                 for job in &trie.contents {
                     write_uv(&mut out, ids[job]);
@@ -497,7 +494,7 @@ fn decode_v2(r: &mut Reader) -> Result<ServiceSnapshot, DecodeError> {
     // Content: label length, point count, the first point's width and
     // time, group tag, kind.
     let contents = r.seq(6, read_content)?;
-    // Session: width, effort, engine, skeleton length.
+    // Session: width, effort, reserved engine byte, skeleton length.
     let sessions = r.seq(4, |r| read_session(r, &contents))?;
     let tries = sessions
         .iter()
@@ -515,24 +512,26 @@ fn read_session(r: &mut Reader, contents: &[TestJob]) -> Result<Arc<SessionKey>,
     let code = r.u8()?;
     let effort = Effort::from_code(code)
         .ok_or_else(|| DecodeError::Corrupt(format!("unknown effort code {code}")))?;
+    // The retired engine slot: always 0 (the skyline's old code).
     let code = r.u8()?;
-    let engine = Engine::from_code(code)
-        .ok_or_else(|| DecodeError::Corrupt(format!("unknown engine code {code}")))?;
+    if code != 0 {
+        return Err(DecodeError::Corrupt(format!("unknown engine code {code}")));
+    }
     let skeleton = r.seq(1, |r| content_ref(contents, r.uv()?))?;
-    Ok(Arc::new(SessionKey::new(tam_width, skeleton, effort, engine)))
+    Ok(Arc::new(SessionKey::new(tam_width, skeleton, effort)))
 }
 
-/// Reads session `index`'s checkpoint-trie section: a member count (a
-/// session exports at most one trie), then the trie's local contents and
-/// its nodes.
+/// Reads session `index`'s checkpoint-trie section: a member count (0 or
+/// 1: a session exports at most one trie), then the trie's local contents
+/// and its nodes.
 fn read_tries(
     r: &mut Reader,
     index: usize,
     session: &SessionKey,
     contents: &[TestJob],
-) -> Result<CheckpointExport, DecodeError> {
-    let tries = match r.uv()? {
-        0 => Vec::new(),
+) -> Result<Option<TrieExport>, DecodeError> {
+    match r.uv()? {
+        0 => Ok(None),
         1 => {
             let local = r.seq(1, |r| content_ref(contents, r.uv()?))?;
             let mut starts: Vec<u64> = Vec::new();
@@ -543,15 +542,12 @@ fn read_tries(
                 starts.push(node.start);
                 Ok(node)
             })?;
-            vec![TrieExport { contents: local, nodes }]
+            Ok(Some(TrieExport { contents: local, nodes }))
         }
         members => {
-            return Err(DecodeError::Corrupt(format!(
-                "session {index} tries: {members} checkpoint tries"
-            )))
+            Err(DecodeError::Corrupt(format!("session {index} tries: {members} checkpoint tries")))
         }
-    };
-    Ok(CheckpointExport { tries })
+    }
 }
 
 /// Reads one schedule record.
@@ -793,19 +789,19 @@ impl PlanService {
         // (unique values from one atomic clock, so the order is the
         // service-wide request order). A schedule names the live session
         // of equal content when there is one.
-        let mut live: Vec<&(u64, Arc<SessionKey>, CheckpointExport)> =
+        let mut live: Vec<&(u64, Arc<SessionKey>, Option<TrieExport>)> =
             cache.shards.iter().flatten().flat_map(|f| &f.sessions).collect();
         live.sort_by_key(|e| e.0);
         let is_live: HashSet<&SessionKey> = live.iter().map(|(_, key, _)| &**key).collect();
         let schedules = || cache.shards.iter().flatten().flat_map(|f| &f.schedules);
         let mut index: HashMap<&SessionKey, usize> = HashMap::new();
         let mut keys: Vec<Arc<SessionKey>> = Vec::new();
-        let mut tries: Vec<CheckpointExport> = Vec::new();
+        let mut tries: Vec<Option<TrieExport>> = Vec::new();
         for (key, ..) in schedules() {
             if !is_live.contains(&**key) && !index.contains_key(&**key) {
                 index.insert(key, keys.len());
                 keys.push(Arc::clone(key));
-                tries.push(CheckpointExport::default());
+                tries.push(None);
             }
         }
         for (_, key, checkpoints) in live {
@@ -917,8 +913,8 @@ impl PlanService {
             for &i in kept {
                 let key = &snapshot.sessions[i];
                 let session = Arc::new(PackSession::from_key(Arc::clone(key)));
-                if let Some(checkpoints) = snapshot.tries.get(i) {
-                    session.import_checkpoints(checkpoints);
+                if let Some(trie) = snapshot.tries.get(i).and_then(Option::as_ref) {
+                    session.import_checkpoints(trie);
                 }
                 let entry = SessionEntry { session, last_used: i as u64 + 1 };
                 state.sessions.entry(key.fingerprint()).or_default().push(entry);
@@ -972,7 +968,7 @@ mod tests {
         assert!(snapshot.schedule_count() > 0);
         assert!(snapshot.session_count() > 0);
         assert!(
-            snapshot.tries.iter().map(CheckpointExport::checkpoint_count).sum::<usize>() > 0,
+            snapshot.tries.iter().flatten().map(TrieExport::checkpoint_count).sum::<usize>() > 0,
             "a warm service must export checkpoints"
         );
         let bytes = snapshot.to_bytes();
@@ -1166,7 +1162,7 @@ mod tests {
         let victim = snapshot
             .tries
             .iter_mut()
-            .flat_map(|cps| cps.tries.iter_mut())
+            .flatten()
             .find(|t| !t.nodes.is_empty())
             .expect("a warm snapshot has trie nodes");
         victim.nodes[0].start += 1;
@@ -1328,16 +1324,12 @@ mod tests {
     fn removed_engine_codes_and_extra_trie_members_are_corrupt() {
         // One session with an empty skeleton and one empty trie: after the
         // header come single-byte varints for the content count, the
-        // session count, then the session's width, effort code, engine
-        // code and skeleton length, then its trie section's member count.
+        // session count, then the session's width, effort code, reserved
+        // engine byte and skeleton length, then its trie section's member
+        // count.
         let snapshot = ServiceSnapshot {
-            sessions: vec![Arc::new(SessionKey::new(
-                8,
-                Vec::new(),
-                Effort::Quick,
-                Engine::Skyline,
-            ))],
-            tries: vec![CheckpointExport { tries: vec![TrieExport::default()] }],
+            sessions: vec![Arc::new(SessionKey::new(8, Vec::new(), Effort::Quick))],
+            tries: vec![Some(TrieExport::default())],
             schedules: Vec::new(),
         };
         let bytes = snapshot.to_bytes();
@@ -1346,9 +1338,9 @@ mod tests {
         let members_at = engine_at + 2;
         assert_eq!((bytes[engine_at], bytes[members_at]), (0, 1), "layout drifted");
 
-        // Codes 2, 3 and 4 named the MaxRects, guillotine and portfolio
-        // engines, which no longer exist.
-        for code in [2u8, 3, 4] {
+        // Codes 1 to 4 named the naive, MaxRects, guillotine and portfolio
+        // engines, none of which a session packs with.
+        for code in [1u8, 2, 3, 4] {
             let mut bad = bytes.clone();
             bad[engine_at] = code;
             reseal(&mut bad);

@@ -31,8 +31,8 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use msoc_core::{
-    recover, CoreEdit, DaemonConfig, Deadline, DirStore, ExportOutcome, JobBuilder,
-    LatencyHistogram, PlanService, Priority, ServiceStats, SnapshotDaemon, SocHandle,
+    recover, CoreEdit, Deadline, DirStore, ExportOutcome, JobBuilder, LatencyHistogram,
+    PlanService, Priority, ServiceStats, SnapshotDaemon, SocHandle,
 };
 use msoc_tam::StableHasher;
 
@@ -226,11 +226,8 @@ fn build_job(handle: Option<&SocHandle>, job: &WireJob) -> Result<msoc_core::Job
             2 => Priority::High,
             _ => Priority::Normal,
         });
-    builder = builder.opts(msoc_core::planner::PlannerOptions {
-        effort: job.effort,
-        engine: job.engine,
-        ..Default::default()
-    });
+    builder = builder
+        .opts(msoc_core::planner::PlannerOptions { effort: job.effort, ..Default::default() });
     if let Some(checks) = job.deadline_checks {
         builder = builder.deadline(Deadline::checks(checks));
     }
@@ -291,8 +288,7 @@ pub fn serve(listener: TcpListener, config: &ServerConfig) -> Result<ServerRepor
         .iter()
         .zip(stores)
         .map(|(service, store)| {
-            let daemon = store
-                .map(|store| SnapshotDaemon::with_config(service, store, DaemonConfig::default()));
+            let daemon = store.map(|store| SnapshotDaemon::new(service, store));
             ShardRuntime::new(service, daemon)
         })
         .collect();

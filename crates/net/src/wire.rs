@@ -38,12 +38,13 @@ use msoc_analog::{paper_cores, AnalogCoreSpec, AnalogTestKind, AnalogTestSpec, C
 use msoc_core::service::codec::{write_uv, DecodeError, Reader};
 use msoc_core::{CostWeights, JobOutcome, JobResult, MixedSignalSoc, PlanError, SharingConfig};
 use msoc_itc02::{Module, ModuleTest, Soc};
-use msoc_tam::{Effort, Engine, ScheduledTest};
+use msoc_tam::{Effort, ScheduledTest};
 
 /// Frame magic.
 pub const WIRE_MAGIC: &[u8; 4] = b"MNET";
-/// Protocol version this build speaks.
-pub const WIRE_VERSION: u8 = 1;
+/// Protocol version this build speaks. Version 1 jobs carried an engine
+/// byte after the effort byte; a v1 frame is refused by its header.
+pub const WIRE_VERSION: u8 = 2;
 /// Upper bound on one frame's payload (4 MiB).
 pub const MAX_FRAME: u64 = 4 << 20;
 
@@ -138,7 +139,7 @@ pub enum Request {
         /// Tenant name.
         tenant: String,
         /// The batch, carrying the full job surface (spec, candidate
-        /// configs, weights, effort/engine, priority, deadline,
+        /// configs, weights, effort, priority, deadline,
         /// cancellation).
         jobs: Vec<WireJob>,
     },
@@ -156,8 +157,8 @@ pub enum Request {
         /// Tenant name.
         tenant: String,
     },
-    /// Force a snapshot of every shard now (bypasses the staleness
-    /// policy).
+    /// Force a snapshot of every shard now, even one whose session ticks
+    /// did not advance.
     SnapshotNow,
     /// Gracefully stop the server (flushes snapshots when configured).
     Shutdown,
@@ -305,9 +306,9 @@ pub struct WireConfig {
 }
 
 /// One job on the wire: the full [`JobBuilder`](msoc_core::JobBuilder)
-/// surface — spec, candidate configs, weights, pruning delta,
-/// effort/engine, priority, a deterministic check-budget deadline, and
-/// pre-cancellation.
+/// surface — spec, candidate configs, weights, pruning delta, effort,
+/// priority, a deterministic check-budget deadline, and pre-cancellation.
+/// Every job packs with the skyline engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireJob {
     /// The SOC to plan.
@@ -324,8 +325,6 @@ pub struct WireJob {
     pub delta: f64,
     /// Scheduling effort.
     pub effort: Effort,
-    /// Packing engine.
-    pub engine: Engine,
     /// Dispatch priority: 0 = low, 1 = normal, 2 = high.
     pub priority: u8,
     /// Deterministic check-budget deadline (`None` = none). Wall-clock
@@ -339,7 +338,7 @@ pub struct WireJob {
 }
 
 impl WireJob {
-    /// A job with default weights/effort/engine/priority and no
+    /// A job with default weights/effort/priority and no
     /// deadline.
     pub fn new(soc: WireSocRef, spec: WireSpec) -> Self {
         WireJob {
@@ -350,7 +349,6 @@ impl WireJob {
             w_area: 0.5,
             delta: 0.0,
             effort: Effort::Quick,
-            engine: Engine::Skyline,
             priority: 1,
             deadline_checks: None,
             cancelled: false,
@@ -987,7 +985,6 @@ impl WireJob {
         write_f64(out, self.w_area);
         write_f64(out, self.delta);
         out.push(self.effort.code());
-        out.push(self.engine.code());
         out.push(self.priority);
         match self.deadline_checks {
             None => out.push(0),
@@ -1014,9 +1011,6 @@ impl WireJob {
         let code = r.u8()?;
         let effort = Effort::from_code(code)
             .ok_or_else(|| corrupt(format!("unknown effort code {code}")))?;
-        let code = r.u8()?;
-        let engine = Engine::from_code(code)
-            .ok_or_else(|| corrupt(format!("unknown engine code {code}")))?;
         let priority = match r.u8()? {
             p @ 0..=2 => p,
             other => return Err(corrupt(format!("unknown priority {other}"))),
@@ -1035,7 +1029,6 @@ impl WireJob {
             w_area,
             delta,
             effort,
-            engine,
             priority,
             deadline_checks,
             cancelled,
@@ -1546,23 +1539,27 @@ mod tests {
         // expected.
         let bytes = frame_response(&Response::ShuttingDown);
         assert!(matches!(read_request(&mut &bytes[..]), Err(WireError::UnexpectedKind(2))));
-        // Engine codes 2, 3 and 4 named the MaxRects, guillotine and
-        // portfolio engines, which no longer exist.
-        let submit = |engine| {
+        // An effort code naming no effort is corrupt.
+        let submit = |effort| {
             let mut job = demo_job();
-            job.engine = engine;
+            job.effort = effort;
             frame_request(&Request::Submit { tenant: "acme".into(), jobs: vec![job] })
         };
-        let (skyline, naive) = (submit(Engine::Skyline), submit(Engine::Naive));
-        let at = (0..skyline.len()).find(|&i| skyline[i] != naive[i]).expect("engine byte");
-        for code in [2u8, 3, 4] {
-            let mut bytes = skyline.clone();
+        let (quick, standard) = (submit(Effort::Quick), submit(Effort::Standard));
+        let at = (0..quick.len()).find(|&i| quick[i] != standard[i]).expect("effort byte");
+        for code in [3u8, 4, 0xff] {
+            let mut bytes = quick.clone();
             bytes[at] = code;
             match read_request(&mut &bytes[..]) {
-                Err(WireError::Corrupt(what)) => assert!(what.contains("engine"), "{what}"),
-                other => panic!("engine code {code} must be corrupt, got {other:?}"),
+                Err(WireError::Corrupt(what)) => assert!(what.contains("effort"), "{what}"),
+                other => panic!("effort code {code} must be corrupt, got {other:?}"),
             }
         }
+        // A v1 frame (its jobs carried an engine byte) is refused by its
+        // header, never misparsed.
+        let mut v1 = quick;
+        v1[WIRE_MAGIC.len()] = 1;
+        assert_eq!(read_request(&mut &v1[..]), Err(WireError::UnsupportedVersion(1)));
     }
 
     #[test]

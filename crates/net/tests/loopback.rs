@@ -14,7 +14,7 @@ use msoc_net::{
     build_trace, run_loopback, Client, ServerConfig, ServerReport, WireAnalogCore, WireJob,
     WireOutcome, WireSoc, WireSocRef, WireSpec,
 };
-use msoc_tam::Engine;
+use msoc_tam::Effort;
 
 /// Boots a server on an ephemeral loopback port and runs `f` against
 /// it; shuts down through the protocol and returns what the server
@@ -111,25 +111,24 @@ fn register_submit_revise_stats_round_trip() {
             outcomes[0],
         );
 
-        // Engine codes 2, 3 and 4 named the MaxRects, guillotine and
-        // portfolio engines, which no longer exist: a Submit naming one is
-        // answered with an error frame, and the server keeps serving.
-        let submit = |engine| {
+        // A Submit naming no effort is answered with an error frame, and
+        // the server keeps serving.
+        let submit = |effort| {
             let mut job =
                 WireJob::new(WireSocRef::Registered(soc_id), WireSpec::Single { width: 16 });
-            job.engine = engine;
+            job.effort = effort;
             frame_request(&Request::Submit { tenant: "tenant-a".into(), jobs: vec![job] })
         };
-        let (skyline, naive) = (submit(Engine::Skyline), submit(Engine::Naive));
-        let at = (0..skyline.len()).find(|&i| skyline[i] != naive[i]).expect("engine byte");
-        for code in [2u8, 3, 4] {
-            let mut frame = skyline.clone();
+        let (quick, standard) = (submit(Effort::Quick), submit(Effort::Standard));
+        let at = (0..quick.len()).find(|&i| quick[i] != standard[i]).expect("effort byte");
+        for code in [3u8, 4, 0xff] {
+            let mut frame = quick.clone();
             frame[at] = code;
             let mut raw = TcpStream::connect(addr).expect("raw connect");
             raw.write_all(&frame).expect("send hostile frame");
             match read_response(&mut raw) {
-                Ok(Response::Error { message }) => assert!(message.contains("engine"), "{message}"),
-                other => panic!("engine code {code} must be answered with an error, got {other:?}"),
+                Ok(Response::Error { message }) => assert!(message.contains("effort"), "{message}"),
+                other => panic!("effort code {code} must be answered with an error, got {other:?}"),
             }
         }
         assert_eq!(client.stats().expect("stats after hostile frames").jobs_submitted, 3);

@@ -2,8 +2,8 @@
 //!
 //! A long-lived plan service keys its caches by *what is being scheduled*,
 //! not by which in-memory object asked: two `ScheduleProblem`s (or two
-//! [`PackSession`](crate::PackSession)s) with the same jobs, TAM width,
-//! effort and engine must hash to the same 64-bit fingerprint in every
+//! [`PackSession`](crate::PackSession)s) with the same jobs, TAM width
+//! and effort must hash to the same 64-bit fingerprint in every
 //! process, on every platform, in every release. The default
 //! `std::hash::Hasher` guarantees none of that (`RandomState` is seeded per
 //! process), so fingerprints use an explicit FNV-1a stream over the
@@ -15,7 +15,7 @@
 //! every fingerprint hit and treat a mismatch as a miss.
 
 use crate::problem::{JobKind, ScheduleProblem, TestJob};
-use crate::schedule::{Effort, Engine};
+use crate::schedule::Effort;
 
 /// Streaming FNV-1a (64-bit) over canonical little-endian encodings.
 ///
@@ -94,7 +94,7 @@ fn write_job_core(h: &mut StableHasher, job: &TestJob) {
 }
 
 /// Absorbs one job's full identity: label, staircase, group, kind.
-pub(crate) fn write_job(h: &mut StableHasher, job: &TestJob) {
+fn write_job(h: &mut StableHasher, job: &TestJob) {
     write_job_core(h, job);
     h.write_u8(match job.kind {
         JobKind::Skeleton => 0,
@@ -103,7 +103,7 @@ pub(crate) fn write_job(h: &mut StableHasher, job: &TestJob) {
 }
 
 /// Absorbs a job slice (length-prefixed).
-pub(crate) fn write_jobs(h: &mut StableHasher, jobs: &[TestJob]) {
+fn write_jobs(h: &mut StableHasher, jobs: &[TestJob]) {
     h.write_u64(jobs.len() as u64);
     for job in jobs {
         write_job(h, job);
@@ -137,22 +137,17 @@ pub fn combine_subtree_fingerprints(parts: &[u64]) -> u64 {
     h.finish()
 }
 
-/// The fingerprint a [`SessionKey`](crate::SessionKey) built from
-/// `(tam_width, skeleton, effort, engine)` would report — computable
-/// *without* constructing the key, so a service can answer warm session
+/// The fingerprint of a [`SessionKey`](crate::SessionKey) built from
+/// `(tam_width, skeleton, effort)`. The key computes it with this
+/// function, and a service calls it directly to answer warm session
 /// lookups allocation-free. Kinds are hashed as the key normalizes
 /// them: every skeleton job becomes
 /// [`JobKind::Skeleton`](crate::JobKind::Skeleton).
-pub fn session_fingerprint(
-    tam_width: u32,
-    effort: Effort,
-    engine: Engine,
-    skeleton: &[TestJob],
-) -> u64 {
+pub fn session_fingerprint(tam_width: u32, effort: Effort, skeleton: &[TestJob]) -> u64 {
     let mut h = StableHasher::new();
     h.write_u32(tam_width);
     h.write_u8(effort.code());
-    h.write_u8(engine.code());
+    h.write_u8(0); // reserved: the retired engine code
     h.write_u64(skeleton.len() as u64);
     for job in skeleton {
         write_job_core(&mut h, job);
@@ -182,17 +177,6 @@ impl ScheduleProblem {
         let mut h = StableHasher::new();
         h.write_u32(self.tam_width);
         write_jobs(&mut h, &self.jobs);
-        h.finish()
-    }
-
-    /// [`Self::fingerprint`] extended with the solver configuration — the
-    /// cache key of a *solved* schedule (same problem, same effort, same
-    /// engine ⇒ bit-identical schedule).
-    pub fn fingerprint_with(&self, effort: Effort, engine: Engine) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_u64(self.fingerprint());
-        h.write_u8(effort.code());
-        h.write_u8(engine.code());
         h.finish()
     }
 }
@@ -273,26 +257,26 @@ mod tests {
     }
 
     #[test]
+    fn session_fingerprint_is_stable_across_calls_and_pinned() {
+        let mut jobs = vec![job("a", 2, 100, Some(3)), job("b", 1, 50, None)];
+        jobs[1].kind = JobKind::Delta;
+        let fp = || session_fingerprint(8, Effort::Standard, &jobs);
+        assert_eq!(fp(), fp());
+        // Pinned value: session shards, snapshot session records and the
+        // schedule cache are keyed by it across processes.
+        assert_eq!(fp(), 0xe7f0_a876_7a0d_09d0);
+    }
+
+    #[test]
     fn session_fingerprint_matches_a_constructed_session() {
         // Even for un-normalized (delta-kind) input: construction
         // normalizes kinds, and the helper hashes the normalized view.
         let mut jobs = vec![job("a", 2, 100, Some(3)), job("b", 1, 50, None)];
         jobs[1].kind = JobKind::Delta;
-        for (w, effort, engine) in
-            [(8u32, Effort::Quick, Engine::Skyline), (16, Effort::Thorough, Engine::Naive)]
-        {
-            let direct = session_fingerprint(w, effort, engine, &jobs);
-            let built = crate::SessionKey::new(w, jobs.clone(), effort, engine).fingerprint();
-            assert_eq!(direct, built, "w={w} {effort:?} {engine:?}");
+        for (w, effort) in [(8u32, Effort::Quick), (16, Effort::Thorough)] {
+            let direct = session_fingerprint(w, effort, &jobs);
+            let built = crate::SessionKey::new(w, jobs.clone(), effort).fingerprint();
+            assert_eq!(direct, built, "w={w} {effort:?}");
         }
-    }
-
-    #[test]
-    fn solver_configuration_extends_the_key() {
-        let p = ScheduleProblem { tam_width: 8, jobs: vec![job("a", 2, 100, None)] };
-        let base = p.fingerprint_with(Effort::Quick, Engine::Skyline);
-        assert_ne!(base, p.fingerprint_with(Effort::Standard, Engine::Skyline));
-        assert_ne!(base, p.fingerprint_with(Effort::Quick, Engine::Naive));
-        assert_ne!(base, p.fingerprint());
     }
 }

@@ -24,22 +24,24 @@
 //!
 //! The optimizer's hot path is the capacity query "peak TAM usage over
 //! `[t, t + d)`", asked for every candidate start of every staircase point
-//! of every job in every greedy pass. The default [`Engine::Skyline`]
-//! answers it from an incrementally maintained **capacity skyline**: the
+//! of every job in every greedy pass. The skyline engine answers it from
+//! an incrementally maintained **capacity skyline**: the
 //! piecewise-constant usage profile, stored as coordinate-compressed
 //! capacity events in a treap keyed by event time whose nodes carry the
 //! segment usage, a lazy pending range-addition, and the subtree usage
 //! maximum. Placing a `w × d` rectangle is a ranged `+w` update (two event
 //! insertions plus an O(log n) expected range add) and a window-peak query
 //! is an O(log n) expected range-max descent — versus the O(n log n)
-//! rebuild-sort-scan per *query* of the original packer, which survives as
-//! [`Engine::Naive`] for differential tests and A/B benchmarks. On top of
-//! the skyline, the search layer abandons greedy passes whose area/width
-//! lower bound already exceeds the incumbent makespan, and fans the
-//! independent multi-start passes out across cores, reducing them with a
-//! deterministic `(makespan, order index)` minimum. All three mechanisms
-//! are result-preserving: both engines return bit-identical schedules for
-//! any `(problem, effort)` pair.
+//! rebuild-sort-scan per *query* of the original packer, which survives
+//! only as the reference oracle [`Engine::Naive`]: differential tests
+//! compare sessions, planners and from-scratch packs against it through
+//! [`schedule_with_engine`]. Everything else packs with the skyline. On
+//! top of the skyline, the search layer abandons greedy passes whose
+//! area/width lower bound already exceeds the incumbent makespan, and
+//! fans the independent multi-start passes out across cores, reducing
+//! them with a deterministic `(makespan, order index)` minimum. All three
+//! mechanisms are result-preserving: the skyline and the oracle return
+//! bit-identical schedules for any `(problem, effort)` pair.
 //!
 //! # Incremental pack sessions
 //!
@@ -91,7 +93,7 @@ pub use fingerprint::{
 };
 pub use problem::{JobKind, ScheduleProblem, TestJob};
 pub use schedule::{
-    schedule, schedule_with_effort, schedule_with_engine, CheckpointExport, CheckpointImportStats,
-    CheckpointNode, Effort, Engine, PackSession, Schedule, ScheduleError, ScheduledTest,
-    SessionKey, SessionStats, TrieExport,
+    schedule, schedule_with_effort, schedule_with_engine, CheckpointImportStats, CheckpointNode,
+    Effort, Engine, PackSession, Schedule, ScheduleError, ScheduledTest, SessionKey, SessionStats,
+    TrieExport,
 };

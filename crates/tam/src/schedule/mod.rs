@@ -15,20 +15,21 @@
 //!   queries over an incrementally maintained capacity profile whose treap
 //!   arena checkpoints with a flat clone,
 //! * [`naive`] — the original O(n log n)-per-query reference engine, kept
-//!   for differential tests and A/B benchmarks.
+//!   as the oracle differential tests compare against.
 //!
 //! Both engines share the search layer and therefore return identical
-//! schedules; [`Engine`] selects between them. From-scratch scheduling
-//! ([`schedule_with_engine`]) routes through a transient session, so
-//! session delta-packs and from-scratch packs are bit-identical by
-//! construction.
+//! schedules. [`Engine`] selects between them for from-scratch packs
+//! ([`schedule_with_engine`]) only, which route through a transient
+//! session core, so session delta-packs and from-scratch packs are
+//! bit-identical by construction. A [`PackSession`] always packs with the
+//! skyline.
 
 mod naive;
 mod search;
 mod session;
 mod skyline;
 
-pub use search::{CheckpointExport, CheckpointImportStats, CheckpointNode, TrieExport};
+pub use search::{CheckpointImportStats, CheckpointNode, TrieExport};
 pub use session::{PackSession, SessionKey, SessionStats};
 
 /// Small deterministic PRNG shared by the shuffle restarts and the
@@ -351,36 +352,15 @@ impl Effort {
 /// improvement loop) with the identical earliest-start placement rule, so
 /// they return bit-identical schedules for any `(problem, effort)`.
 /// [`Engine::Naive`] exists only as the reference oracle for differential
-/// tests and A/B benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// tests and the bench report's engine comparison; sessions, planners and
+/// services always pack with [`Engine::Skyline`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// Incremental event skyline: O(log n) placement queries, lower-bound
-    /// pruning, parallel multi-start. The default.
-    #[default]
+    /// pruning, parallel multi-start.
     Skyline,
     /// The original rebuild-sort-scan reference path, serial and unpruned.
     Naive,
-}
-
-impl Engine {
-    /// The stable one-byte code fingerprints, snapshots and the wire
-    /// protocol carry for this engine. Codes 2–4 named the removed
-    /// MaxRects, guillotine and portfolio engines and stay unassigned.
-    pub fn code(self) -> u8 {
-        match self {
-            Engine::Skyline => 0,
-            Engine::Naive => 1,
-        }
-    }
-
-    /// Inverts [`Self::code`]; `None` for a code naming no engine.
-    pub fn from_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(Engine::Skyline),
-            1 => Some(Engine::Naive),
-            _ => None,
-        }
-    }
 }
 
 /// Schedules `problem` with [`Effort::Standard`].
@@ -420,8 +400,8 @@ pub fn schedule_with_engine(
     engine: Engine,
 ) -> Result<Schedule, ScheduleError> {
     match engine {
-        Engine::Skyline => search::run::<skyline::SkylineIndex>(problem, effort, engine),
-        Engine::Naive => search::run::<naive::NaiveIndex>(problem, effort, engine),
+        Engine::Skyline => search::run::<skyline::SkylineIndex>(problem, effort),
+        Engine::Naive => search::run::<naive::NaiveIndex>(problem, effort),
     }
 }
 

@@ -1,7 +1,7 @@
 //! The naive reference capacity index.
 //!
 //! This is the original packer's query path, kept byte-for-byte in
-//! behavior as an A/B reference for the skyline engine: every
+//! behavior as the reference oracle for the skyline engine: every
 //! `place_start` query rebuilds and sorts the candidate list and every
 //! capacity probe scans (and sorts) the placed entries. O(n log n) per
 //! *query*, and therefore O(n² log n)–O(n³ log n) per greedy pass — the

@@ -67,7 +67,7 @@ use std::sync::{Arc, Mutex};
 use crate::problem::{ScheduleProblem, TestJob};
 
 use super::session::{SessionCounters, SessionKey};
-use super::{Effort, Engine, Schedule, ScheduleError, ScheduledTest, XorShift64};
+use super::{Effort, Schedule, ScheduleError, ScheduledTest, XorShift64};
 
 /// Default upper bound on stored checkpoints per session.
 ///
@@ -623,24 +623,10 @@ pub struct TrieExport {
     pub nodes: Vec<CheckpointNode>,
 }
 
-/// A whole session's exported checkpoints: one [`TrieExport`] for a
-/// session with stored checkpoints, none for a cold session or a snapshot
-/// record that only names the session of a cached schedule.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CheckpointExport {
-    /// The session's tries: at most one.
-    pub tries: Vec<TrieExport>,
-}
-
-impl CheckpointExport {
-    /// Total exported nodes across the tries.
-    pub fn node_count(&self) -> usize {
-        self.tries.iter().map(|t| t.nodes.len()).sum()
-    }
-
-    /// Total stored checkpoint states across the tries.
+impl TrieExport {
+    /// Stored checkpoint states among the exported nodes.
     pub fn checkpoint_count(&self) -> usize {
-        self.tries.iter().map(|t| t.nodes.iter().filter(|n| n.stored).count()).sum()
+        self.nodes.iter().filter(|n| n.stored).count()
     }
 }
 
@@ -1446,7 +1432,6 @@ impl<C: PackEngine> SessionCore<C> {
 pub(crate) fn run<C: PackEngine>(
     problem: &ScheduleProblem,
     effort: Effort,
-    engine: Engine,
 ) -> Result<Schedule, ScheduleError> {
     let w = problem.tam_width;
     for (i, job) in problem.jobs.iter().enumerate() {
@@ -1466,7 +1451,7 @@ pub(crate) fn run<C: PackEngine>(
     let skeleton: Vec<TestJob> = skeleton_idx.iter().map(|&i| problem.jobs[i].clone()).collect();
     let delta: Vec<TestJob> = delta_idx.iter().map(|&i| problem.jobs[i].clone()).collect();
 
-    let key = Arc::new(SessionKey::new(w, skeleton, effort, engine));
+    let key = Arc::new(SessionKey::new(w, skeleton, effort));
     let schedule = SessionCore::<C>::new(key).pack(&delta, &SessionCounters::default())?;
 
     // Map combined session indices back to the problem's job indices.

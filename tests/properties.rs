@@ -246,32 +246,29 @@ proptest! {
                     .collect()
             })
             .collect();
-        for engine in [Engine::Skyline, Engine::Naive] {
-            // Roomy cap (prefix-trie restores), starved cap (permanent
-            // eviction churn): both must match from-scratch bit for bit.
-            let sessions = [
-                PackSession::new(tam_width, skeleton.clone(), Effort::Quick, engine),
-                PackSession::with_checkpoint_cap(
-                    tam_width, skeleton.clone(), Effort::Quick, engine, 1,
-                ),
-            ];
-            for session in &sessions {
-                for delta in &candidates {
-                    let via_session = session.pack(delta).expect("feasible");
-                    let problem = session.key().problem_for(delta);
-                    let scratch =
-                        schedule_with_engine(&problem, Effort::Quick, engine).expect("feasible");
-                    prop_assert_eq!(&via_session, &scratch, "session diverged on {:?}", engine);
-                    prop_assert!(via_session.validate(&problem).is_ok(),
-                        "{:?}", via_session.validate(&problem));
-                }
+        // Roomy cap (prefix-trie restores), starved cap (permanent
+        // eviction churn): both must match the from-scratch oracle bit for
+        // bit.
+        let sessions = [
+            PackSession::new(tam_width, skeleton.clone(), Effort::Quick),
+            PackSession::with_checkpoint_cap(tam_width, skeleton.clone(), Effort::Quick, 1),
+        ];
+        for session in &sessions {
+            for delta in &candidates {
+                let via_session = session.pack(delta).expect("feasible");
+                let problem = session.key().problem_for(delta);
+                let oracle =
+                    schedule_with_engine(&problem, Effort::Quick, Engine::Naive).expect("feasible");
+                prop_assert_eq!(&via_session, &oracle, "session diverged from the oracle");
+                prop_assert!(via_session.validate(&problem).is_ok(),
+                    "{:?}", via_session.validate(&problem));
             }
-            let stats = sessions[0].stats();
-            prop_assert!(stats.skeleton_hits > 0,
-                "candidates after the first must reuse checkpoints: {:?}", stats);
-            prop_assert_eq!(stats.delta_packs, 3);
-            prop_assert_eq!(stats.evictions, 0, "roomy cap must not evict");
         }
+        let stats = sessions[0].stats();
+        prop_assert!(stats.skeleton_hits > 0,
+            "candidates after the first must reuse checkpoints: {:?}", stats);
+        prop_assert_eq!(stats.delta_packs, 3);
+        prop_assert_eq!(stats.evictions, 0, "roomy cap must not evict");
     }
 
     #[test]
@@ -348,43 +345,39 @@ proptest! {
             }
         }
 
-        for engine in [Engine::Skyline, Engine::Naive] {
-            let opts = || PlannerOptions {
-                effort: Effort::Quick, engine, ..PlannerOptions::default()
-            };
-            let mut table_planner = Planner::with_options(&soc, opts());
-            let report = table_planner
-                .plan_table(&configs, widths, CostWeights::balanced())
-                .expect("table is feasible");
+        let opts = || PlannerOptions { effort: Effort::Quick, ..PlannerOptions::default() };
+        let mut table_planner = Planner::with_options(&soc, opts());
+        let report = table_planner
+            .plan_table(&configs, widths, CostWeights::balanced())
+            .expect("table is feasible");
 
-            // Brute force: every cell packed, no pruning anywhere; winner
-            // by (makespan, config order, width order).
-            let mut reference = Planner::with_options(&soc, opts());
-            let mut best: Option<(usize, usize, u64)> = None;
-            for (ci, config) in configs.iter().enumerate() {
-                for (wi, &w) in widths.iter().enumerate() {
-                    let m = reference.makespan(config, w).expect("cell is feasible");
-                    if let Some(packed) = report.makespan(ci, wi) {
-                        prop_assert_eq!(packed, m,
-                            "packed cell ({}, w={}) diverged on {:?}", config, w, engine);
-                    }
-                    if best.is_none_or(|(_, _, bm)| m < bm) {
-                        best = Some((ci, wi, m));
-                    }
+        // Brute force: every cell's problem packed from scratch by the
+        // naive oracle, no pruning anywhere; winner by (makespan, config
+        // order, width order).
+        let mut reference = Planner::with_options(&soc, opts());
+        let mut best: Option<(usize, usize, u64)> = None;
+        for (ci, config) in configs.iter().enumerate() {
+            for (wi, &w) in widths.iter().enumerate() {
+                let problem = reference.build_problem(config, w);
+                let m = schedule_with_engine(&problem, Effort::Quick, Engine::Naive)
+                    .expect("cell is feasible")
+                    .makespan();
+                if let Some(packed) = report.makespan(ci, wi) {
+                    prop_assert_eq!(packed, m, "packed cell ({}, w={}) diverged", config, w);
+                }
+                if best.is_none_or(|(_, _, bm)| m < bm) {
+                    best = Some((ci, wi, m));
                 }
             }
-            let (ci, wi, m) = best.expect("non-empty matrix");
-            prop_assert_eq!(&report.best.config, &configs[ci],
-                "winner config diverged on {:?}", engine);
-            prop_assert_eq!(report.winner_width, widths[wi],
-                "winner width diverged on {:?}", engine);
-            prop_assert_eq!(report.winner_makespan, m,
-                "winner makespan diverged on {:?}", engine);
-            let s = report.stats;
-            prop_assert_eq!(
-                s.packed + s.width_bound_prunes + s.cost_bound_prunes + s.cross_width_prunes,
-                s.cells, "cell accounting leaks: {:?}", s);
         }
+        let (ci, wi, m) = best.expect("non-empty matrix");
+        prop_assert_eq!(&report.best.config, &configs[ci], "winner config diverged");
+        prop_assert_eq!(report.winner_width, widths[wi], "winner width diverged");
+        prop_assert_eq!(report.winner_makespan, m, "winner makespan diverged");
+        let s = report.stats;
+        prop_assert_eq!(
+            s.packed + s.width_bound_prunes + s.cost_bound_prunes + s.cross_width_prunes,
+            s.cells, "cell accounting leaks: {:?}", s);
     }
 
     #[test]
@@ -616,16 +609,16 @@ proptest! {
         // A starved checkpoint cap must still export and import cleanly —
         // it just carries fewer checkpoints.
         let session = |cap: Option<usize>| match cap {
-            None => PackSession::new(tam_width, skeleton.clone(), Effort::Quick, Engine::Skyline),
-            Some(c) => PackSession::with_checkpoint_cap(
-                tam_width, skeleton.clone(), Effort::Quick, Engine::Skyline, c,
-            ),
+            None => PackSession::new(tam_width, skeleton.clone(), Effort::Quick),
+            Some(c) => {
+                PackSession::with_checkpoint_cap(tam_width, skeleton.clone(), Effort::Quick, c)
+            }
         };
         let cap = if starved { Some(2) } else { None };
         let warm = session(cap);
         let baselines: Vec<_> =
             candidates.iter().map(|d| warm.pack(d).expect("feasible")).collect();
-        let export = warm.export_checkpoints();
+        let export = warm.export_checkpoints().unwrap_or_default();
         if starved {
             prop_assert!(export.checkpoint_count() <= 2, "the cap bounds the export");
         }
@@ -651,9 +644,8 @@ proptest! {
             // If any delta-step checkpoint survived export, the replay
             // must restore past the skeleton at least once.
             let skeleton_len = skeleton.len() as u32;
-            let has_delta_checkpoint = export.tries.iter().any(|t| {
-                t.nodes.iter().any(|n| n.stored && n.job >= skeleton_len)
-            });
+            let has_delta_checkpoint =
+                export.nodes.iter().any(|n| n.stored && n.job >= skeleton_len);
             if has_delta_checkpoint {
                 prop_assert!(after.prefix_hits > before.prefix_hits,
                     "restored delta checkpoints must serve prefix restores: {:?}", after);
