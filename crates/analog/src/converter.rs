@@ -7,7 +7,7 @@
 //! the DAC combines two 4-bit voltage-steering sub-DACs (an 8× reduction in
 //! resistor count). This module models those architectures behaviorally and
 //! accounts for their hardware cost, so the paper's area argument can be
-//! regenerated (`fig4` bench).
+//! regenerated (the `fig4` section of the `paper` report in `msoc-bench`).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -13,7 +13,7 @@
 //! * [`AreaModel::paper_calibrated`] — fixed per-core relative areas
 //!   `{A:20, B:20, C:30, D:70, E:24}` chosen so the sharing-cost structure
 //!   reproduces the paper's qualitative Table 1/Table 4 behaviour (the
-//!   `table1` and `table4` bins of `msoc-bench` print it).
+//!   `paper` report of `msoc-bench` holds both models' costs).
 
 use msoc_analog::converter::{ModularDac, PipelinedAdc};
 use msoc_analog::{AnalogCoreSpec, CoreId};

@@ -52,16 +52,15 @@
 //!   with zero warm-replay misses, plus deterministic queue-depth
 //!   shedding.
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use msoc_analog::paper_cores;
-use msoc_bench::LatencyHistogram;
+use msoc_bench::{render_report, Fields};
 use msoc_core::{
     blob_name, parse_blob_name, recover, CancelToken, CoreEdit, CostWeights, DaemonConfig,
-    Deadline, DirStore, ExportOutcome, FaultyStore, Job, JobBuilder, JobOutcome, MixedSignalSoc,
-    PlanError, PlanReport, PlanService, Planner, PlannerOptions, Priority, ServiceSnapshot,
-    SharingConfig, SnapshotDaemon, SnapshotStore, SocHandle,
+    Deadline, DirStore, ExportOutcome, FaultyStore, Job, JobBuilder, JobOutcome, LatencyHistogram,
+    MixedSignalSoc, PlanError, PlanReport, PlanService, Planner, PlannerOptions, Priority,
+    ServiceSnapshot, SharingConfig, SnapshotDaemon, SnapshotStore, SocHandle,
 };
 use msoc_tam::{
     schedule_with_effort, schedule_with_engine, Effort, Engine, Schedule, ScheduleProblem,
@@ -69,96 +68,6 @@ use msoc_tam::{
 
 const WIDTHS: [u32; 5] = [16, 24, 32, 48, 64];
 const MIN_SKELETON_REUSES_PER_WIDTH: u64 = 20;
-
-/// One exact report value: integers, flags and labels only, so a rerun
-/// reproduces it bit for bit.
-enum Value {
-    Int(u64),
-    Bool(bool),
-    Str(String),
-    Object(Fields),
-    Rows(Vec<Fields>),
-}
-
-/// Named values in output order.
-type Fields = Vec<(&'static str, Value)>;
-
-impl From<u64> for Value {
-    fn from(v: u64) -> Self {
-        Value::Int(v)
-    }
-}
-
-impl From<u32> for Value {
-    fn from(v: u32) -> Self {
-        Value::Int(v.into())
-    }
-}
-
-impl From<usize> for Value {
-    fn from(v: usize) -> Self {
-        Value::Int(v as u64)
-    }
-}
-
-impl From<bool> for Value {
-    fn from(v: bool) -> Self {
-        Value::Bool(v)
-    }
-}
-
-impl From<&str> for Value {
-    fn from(v: &str) -> Self {
-        Value::Str(v.to_owned())
-    }
-}
-
-impl From<String> for Value {
-    fn from(v: String) -> Self {
-        Value::Str(v)
-    }
-}
-
-impl From<Fields> for Value {
-    fn from(v: Fields) -> Self {
-        Value::Object(v)
-    }
-}
-
-impl<const N: usize> From<[Fields; N]> for Value {
-    fn from(v: [Fields; N]) -> Self {
-        Value::Rows(v.into())
-    }
-}
-
-/// Renders `fields` as JSON between `open` and `close`, joined by `sep`.
-/// Objects render on one line; each row of a `Rows` value gets its own.
-fn write_fields(out: &mut String, fields: &Fields, [open, sep, close]: [&str; 3]) {
-    out.push_str(open);
-    for (i, (key, value)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push_str(sep);
-        }
-        let _ = write!(out, "\"{key}\": ");
-        match value {
-            Value::Int(n) => out.push_str(&n.to_string()),
-            Value::Bool(b) => out.push_str(&b.to_string()),
-            Value::Str(s) => out.push_str(&format!("{s:?}")),
-            Value::Object(inner) => write_fields(out, inner, ["{", ", ", "}"]),
-            Value::Rows(rows) => {
-                out.push_str("[\n    ");
-                for (j, row) in rows.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(",\n    ");
-                    }
-                    write_fields(out, row, ["{", ", ", "}"]);
-                }
-                out.push_str("\n  ]");
-            }
-        }
-    }
-    out.push_str(close);
-}
 
 /// Runs `f` once: its result and its wall time in milliseconds.
 fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
@@ -1120,8 +1029,6 @@ fn main() {
         ("resilience", run_resilience().into()),
         ("server", run_server().into()),
     ];
-    let mut json = String::new();
-    write_fields(&mut json, &report, ["{\n  ", ",\n  ", "\n}\n"]);
-    std::fs::write(&out_path, json).expect("write BENCH_schedule.json");
+    std::fs::write(&out_path, render_report(&report)).expect("write BENCH_schedule.json");
     println!("wrote {out_path}");
 }

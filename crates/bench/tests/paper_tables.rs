@@ -1,46 +1,14 @@
 //! Regression tests pinning the reproduced paper tables.
 //!
 //! These encode the *shape* claims of the paper's evaluation section; the
-//! bench binaries print the full tables.
+//! `paper` binary writes the full tables to `PAPER_tables.json`.
 
-use msoc::core::cost::{area_cost, normalized_time_bound};
-use msoc::core::partition::{enumerate_paper, group_by_shape};
-use msoc::core::planner::PlannerOptions;
-use msoc::prelude::*;
-use msoc::tam::Effort;
-
-/// Every T̄_LB entry of the paper's Table 1, keyed by display string.
-/// (Two pairs of rows in the published table are known to be swapped; the
-/// values here follow the arithmetic, which the paper's own anchors
-/// confirm.)
-const TABLE1_TLB: [(&str, f64); 26] = [
-    ("{A,B}", 42.7),
-    ("{A,C}", 68.5),
-    ("{A,D}", 30.2),
-    ("{A,E}", 22.6),
-    ("{C,D}", 56.0),
-    ("{C,E}", 48.4),
-    ("{D,E}", 10.1),
-    ("{A,B,C}", 89.9),
-    ("{A,B,D}", 51.5),
-    ("{A,B,E}", 43.9),
-    ("{A,C,D}", 77.3),
-    ("{A,C,E}", 69.7),
-    ("{A,D,E}", 31.4),
-    ("{C,D,E}", 57.2),
-    ("{A,B,C,D}", 98.7),
-    ("{A,B,C,E}", 91.1),
-    ("{A,B,D,E}", 52.8),
-    ("{A,C,D,E}", 78.6),
-    ("{A,B,C}{D,E}", 89.9),
-    ("{A,B,D}{C,E}", 51.5),
-    ("{A,B,E}{C,D}", 56.0),
-    ("{A,C,D}{B,E}", 77.3),
-    ("{A,C,E}{B,D}", 69.7),
-    ("{B,D,E}{A,C}", 68.5),
-    ("{C,D,E}{A,B}", 57.2),
-    ("{A,B,C,D,E}", 100.0),
-];
+use msoc_awrapper::{AreaModel, SharingPolicy, WrapperDatapath};
+use msoc_bench::TABLE1_T_LB;
+use msoc_core::cost::{area_cost, normalized_time_bound};
+use msoc_core::partition::{enumerate_paper, group_by_shape};
+use msoc_core::{CostWeights, MixedSignalSoc, Planner, PlannerOptions, SharingConfig};
+use msoc_tam::Effort;
 
 #[test]
 fn table1_time_bounds_match_the_paper_within_rounding() {
@@ -49,7 +17,7 @@ fn table1_time_bounds_match_the_paper_within_rounding() {
     assert_eq!(configs.len(), 26);
     for config in &configs {
         let label = config.to_string();
-        let expected = TABLE1_TLB
+        let expected = TABLE1_T_LB
             .iter()
             .find(|(l, _)| *l == label)
             .unwrap_or_else(|| panic!("unknown combination {label}"))
@@ -133,9 +101,9 @@ fn table4_reduction_percentages_match_the_paper() {
 
 #[test]
 fn fig5_wrapper_error_is_paper_scale() {
-    use msoc::analog::circuit::Biquad;
-    use msoc::analog::measure::{extract_cutoff, tone_gain};
-    use msoc::analog::signal::MultiTone;
+    use msoc_analog::circuit::Biquad;
+    use msoc_analog::measure::{extract_cutoff, tone_gain};
+    use msoc_analog::signal::MultiTone;
 
     let dp = WrapperDatapath::new(8, -2.0, 2.0, 50e6, 1.7e6)
         .expect("datapath")
@@ -162,7 +130,7 @@ fn fig5_wrapper_error_is_paper_scale() {
 
 #[test]
 fn fig4_savings_match_the_paper() {
-    use msoc::analog::converter::{FlashAdc, ModularDac, PipelinedAdc, VoltageSteeringDac};
+    use msoc_analog::converter::{FlashAdc, ModularDac, PipelinedAdc, VoltageSteeringDac};
     let flash = FlashAdc::new(8, 0.0, 4.0).hardware_cost();
     let pipe = PipelinedAdc::new(8, 0.0, 4.0).hardware_cost();
     assert_eq!(flash.comparators, 255);

@@ -46,7 +46,6 @@ pub mod cost;
 pub mod metrics;
 pub mod partition;
 pub mod planner;
-pub mod report;
 pub mod service;
 pub mod soc;
 

@@ -1,8 +1,8 @@
 //! Shared measurement primitives: allocation-free latency histograms.
 //!
-//! This used to live in the `msoc-bench` harness; the `msoc_net` server
-//! records per-outcome request latencies with the same histogram, so the
-//! type now lives here and `msoc_bench` re-exports it.
+//! The `msoc_net` server records per-outcome request latencies with this
+//! histogram, and the bench harness records its load trace's latencies
+//! with it too.
 
 /// A log2-bucketed latency histogram: fixed 64-bucket storage, no
 /// allocation on [`record`](Self::record), mergeable across threads.

@@ -7,7 +7,8 @@
 //! time taken to test the SOC is not optimized." This module implements
 //! that baseline — the SOC TAM is partitioned into a few fixed-width
 //! buses, every core is assigned to one bus, and tests on a bus run
-//! serially — so the claim is measurable (`ablation_buses` bench binary).
+//! serially — so the claim is measurable (the `ablation_buses` section of
+//! the `paper` report in `msoc-bench`).
 
 use crate::problem::ScheduleProblem;
 use crate::schedule::{Schedule, ScheduleError, ScheduledTest};

@@ -4,10 +4,10 @@
 //! behavior as the reference oracle for the skyline engine: every
 //! `place_start` query rebuilds and sorts the candidate list and every
 //! capacity probe scans (and sorts) the placed entries. O(n log n) per
-//! *query*, and therefore O(n² log n)–O(n³ log n) per greedy pass — the
-//! benchmarks in `msoc-bench` run both engines to keep the speedup
-//! honest. Search behavior is shared (see [`super::search`]), so for any
-//! problem and effort the two engines return identical schedules.
+//! *query*, and therefore O(n² log n)–O(n³ log n) per greedy pass.
+//! Search behavior is shared (see [`super::search`]), so for any problem
+//! and effort the two engines return identical schedules; differential
+//! tests and the `results` section of the bench report compare them.
 
 use super::search::PackEngine;
 use super::ScheduledTest;

@@ -37,8 +37,9 @@
 //! # Ok::<(), msoc::core::PlanError>(())
 //! ```
 //!
-//! The README's architecture map describes every crate; the `msoc-bench`
-//! crate regenerates every table and figure.
+//! The README's architecture map describes every crate; the `paper`
+//! binary of the `msoc-bench` crate regenerates every table and figure
+//! into `PAPER_tables.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
