@@ -85,6 +85,23 @@ pub enum AnalogTestKind {
     SlewRate,
 }
 
+impl AnalogTestKind {
+    /// Every kind in declaration order, so `ALL[kind as usize] == kind`
+    /// (the kind's code in encoded SOCs).
+    pub const ALL: [AnalogTestKind; 10] = [
+        AnalogTestKind::PassbandGain,
+        AnalogTestKind::CutoffFrequency,
+        AnalogTestKind::Attenuation,
+        AnalogTestKind::Iip3,
+        AnalogTestKind::DcOffset,
+        AnalogTestKind::PhaseMismatch,
+        AnalogTestKind::Thd,
+        AnalogTestKind::Gain,
+        AnalogTestKind::DynamicRange,
+        AnalogTestKind::SlewRate,
+    ];
+}
+
 impl fmt::Display for AnalogTestKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -299,6 +316,9 @@ mod tests {
     fn core_ids_index_in_order() {
         for (i, id) in CoreId::ALL.iter().enumerate() {
             assert_eq!(id.index(), i);
+        }
+        for (i, &kind) in AnalogTestKind::ALL.iter().enumerate() {
+            assert_eq!(kind as usize, i);
         }
     }
 }

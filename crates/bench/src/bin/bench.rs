@@ -970,13 +970,13 @@ fn run_server() -> Fields {
     let shed_server =
         std::thread::spawn(move || msoc_net::serve(shed_listener, &shed_config).expect("serve"));
     let mut shed_client = Client::connect(shed_addr, tenant).expect("shed client");
-    let soc = msoc_net::WireSoc::from_soc(&MixedSignalSoc::d695m());
+    let soc = MixedSignalSoc::d695m();
     let batch: Vec<WireJob> = [16u32, 20, 24, 28]
         .iter()
         .map(|&w| {
             WireJob::new(
                 msoc_net::WireSocRef::Inline(soc.clone()),
-                msoc_net::WireSpec::Single { width: w },
+                msoc_core::JobSpec::Single { width: w },
             )
         })
         .collect();

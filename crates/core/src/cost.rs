@@ -29,14 +29,27 @@ impl CostWeights {
     ///
     /// # Panics
     ///
-    /// Panics if a weight is negative or `w_time + w_area ≠ 1` (±1e-9).
+    /// Panics if a weight is negative or `w_time + w_area ≠ 1` (±1e-9)
+    /// (see [`Self::try_new`]).
     pub fn new(w_time: f64, w_area: f64) -> Self {
-        assert!(w_time >= 0.0 && w_area >= 0.0, "weights must be non-negative");
-        assert!(
-            ((w_time + w_area) - 1.0).abs() < 1e-9,
-            "weights must sum to 1, got {w_time} + {w_area}"
-        );
-        CostWeights { w_time, w_area }
+        CostWeights::try_new(w_time, w_area).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates weights, or says why they are invalid: a negative (or
+    /// NaN) weight, or `w_time + w_area ≠ 1` (±1e-9).
+    ///
+    /// # Errors
+    ///
+    /// The violated condition, rendered.
+    pub fn try_new(w_time: f64, w_area: f64) -> Result<Self, String> {
+        if !(w_time >= 0.0 && w_area >= 0.0) {
+            return Err(format!("weights must be non-negative, got ({w_time}, {w_area})"));
+        }
+        // Both weights are non-negative numbers here, so the sum is not NaN.
+        if ((w_time + w_area) - 1.0).abs() >= 1e-9 {
+            return Err(format!("weights must sum to 1, got {w_time} + {w_area}"));
+        }
+        Ok(CostWeights { w_time, w_area })
     }
 
     /// `W_T = W_A = 0.5`.

@@ -30,17 +30,38 @@ impl SharingConfig {
     ///
     /// # Panics
     ///
-    /// Panics unless `groups` is an exact partition of `0..n_cores`.
+    /// Panics unless `groups` is an exact partition of `0..n_cores` (see
+    /// [`Self::try_new`]).
     pub fn new(n_cores: usize, groups: Vec<Vec<usize>>) -> Self {
+        SharingConfig::try_new(n_cores, groups).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds a configuration from groups over cores `0..n_cores`, or
+    /// says why `groups` is not an exact partition of `0..n_cores`: an
+    /// empty group, an index out of range, a core in two groups, or a
+    /// core in none.
+    ///
+    /// # Errors
+    ///
+    /// The violated condition, rendered.
+    pub fn try_new(n_cores: usize, groups: Vec<Vec<usize>>) -> Result<Self, String> {
         let mut seen = vec![false; n_cores];
         for g in &groups {
-            assert!(!g.is_empty(), "empty wrapper group");
+            if g.is_empty() {
+                return Err("empty wrapper group".into());
+            }
             for &c in g {
-                assert!(c < n_cores, "core index {c} out of range {n_cores}");
-                assert!(!std::mem::replace(&mut seen[c], true), "core {c} in two groups");
+                if c >= n_cores {
+                    return Err(format!("core index {c} out of range {n_cores}"));
+                }
+                if std::mem::replace(&mut seen[c], true) {
+                    return Err(format!("core {c} in two groups"));
+                }
             }
         }
-        assert!(seen.iter().all(|&s| s), "every core needs a wrapper group");
+        if !seen.iter().all(|&s| s) {
+            return Err("every core needs a wrapper group".into());
+        }
         let mut groups: Vec<Vec<usize>> = groups
             .into_iter()
             .map(|mut g| {
@@ -49,7 +70,7 @@ impl SharingConfig {
             })
             .collect();
         groups.sort_by(|a, b| b.len().cmp(&a.len()).then(a.cmp(b)));
-        SharingConfig { groups, n_cores }
+        Ok(SharingConfig { groups, n_cores })
     }
 
     /// The partition with every core on its own wrapper (the `C_A = 100`
@@ -341,6 +362,16 @@ mod tests {
     #[should_panic(expected = "every core")]
     fn missing_core_panics() {
         SharingConfig::new(3, vec![vec![0, 1]]);
+    }
+
+    #[test]
+    fn try_new_names_the_violated_condition() {
+        let err = |n, groups| SharingConfig::try_new(n, groups).unwrap_err();
+        assert_eq!(err(2, vec![vec![0, 1], vec![]]), "empty wrapper group");
+        assert_eq!(err(2, vec![vec![0, 2]]), "core index 2 out of range 2");
+        assert_eq!(err(3, vec![vec![0, 1], vec![1, 2]]), "core 1 in two groups");
+        assert_eq!(err(3, vec![vec![0, 1]]), "every core needs a wrapper group");
+        assert_eq!(SharingConfig::try_new(1, vec![vec![0]]), Ok(SharingConfig::no_sharing(1)));
     }
 
     #[test]

@@ -255,23 +255,26 @@ impl JobBuilder {
         }
     }
 
-    /// One `Cost_Optimizer` run at `width`.
-    pub fn single(mut self, width: u32) -> Self {
-        self.spec = Some(JobSpec::Single { width });
+    /// What the job computes.
+    pub fn spec(mut self, spec: JobSpec) -> Self {
+        self.spec = Some(spec);
         self
     }
 
+    /// One `Cost_Optimizer` run at `width`.
+    pub fn single(self, width: u32) -> Self {
+        self.spec(JobSpec::Single { width })
+    }
+
     /// A cross-width table over `widths`.
-    pub fn table(mut self, widths: Vec<u32>) -> Self {
-        self.spec = Some(JobSpec::Table { widths });
-        self
+    pub fn table(self, widths: Vec<u32>) -> Self {
+        self.spec(JobSpec::Table { widths })
     }
 
     /// A best-width query over `widths` (see [`JobBuilder::config`] for
     /// the target configuration; defaults to the all-share baseline).
-    pub fn best_width(mut self, widths: Vec<u32>) -> Self {
-        self.spec = Some(JobSpec::BestWidth { widths });
-        self
+    pub fn best_width(self, widths: Vec<u32>) -> Self {
+        self.spec(JobSpec::BestWidth { widths })
     }
 
     /// The cost blend weights (default balanced).

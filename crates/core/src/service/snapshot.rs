@@ -69,7 +69,7 @@ use msoc_tam::{
 };
 use msoc_wrapper::{Staircase, StaircasePoint};
 
-use super::codec::{write_iv, write_uv, DecodeError, Reader};
+use super::codec::{write_iv, write_string, write_uv, DecodeError, Reader};
 use super::{PlanService, ScheduleEntry, SessionEntry};
 
 /// Snapshot format magic (8 bytes).
@@ -461,8 +461,7 @@ fn write_placement(out: &mut Vec<u8>, content: Option<&TestJob>, width: u32, sta
 /// staircase (widths strictly increase, times strictly decrease), group
 /// tag, kind byte.
 fn write_content(out: &mut Vec<u8>, job: &TestJob) {
-    write_uv(out, job.label.len() as u64);
-    out.extend_from_slice(job.label.as_bytes());
+    write_string(out, &job.label);
     let points = job.staircase.points();
     write_uv(out, points.len() as u64);
     let mut prev: Option<&StaircasePoint> = None;
@@ -509,9 +508,7 @@ fn decode_v2(r: &mut Reader) -> Result<ServiceSnapshot, DecodeError> {
 /// Reads one session record (see [`ServiceSnapshot::encode`]).
 fn read_session(r: &mut Reader, contents: &[TestJob]) -> Result<Arc<SessionKey>, DecodeError> {
     let tam_width = r.u32()?;
-    let code = r.u8()?;
-    let effort = Effort::from_code(code)
-        .ok_or_else(|| DecodeError::Corrupt(format!("unknown effort code {code}")))?;
+    let effort = r.code(&Effort::ALL, "effort code")?;
     // The retired engine slot: always 0 (the skyline's old code).
     let code = r.u8()?;
     if code != 0 {

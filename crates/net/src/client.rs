@@ -11,9 +11,10 @@
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpStream};
 
+use msoc_core::{CoreEdit, MixedSignalSoc};
+
 use crate::wire::{
-    read_response, write_request, Request, Response, WireEdit, WireError, WireJob, WireOutcome,
-    WireSoc, WireStats,
+    read_response, write_request, Request, Response, WireError, WireJob, WireOutcome, WireStats,
 };
 
 /// A blocking protocol client bound to one server address.
@@ -99,7 +100,7 @@ impl Client {
     ///
     /// Transport errors, or [`WireError::Corrupt`] when the server
     /// answers with anything but a registration.
-    pub fn register(&mut self, soc: WireSoc) -> Result<u64, WireError> {
+    pub fn register(&mut self, soc: MixedSignalSoc) -> Result<u64, WireError> {
         match self.call(&Request::Register { tenant: self.tenant.clone(), soc })? {
             Response::Registered { soc_id } => Ok(soc_id),
             other => Err(unexpected(other)),
@@ -125,7 +126,7 @@ impl Client {
     ///
     /// Transport errors, or [`WireError::Corrupt`] on a non-revision
     /// reply.
-    pub fn revise(&mut self, soc_id: u64, edits: Vec<WireEdit>) -> Result<u64, WireError> {
+    pub fn revise(&mut self, soc_id: u64, edits: Vec<CoreEdit>) -> Result<u64, WireError> {
         match self.call(&Request::Revise { tenant: self.tenant.clone(), soc_id, edits })? {
             Response::Revised { revision, .. } => Ok(revision),
             other => Err(unexpected(other)),

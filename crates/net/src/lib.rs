@@ -4,11 +4,13 @@
 //! The crate turns the in-process [`PlanService`](msoc_core::PlanService)
 //! into a network service without changing any of its semantics:
 //!
-//! - [`wire`] — a hand-rolled length-prefixed binary protocol that
-//!   decodes through the same strict reader
-//!   (`msoc_core::service::codec::Reader`) the snapshot format uses.
-//!   Decoding untrusted bytes returns structured [`WireError`]s and never
-//!   panics or allocates from an untrusted length.
+//! - [`wire`] — a hand-rolled length-prefixed binary protocol whose
+//!   payloads are the planner's own types (`MixedSignalSoc`, `CoreEdit`,
+//!   `JobSpec`, `SharingConfig`, …), encoded and validated by
+//!   `msoc_core::service::codec`, the module that also owns the strict
+//!   reader the snapshot format decodes with. Decoding untrusted bytes
+//!   returns structured [`WireError`]s and never panics or allocates from
+//!   an untrusted length.
 //! - [`server`] — [`serve`] owns N service shards keyed by tenant
 //!   fingerprint, applies admission and queue-depth backpressure
 //!   (overload sheds lowest-priority work as structured `Overloaded`
@@ -36,6 +38,5 @@ pub use loadgen::{build_trace, run_loopback, serial_replay, LoadReport};
 pub use server::{execute_jobs, serve, tenant_shard, ServerConfig, ServerReport, ShardReport};
 pub use wire::{
     frame_request, frame_response, read_request, read_response, write_request, write_response,
-    Request, Response, WireAnalogCore, WireError, WireJob, WireOutcome, WireSoc, WireSocRef,
-    WireSpec, WireStats,
+    Request, Response, WireError, WireJob, WireOutcome, WireSoc, WireSocRef, WireSpec, WireStats,
 };

@@ -17,12 +17,12 @@ use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::Instant;
 
-use msoc_core::{LatencyHistogram, PlanService};
+use msoc_core::{JobSpec, LatencyHistogram, MixedSignalSoc, PlanService, Priority};
 use msoc_tam::StableHasher;
 
 use crate::client::Client;
 use crate::server::execute_jobs;
-use crate::wire::{WireError, WireJob, WireOutcome, WireSoc, WireSocRef, WireSpec};
+use crate::wire::{WireError, WireJob, WireOutcome, WireSocRef};
 
 /// What a loopback run measured.
 #[derive(Debug, Clone)]
@@ -76,7 +76,7 @@ impl Rng {
 /// differs between a warm and a cold cache — and the determinism
 /// oracle replays this trace against a cold service.
 pub fn build_trace(batches: usize, jobs_per_batch: usize, seed: u64) -> Vec<Vec<WireJob>> {
-    let soc = WireSoc::from_soc(&msoc_core::MixedSignalSoc::d695m());
+    let soc = MixedSignalSoc::d695m();
     let mut rng = Rng(seed);
     let widths = [16u32, 20, 24, 28, 32];
     (0..batches)
@@ -86,12 +86,13 @@ pub fn build_trace(batches: usize, jobs_per_batch: usize, seed: u64) -> Vec<Vec<
                     let spec = match rng.next() % 10 {
                         // Mostly single-width plans (the hot path), a
                         // few multi-cell shapes for coverage.
-                        0 => WireSpec::Table { widths: vec![16, 24] },
-                        1 => WireSpec::BestWidth { widths: vec![16, 24, 32] },
-                        _ => WireSpec::Single { width: rng.pick(&widths) },
+                        0 => JobSpec::Table { widths: vec![16, 24] },
+                        1 => JobSpec::BestWidth { widths: vec![16, 24, 32] },
+                        _ => JobSpec::Single { width: rng.pick(&widths) },
                     };
                     let mut job = WireJob::new(WireSocRef::Inline(soc.clone()), spec);
-                    job.priority = (rng.next() % 3) as u8;
+                    job.priority = [Priority::Low, Priority::Normal, Priority::High]
+                        [(rng.next() % 3) as usize];
                     job.cancelled = rng.next() % 16 == 0;
                     job
                 })

@@ -14,9 +14,10 @@
 //! - a [`SnapshotDaemon`] driven from the ticker thread's poll loop
 //!   (differential exports, only dirty service shards re-export) and
 //!   flushed once more on graceful shutdown;
-//! - a SOC registry ([`Request::Register`] / [`Request::Revise`])
-//!   and per-outcome-class latency histograms served back through
-//!   [`Request::Stats`].
+//! - a SOC registry ([`Request::Register`] / [`Request::Revise`]),
+//!   scoped by tenant so a registered id names an SOC only for the
+//!   tenant that registered it, and per-outcome-class latency
+//!   histograms served back through [`Request::Stats`].
 //!
 //! Connections are thread-per-client inside one [`std::thread::scope`],
 //! so every shard borrow is checked and the listener cannot outlive the
@@ -31,14 +32,14 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use msoc_core::{
-    recover, CoreEdit, Deadline, DirStore, ExportOutcome, JobBuilder, LatencyHistogram,
-    PlanService, Priority, ServiceStats, SnapshotDaemon, SocHandle,
+    recover, Deadline, DirStore, ExportOutcome, JobBuilder, LatencyHistogram, PlanService,
+    ServiceStats, SnapshotDaemon, SocHandle,
 };
 use msoc_tam::StableHasher;
 
 use crate::wire::{
-    checked_weights, read_request, write_response, Request, Response, WireError, WireJob,
-    WireLatency, WireOutcome, WireSocRef, WireStats,
+    read_request, write_response, Request, Response, WireError, WireJob, WireLatency, WireOutcome,
+    WireSocRef, WireStats,
 };
 
 /// Outcome classes with a dedicated latency histogram, in histogram
@@ -107,11 +108,15 @@ pub fn tenant_shard(tenant: &str, shards: usize) -> usize {
     (h.finish() % shards.max(1) as u64) as usize
 }
 
-/// One shard's serving state (registry ids are shard-local).
+/// One tenant's registered SOCs by id.
+type Registry = HashMap<u64, SocHandle>;
+
+/// One shard's serving state. Registry ids come from one shard-wide
+/// counter; each tenant sees only the ids it registered.
 struct ShardRuntime<'a, 'b> {
     service: &'a PlanService,
     daemon: Option<Mutex<SnapshotDaemon<'b, DirStore>>>,
-    registry: Mutex<HashMap<u64, SocHandle>>,
+    registry: Mutex<HashMap<String, Registry>>,
     next_soc_id: AtomicU64,
     latency: Mutex<[LatencyHistogram; OUTCOME_CLASSES.len()]>,
 }
@@ -138,10 +143,14 @@ fn class_index(class: &str) -> usize {
 /// This is **the** submission path: the TCP dispatch layer and the
 /// loadgen's serial in-process replay both call it, so "bit-identical
 /// outcomes" compares two runs of the same code over the same inputs —
-/// never two reimplementations. Jobs that fail wire-level validation
-/// (bad weights, bad partitions, unknown registered ids) become
-/// `Rejected` outcomes at their position without disturbing siblings,
-/// exactly like server-side admission does.
+/// never two reimplementations. `registry` is the submitting tenant's
+/// registrations. A job naming an id it does not hold, or one the
+/// [`JobBuilder`] refuses (a zero or repeated width, an empty config
+/// list), becomes a `Rejected` outcome at its position without
+/// disturbing siblings, exactly like server-side admission does. Bad
+/// partitions, bad weights and non-catalog inline SOCs never get here:
+/// the frame decoder refuses them, and the server answers that frame
+/// with one [`Response::Error`].
 pub fn execute_jobs(
     service: &PlanService,
     registry: &HashMap<u64, SocHandle>,
@@ -154,7 +163,7 @@ pub fn execute_jobs(
 /// The registered handle each job names, in job order: `None` for an
 /// inline SOC or an unknown id. One handle clone per job, so the
 /// registry lock (where there is one) is held only for the lookups.
-fn resolve(registry: &HashMap<u64, SocHandle>, jobs: &[WireJob]) -> Vec<Option<SocHandle>> {
+fn resolve(registry: &Registry, jobs: &[WireJob]) -> Vec<Option<SocHandle>> {
     jobs.iter()
         .map(|job| match &job.soc {
             WireSocRef::Registered(id) => registry.get(id).cloned(),
@@ -198,36 +207,23 @@ fn execute_timed(
 }
 
 /// Builds one core job from its wire form; `handle` is the registered
-/// SOC the job names, if the registry knows it.
+/// SOC the job names, if the tenant's registry holds it.
 fn build_job(handle: Option<&SocHandle>, job: &WireJob) -> Result<msoc_core::Job, WireError> {
-    let mut builder = match &job.soc {
-        WireSocRef::Registered(id) => {
-            let handle = handle
-                .ok_or_else(|| WireError::Corrupt(format!("unknown registered soc id {id}")))?;
-            JobBuilder::for_handle(handle)
-        }
-        WireSocRef::Inline(soc) => JobBuilder::new(soc.to_soc()?),
+    let builder = match &job.soc {
+        WireSocRef::Registered(id) => JobBuilder::for_handle(
+            handle.ok_or_else(|| WireError::Corrupt(format!("unknown registered soc id {id}")))?,
+        ),
+        WireSocRef::Inline(soc) => JobBuilder::new(soc.clone()),
     };
-    builder = match &job.spec {
-        crate::wire::WireSpec::Single { width } => builder.single(*width),
-        crate::wire::WireSpec::Table { widths } => builder.table(widths.clone()),
-        crate::wire::WireSpec::BestWidth { widths } => builder.best_width(widths.clone()),
-    };
-    if let Some(configs) = &job.configs {
-        let configs =
-            configs.iter().map(|c| c.to_config()).collect::<Result<Vec<_>, WireError>>()?;
-        builder = builder.configs(configs);
-    }
-    builder = builder
-        .weights(checked_weights(job.w_time, job.w_area)?)
+    let mut builder = builder
+        .spec(job.spec.clone())
+        .weights(job.weights)
         .cost_optimizer_delta(job.delta)
-        .priority(match job.priority {
-            0 => Priority::Low,
-            2 => Priority::High,
-            _ => Priority::Normal,
-        });
-    builder = builder
+        .priority(job.priority)
         .opts(msoc_core::planner::PlannerOptions { effort: job.effort, ..Default::default() });
+    if let Some(configs) = &job.configs {
+        builder = builder.configs(configs.clone());
+    }
     if let Some(checks) = job.deadline_checks {
         builder = builder.deadline(Deadline::checks(checks));
     }
@@ -393,19 +389,23 @@ fn dispatch(request: Request, shards: &[ShardRuntime<'_, '_>]) -> Response {
     match request {
         Request::Register { tenant, soc } => {
             let shard = &shards[tenant_shard(&tenant, shards.len())];
-            match soc.to_soc() {
-                Ok(soc) => {
-                    let handle = shard.service.register(soc);
-                    let soc_id = shard.next_soc_id.fetch_add(1, Ordering::Relaxed);
-                    shard.registry.lock().expect("registry lock").insert(soc_id, handle);
-                    Response::Registered { soc_id }
-                }
-                Err(e) => Response::Error { message: e.to_string() },
-            }
+            let handle = shard.service.register(soc);
+            let soc_id = shard.next_soc_id.fetch_add(1, Ordering::Relaxed);
+            shard
+                .registry
+                .lock()
+                .expect("registry lock")
+                .entry(tenant)
+                .or_default()
+                .insert(soc_id, handle);
+            Response::Registered { soc_id }
         }
         Request::Submit { tenant, jobs } => {
             let shard = &shards[tenant_shard(&tenant, shards.len())];
-            let handles = resolve(&shard.registry.lock().expect("registry lock"), &jobs);
+            let handles = match shard.registry.lock().expect("registry lock").get(&tenant) {
+                Some(registry) => resolve(registry, &jobs),
+                None => vec![None; jobs.len()],
+            };
             let timed = execute_timed(shard.service, &handles, &jobs);
             let mut latency = shard.latency.lock().expect("latency lock");
             for (outcome, wall_us) in &timed {
@@ -416,28 +416,14 @@ fn dispatch(request: Request, shards: &[ShardRuntime<'_, '_>]) -> Response {
         }
         Request::Revise { tenant, soc_id, edits } => {
             let shard = &shards[tenant_shard(&tenant, shards.len())];
-            let mut core_edits = Vec::with_capacity(edits.len());
-            for edit in &edits {
-                let core_edit = match edit {
-                    crate::wire::WireEdit::ReplaceAnalog { index, core } => match core.to_core() {
-                        Ok(core) => CoreEdit::ReplaceAnalog { index: *index as usize, core },
-                        Err(e) => return Response::Error { message: e.to_string() },
-                    },
-                    crate::wire::WireEdit::ReplaceDigital { id, module } => {
-                        CoreEdit::ReplaceDigital { id: *id, module: module.to_module() }
-                    }
-                };
-                core_edits.push(core_edit);
-            }
             let mut registry = shard.registry.lock().expect("registry lock");
-            let Some(handle) = registry.get(&soc_id) else {
+            let Some(handle) = registry.get_mut(&tenant).and_then(|r| r.get_mut(&soc_id)) else {
                 return Response::Error { message: format!("unknown registered soc id {soc_id}") };
             };
-            match handle.revise(&core_edits) {
+            match handle.revise(&edits) {
                 Ok(revised) => {
-                    let revision = revised.revision();
-                    registry.insert(soc_id, revised);
-                    Response::Revised { soc_id, revision }
+                    *handle = revised;
+                    Response::Revised { soc_id, revision: handle.revision() }
                 }
                 Err(e) => Response::Error { message: e.to_string() },
             }

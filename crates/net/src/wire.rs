@@ -19,25 +19,39 @@
 //! remaining bytes cannot hold, are rejected identically on the wire and
 //! on disk.
 //!
+//! # Payloads are domain types
+//!
+//! Requests carry the planner's own types — [`MixedSignalSoc`],
+//! [`CoreEdit`], [`JobSpec`], [`SharingConfig`], [`CostWeights`],
+//! [`Priority`] — encoded by their `msoc_core::service::codec::Codec`
+//! impls, which own those byte layouts. This module owns only the
+//! network's records: the frame, the message envelopes, [`WireJob`]'s
+//! field order and the outcome projection ([`WireOutcome`]).
+//!
 //! # Safety properties
 //!
 //! Decoding untrusted bytes **never panics and never allocates from an
 //! untrusted length**: frame payloads are read in bounded chunks, every
 //! collection count is checked against the bytes actually remaining
 //! (each element consumes at least one byte) before anything is
-//! reserved, and all domain invariants that the core constructors
-//! enforce by panicking — sharing-group partitions, cost-weight sums,
-//! analog catalog names — are pre-validated here and surface as
-//! [`WireError::Corrupt`]. The truncation/bit-flip fuzz suite in
+//! reserved, and every domain value is built through its validating
+//! constructor, so a bad sharing-group partition, cost-weight pair or
+//! analog catalog name is refused when the frame is decoded, as
+//! [`WireError::Corrupt`]. A payload that ends inside a record is
+//! corrupt too: the frame arrived whole, so only EOF on the stream reads
+//! as [`WireError::Truncated`]. The truncation/bit-flip fuzz suite in
 //! `tests/fuzz.rs` holds the protocol to this.
 
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use msoc_analog::{paper_cores, AnalogCoreSpec, AnalogTestKind, AnalogTestSpec, CoreId};
-use msoc_core::service::codec::{write_uv, DecodeError, Reader};
-use msoc_core::{CostWeights, JobOutcome, JobResult, MixedSignalSoc, PlanError, SharingConfig};
-use msoc_itc02::{Module, ModuleTest, Soc};
+use msoc_core::service::codec::{
+    write_f64, write_seq, write_string, write_uv, Codec, DecodeError, Reader,
+};
+use msoc_core::{
+    CoreEdit, CostWeights, JobOutcome, JobResult, JobSpec, MixedSignalSoc, PlanError, Priority,
+    SharingConfig,
+};
 use msoc_tam::{Effort, ScheduledTest};
 
 /// Frame magic.
@@ -60,7 +74,8 @@ const READ_CHUNK: usize = 64 * 1024;
 /// structured error — untrusted bytes never panic the decoder.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// The stream ended inside a frame or a record.
+    /// The stream ended inside a frame. (A complete frame whose payload
+    /// ends inside a record is [`WireError::Corrupt`].)
     Truncated,
     /// The frame does not start with [`WIRE_MAGIC`].
     BadMagic,
@@ -100,10 +115,12 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// Payloads decode from complete frames, so a payload that runs out is
+/// corrupt — never the stream EOF that [`WireError::Truncated`] means.
 impl From<DecodeError> for WireError {
     fn from(e: DecodeError) -> Self {
         match e {
-            DecodeError::Truncated => WireError::Truncated,
+            DecodeError::Truncated => WireError::Corrupt("payload ends inside a record".into()),
             DecodeError::Corrupt(what) => WireError::Corrupt(what),
         }
     }
@@ -132,7 +149,7 @@ pub enum Request {
         /// Tenant name (keys the serving shard).
         tenant: String,
         /// The SOC to register.
-        soc: WireSoc,
+        soc: MixedSignalSoc,
     },
     /// Run a batch of jobs on the tenant's shard.
     Submit {
@@ -150,7 +167,7 @@ pub enum Request {
         /// The registered SOC to revise.
         soc_id: u64,
         /// The edits, applied in order.
-        edits: Vec<WireEdit>,
+        edits: Vec<CoreEdit>,
     },
     /// Fetch the tenant's shard statistics.
     Stats {
@@ -200,109 +217,29 @@ pub enum Response {
     },
 }
 
-/// A [`MixedSignalSoc`] on the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireSoc {
-    /// SOC name.
-    pub name: String,
-    /// Digital SOC name (the ITC'02 benchmark name).
-    pub digital_name: String,
-    /// Digital modules.
-    pub modules: Vec<WireModule>,
-    /// Wrapped analog cores.
-    pub analog: Vec<WireAnalogCore>,
-}
+/// Compatibility name: a job's spec crosses the wire as a [`JobSpec`].
+pub use msoc_core::JobSpec as WireSpec;
 
-/// One digital module on the wire (mirrors `msoc_itc02::Module`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireModule {
-    /// Module id.
-    pub id: u32,
-    /// Hierarchy level (0 = the SOC itself).
-    pub level: u32,
-    /// Functional inputs.
-    pub inputs: u32,
-    /// Functional outputs.
-    pub outputs: u32,
-    /// Bidirectional terminals.
-    pub bidirs: u32,
-    /// Scan-chain lengths.
-    pub scan_chains: Vec<u32>,
-    /// Tests: `(patterns, scan_used, tam_used)`.
-    pub tests: Vec<(u64, bool, bool)>,
-}
+/// Compatibility name for callers written against the old mirror
+/// type: an SOC now crosses the wire as a [`MixedSignalSoc`] itself.
+#[derive(Debug)]
+pub enum WireSoc {}
 
-/// One analog core on the wire (mirrors `msoc_analog::AnalogCoreSpec`;
-/// the name must match the paper catalog — see [`WireSoc::to_soc`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireAnalogCore {
-    /// Paper core id, 0..5 (A..E).
-    pub id: u8,
-    /// Catalog name (validated against the paper cores on decode).
-    pub name: String,
-    /// Converter resolution in bits.
-    pub resolution_bits: u8,
-    /// Tests: `(kind tag, f_low_hz, f_high_hz, sample_rate_hz, cycles,
-    /// tam_width)`.
-    pub tests: Vec<(u8, f64, f64, f64, u64, u32)>,
-}
-
-/// One core edit on the wire (mirrors `msoc_core::CoreEdit`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireEdit {
-    /// Replace the analog core at `index`.
-    ReplaceAnalog {
-        /// Index into the SOC's analog core list.
-        index: u64,
-        /// The replacement core.
-        core: WireAnalogCore,
-    },
-    /// Replace the digital module with id `id`.
-    ReplaceDigital {
-        /// The module id to replace.
-        id: u32,
-        /// The replacement module.
-        module: WireModule,
-    },
+impl WireSoc {
+    /// The SOC to put on the wire — a clone of `soc`.
+    pub fn from_soc(soc: &MixedSignalSoc) -> MixedSignalSoc {
+        soc.clone()
+    }
 }
 
 /// The SOC a wire job plans: a previously registered id, or an inline
 /// SOC carried in the job itself.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireSocRef {
-    /// A [`Request::Register`]ed SOC.
+    /// A [`Request::Register`]ed SOC of the same tenant.
     Registered(u64),
     /// An SOC carried inline.
-    Inline(WireSoc),
-}
-
-/// What a wire job computes (mirrors `msoc_core::JobSpec`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireSpec {
-    /// One `Cost_Optimizer` run at a single TAM width.
-    Single {
-        /// SOC-level TAM width.
-        width: u32,
-    },
-    /// A full config × width table.
-    Table {
-        /// The table's width columns.
-        widths: Vec<u32>,
-    },
-    /// The makespan-minimizing width for one configuration.
-    BestWidth {
-        /// Candidate widths.
-        widths: Vec<u32>,
-    },
-}
-
-/// One sharing configuration on the wire: groups over `0..n_cores`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireConfig {
-    /// Number of analog cores partitioned.
-    pub n_cores: u64,
-    /// The wrapper groups.
-    pub groups: Vec<Vec<u64>>,
+    Inline(MixedSignalSoc),
 }
 
 /// One job on the wire: the full [`JobBuilder`](msoc_core::JobBuilder)
@@ -314,19 +251,17 @@ pub struct WireJob {
     /// The SOC to plan.
     pub soc: WireSocRef,
     /// What to compute.
-    pub spec: WireSpec,
+    pub spec: JobSpec,
     /// Explicit candidate configurations (`None` = enumerate).
-    pub configs: Option<Vec<WireConfig>>,
-    /// Cost weight `W_T` (must pair with `w_area` to sum to 1).
-    pub w_time: f64,
-    /// Cost weight `W_A`.
-    pub w_area: f64,
+    pub configs: Option<Vec<SharingConfig>>,
+    /// Cost weights `(W_T, W_A)`.
+    pub weights: CostWeights,
     /// `Cost_Optimizer` pruning delta.
     pub delta: f64,
     /// Scheduling effort.
     pub effort: Effort,
-    /// Dispatch priority: 0 = low, 1 = normal, 2 = high.
-    pub priority: u8,
+    /// Dispatch priority.
+    pub priority: Priority,
     /// Deterministic check-budget deadline (`None` = none). Wall-clock
     /// deadlines are deliberately not wire-representable: a check budget
     /// expires at the same progress boundary on every host, which the
@@ -340,16 +275,15 @@ pub struct WireJob {
 impl WireJob {
     /// A job with default weights/effort/priority and no
     /// deadline.
-    pub fn new(soc: WireSocRef, spec: WireSpec) -> Self {
+    pub fn new(soc: WireSocRef, spec: JobSpec) -> Self {
         WireJob {
             soc,
             spec,
             configs: None,
-            w_time: 0.5,
-            w_area: 0.5,
+            weights: CostWeights::balanced(),
             delta: 0.0,
             effort: Effort::Quick,
-            priority: 1,
+            priority: Priority::Normal,
             deadline_checks: None,
             cancelled: false,
         }
@@ -543,10 +477,7 @@ impl WireOutcome {
     /// determinism suite compares.
     pub fn encode_batch(outcomes: &[WireOutcome]) -> Vec<u8> {
         let mut out = Vec::new();
-        write_uv(&mut out, outcomes.len() as u64);
-        for o in outcomes {
-            o.encode(&mut out);
-        }
+        write_seq(&mut out, outcomes, WireOutcome::encode);
         out
     }
 }
@@ -558,391 +489,8 @@ impl From<&ScheduledTest> for WireEntry {
 }
 
 // ---------------------------------------------------------------------
-// Validated conversions into core types
-// ---------------------------------------------------------------------
-
-/// Builds [`CostWeights`] from wire floats without panicking: the core
-/// constructor asserts, so the wire layer re-checks and reports.
-///
-/// # Errors
-///
-/// [`WireError::Corrupt`] on negative weights or a sum away from 1.
-pub fn checked_weights(w_time: f64, w_area: f64) -> Result<CostWeights, WireError> {
-    if !(w_time >= 0.0 && w_area >= 0.0 && ((w_time + w_area) - 1.0).abs() < 1e-9) {
-        return Err(WireError::Corrupt(format!("invalid cost weights ({w_time}, {w_area})")));
-    }
-    Ok(CostWeights::new(w_time, w_area))
-}
-
-impl WireConfig {
-    /// A wire config from a core [`SharingConfig`].
-    pub fn from_config(config: &SharingConfig) -> Self {
-        WireConfig {
-            n_cores: config.n_cores() as u64,
-            groups: config.groups().iter().map(|g| g.iter().map(|&c| c as u64).collect()).collect(),
-        }
-    }
-
-    /// Builds the core [`SharingConfig`] without panicking: the core
-    /// constructor asserts an exact partition, so the wire layer
-    /// re-checks and reports.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Corrupt`] unless the groups exactly partition
-    /// `0..n_cores`.
-    pub fn to_config(&self) -> Result<SharingConfig, WireError> {
-        let n = usize::try_from(self.n_cores).ok().filter(|&n| n <= 64).ok_or_else(|| {
-            WireError::Corrupt(format!("implausible core count {}", self.n_cores))
-        })?;
-        let mut seen = vec![false; n];
-        let mut groups: Vec<Vec<usize>> = Vec::with_capacity(self.groups.len().min(n));
-        for group in &self.groups {
-            if group.is_empty() {
-                return Err(WireError::Corrupt("empty wrapper group".into()));
-            }
-            let mut g = Vec::with_capacity(group.len().min(n));
-            for &c in group {
-                let c = usize::try_from(c).ok().filter(|&c| c < n).ok_or_else(|| {
-                    WireError::Corrupt(format!("core index {c} out of range {n}"))
-                })?;
-                if std::mem::replace(&mut seen[c], true) {
-                    return Err(WireError::Corrupt(format!("core {c} in two groups")));
-                }
-                g.push(c);
-            }
-            groups.push(g);
-        }
-        if !seen.iter().all(|&s| s) {
-            return Err(WireError::Corrupt("groups do not cover every core".into()));
-        }
-        Ok(SharingConfig::new(n, groups))
-    }
-}
-
-impl WireModule {
-    /// A wire module from a core [`Module`].
-    pub fn from_module(m: &Module) -> Self {
-        WireModule {
-            id: m.id,
-            level: m.level,
-            inputs: m.inputs,
-            outputs: m.outputs,
-            bidirs: m.bidirs,
-            scan_chains: m.scan_chains.clone(),
-            tests: m.tests.iter().map(|t| (t.patterns, t.scan_used, t.tam_used)).collect(),
-        }
-    }
-
-    /// The core [`Module`].
-    pub fn to_module(&self) -> Module {
-        Module {
-            id: self.id,
-            level: self.level,
-            inputs: self.inputs,
-            outputs: self.outputs,
-            bidirs: self.bidirs,
-            scan_chains: self.scan_chains.clone(),
-            tests: self
-                .tests
-                .iter()
-                .map(|&(patterns, scan_used, tam_used)| ModuleTest {
-                    patterns,
-                    scan_used,
-                    tam_used,
-                })
-                .collect(),
-        }
-    }
-}
-
-impl WireAnalogCore {
-    /// A wire core from a core [`AnalogCoreSpec`].
-    pub fn from_core(core: &AnalogCoreSpec) -> Self {
-        WireAnalogCore {
-            id: core.id.index() as u8,
-            name: core.name.to_string(),
-            resolution_bits: core.resolution_bits,
-            tests: core
-                .tests
-                .iter()
-                .map(|t| {
-                    (
-                        analog_kind_code(t.kind),
-                        t.f_low_hz,
-                        t.f_high_hz,
-                        t.sample_rate_hz,
-                        t.cycles,
-                        t.tam_width,
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    /// The core [`AnalogCoreSpec`]. The `name` must match one of the
-    /// paper catalog's core names — `AnalogCoreSpec::name` is a
-    /// `&'static str`, so decoding resolves through the catalog instead
-    /// of leaking every untrusted string it ever sees.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Corrupt`] on an unknown core id, test kind or
-    /// non-catalog name.
-    pub fn to_core(&self) -> Result<AnalogCoreSpec, WireError> {
-        let id = *CoreId::ALL
-            .get(self.id as usize)
-            .ok_or_else(|| WireError::Corrupt(format!("unknown analog core id {}", self.id)))?;
-        let name = paper_cores().iter().find(|c| c.name == self.name).map(|c| c.name).ok_or_else(
-            || WireError::Corrupt(format!("unknown analog core name {:?}", self.name)),
-        )?;
-        let tests = self
-            .tests
-            .iter()
-            .map(|&(kind, f_low_hz, f_high_hz, sample_rate_hz, cycles, tam_width)| {
-                Ok(AnalogTestSpec {
-                    kind: decode_analog_kind(kind)?,
-                    f_low_hz,
-                    f_high_hz,
-                    sample_rate_hz,
-                    cycles,
-                    tam_width,
-                })
-            })
-            .collect::<Result<Vec<_>, WireError>>()?;
-        Ok(AnalogCoreSpec { id, name, resolution_bits: self.resolution_bits, tests })
-    }
-}
-
-impl WireSoc {
-    /// A wire SOC from a core [`MixedSignalSoc`].
-    pub fn from_soc(soc: &MixedSignalSoc) -> Self {
-        WireSoc {
-            name: soc.name.clone(),
-            digital_name: soc.digital.name.clone(),
-            modules: soc.digital.modules.iter().map(WireModule::from_module).collect(),
-            analog: soc.analog.iter().map(WireAnalogCore::from_core).collect(),
-        }
-    }
-
-    /// The core [`MixedSignalSoc`].
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Corrupt`] when an analog core fails catalog
-    /// resolution (see [`WireAnalogCore::to_core`]).
-    pub fn to_soc(&self) -> Result<MixedSignalSoc, WireError> {
-        let modules = self.modules.iter().map(WireModule::to_module).collect();
-        let analog =
-            self.analog.iter().map(WireAnalogCore::to_core).collect::<Result<Vec<_>, _>>()?;
-        Ok(MixedSignalSoc::new(
-            self.name.clone(),
-            Soc::new(self.digital_name.clone(), modules),
-            analog,
-        ))
-    }
-}
-
-fn analog_kind_code(kind: AnalogTestKind) -> u8 {
-    match kind {
-        AnalogTestKind::PassbandGain => 0,
-        AnalogTestKind::CutoffFrequency => 1,
-        AnalogTestKind::Attenuation => 2,
-        AnalogTestKind::Iip3 => 3,
-        AnalogTestKind::DcOffset => 4,
-        AnalogTestKind::PhaseMismatch => 5,
-        AnalogTestKind::Thd => 6,
-        AnalogTestKind::Gain => 7,
-        AnalogTestKind::DynamicRange => 8,
-        AnalogTestKind::SlewRate => 9,
-    }
-}
-
-fn decode_analog_kind(code: u8) -> Result<AnalogTestKind, WireError> {
-    Ok(match code {
-        0 => AnalogTestKind::PassbandGain,
-        1 => AnalogTestKind::CutoffFrequency,
-        2 => AnalogTestKind::Attenuation,
-        3 => AnalogTestKind::Iip3,
-        4 => AnalogTestKind::DcOffset,
-        5 => AnalogTestKind::PhaseMismatch,
-        6 => AnalogTestKind::Thd,
-        7 => AnalogTestKind::Gain,
-        8 => AnalogTestKind::DynamicRange,
-        9 => AnalogTestKind::SlewRate,
-        other => return Err(WireError::Corrupt(format!("unknown analog test kind {other}"))),
-    })
-}
-
-// ---------------------------------------------------------------------
 // Payload encode/decode
 // ---------------------------------------------------------------------
-
-fn write_string(out: &mut Vec<u8>, s: &str) {
-    write_uv(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn write_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-impl WireModule {
-    fn encode(&self, out: &mut Vec<u8>) {
-        write_uv(out, u64::from(self.id));
-        write_uv(out, u64::from(self.level));
-        write_uv(out, u64::from(self.inputs));
-        write_uv(out, u64::from(self.outputs));
-        write_uv(out, u64::from(self.bidirs));
-        write_uv(out, self.scan_chains.len() as u64);
-        for &c in &self.scan_chains {
-            write_uv(out, u64::from(c));
-        }
-        write_uv(out, self.tests.len() as u64);
-        for &(patterns, scan_used, tam_used) in &self.tests {
-            write_uv(out, patterns);
-            out.push(u8::from(scan_used));
-            out.push(u8::from(tam_used));
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(WireModule {
-            id: r.u32()?,
-            level: r.u32()?,
-            inputs: r.u32()?,
-            outputs: r.u32()?,
-            bidirs: r.u32()?,
-            scan_chains: r.seq(1, Reader::u32)?,
-            tests: r.seq(3, |r| Ok((r.uv()?, r.bool()?, r.bool()?)))?,
-        })
-    }
-}
-
-impl WireAnalogCore {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.id);
-        write_string(out, &self.name);
-        out.push(self.resolution_bits);
-        write_uv(out, self.tests.len() as u64);
-        for &(kind, f_low, f_high, rate, cycles, width) in &self.tests {
-            out.push(kind);
-            write_f64(out, f_low);
-            write_f64(out, f_high);
-            write_f64(out, rate);
-            write_uv(out, cycles);
-            write_uv(out, u64::from(width));
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(WireAnalogCore {
-            id: r.u8()?,
-            name: r.string()?,
-            resolution_bits: r.u8()?,
-            tests: r.seq(27, |r| Ok((r.u8()?, r.f64()?, r.f64()?, r.f64()?, r.uv()?, r.u32()?)))?,
-        })
-    }
-}
-
-impl WireSoc {
-    fn encode(&self, out: &mut Vec<u8>) {
-        write_string(out, &self.name);
-        write_string(out, &self.digital_name);
-        write_uv(out, self.modules.len() as u64);
-        for m in &self.modules {
-            m.encode(out);
-        }
-        write_uv(out, self.analog.len() as u64);
-        for c in &self.analog {
-            c.encode(out);
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(WireSoc {
-            name: r.string()?,
-            digital_name: r.string()?,
-            modules: r.seq(7, WireModule::decode)?,
-            analog: r.seq(4, WireAnalogCore::decode)?,
-        })
-    }
-}
-
-impl WireEdit {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            WireEdit::ReplaceAnalog { index, core } => {
-                out.push(0);
-                write_uv(out, *index);
-                core.encode(out);
-            }
-            WireEdit::ReplaceDigital { id, module } => {
-                out.push(1);
-                write_uv(out, u64::from(*id));
-                module.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.u8()? {
-            0 => WireEdit::ReplaceAnalog { index: r.uv()?, core: WireAnalogCore::decode(r)? },
-            1 => WireEdit::ReplaceDigital { id: r.u32()?, module: WireModule::decode(r)? },
-            other => return Err(DecodeError::Corrupt(format!("unknown edit tag {other}"))),
-        })
-    }
-}
-
-impl WireSpec {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let widths = match self {
-            WireSpec::Single { width } => {
-                out.push(0);
-                write_uv(out, u64::from(*width));
-                return;
-            }
-            WireSpec::Table { widths } => {
-                out.push(1);
-                widths
-            }
-            WireSpec::BestWidth { widths } => {
-                out.push(2);
-                widths
-            }
-        };
-        write_uv(out, widths.len() as u64);
-        for &w in widths {
-            write_uv(out, u64::from(w));
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.u8()? {
-            0 => WireSpec::Single { width: r.u32()? },
-            1 => WireSpec::Table { widths: r.seq(1, Reader::u32)? },
-            2 => WireSpec::BestWidth { widths: r.seq(1, Reader::u32)? },
-            other => return Err(DecodeError::Corrupt(format!("unknown spec tag {other}"))),
-        })
-    }
-}
-
-impl WireConfig {
-    fn encode(&self, out: &mut Vec<u8>) {
-        write_uv(out, self.n_cores);
-        write_uv(out, self.groups.len() as u64);
-        for g in &self.groups {
-            write_uv(out, g.len() as u64);
-            for &c in g {
-                write_uv(out, c);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(WireConfig { n_cores: r.uv()?, groups: r.seq(1, |r| r.seq(1, Reader::uv))? })
-    }
-}
 
 impl WireSocRef {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -961,7 +509,7 @@ impl WireSocRef {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(match r.u8()? {
             0 => WireSocRef::Registered(r.uv()?),
-            1 => WireSocRef::Inline(WireSoc::decode(r)?),
+            1 => WireSocRef::Inline(MixedSignalSoc::decode(r)?),
             other => return Err(DecodeError::Corrupt(format!("unknown soc-ref tag {other}"))),
         })
     }
@@ -975,17 +523,13 @@ impl WireJob {
             None => out.push(0),
             Some(configs) => {
                 out.push(1);
-                write_uv(out, configs.len() as u64);
-                for c in configs {
-                    c.encode(out);
-                }
+                write_seq(out, configs, SharingConfig::encode);
             }
         }
-        write_f64(out, self.w_time);
-        write_f64(out, self.w_area);
+        self.weights.encode(out);
         write_f64(out, self.delta);
         out.push(self.effort.code());
-        out.push(self.priority);
+        self.priority.encode(out);
         match self.deadline_checks {
             None => out.push(0),
             Some(checks) => {
@@ -998,40 +542,24 @@ impl WireJob {
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let corrupt = DecodeError::Corrupt;
-        let soc = WireSocRef::decode(r)?;
-        let spec = WireSpec::decode(r)?;
-        let configs = match r.u8()? {
-            0 => None,
-            1 => Some(r.seq(2, WireConfig::decode)?),
-            other => return Err(corrupt(format!("invalid option byte {other}"))),
-        };
-        let w_time = r.f64()?;
-        let w_area = r.f64()?;
-        let delta = r.f64()?;
-        let code = r.u8()?;
-        let effort = Effort::from_code(code)
-            .ok_or_else(|| corrupt(format!("unknown effort code {code}")))?;
-        let priority = match r.u8()? {
-            p @ 0..=2 => p,
-            other => return Err(corrupt(format!("unknown priority {other}"))),
-        };
-        let deadline_checks = match r.u8()? {
-            0 => None,
-            1 => Some(r.uv()?),
-            other => return Err(corrupt(format!("invalid option byte {other}"))),
-        };
-        let cancelled = r.bool()?;
         Ok(WireJob {
-            soc,
-            spec,
-            configs,
-            w_time,
-            w_area,
-            delta,
-            effort,
-            priority,
-            deadline_checks,
-            cancelled,
+            soc: WireSocRef::decode(r)?,
+            spec: JobSpec::decode(r)?,
+            configs: match r.u8()? {
+                0 => None,
+                1 => Some(r.seq(2, SharingConfig::decode)?),
+                other => return Err(corrupt(format!("invalid option byte {other}"))),
+            },
+            weights: CostWeights::decode(r)?,
+            delta: r.f64()?,
+            effort: r.code(&Effort::ALL, "effort code")?,
+            priority: Priority::decode(r)?,
+            deadline_checks: match r.u8()? {
+                0 => None,
+                1 => Some(r.uv()?),
+                other => return Err(corrupt(format!("invalid option byte {other}"))),
+            },
+            cancelled: r.bool()?,
         })
     }
 }
@@ -1083,13 +611,11 @@ impl WireResult {
                 write_uv(out, u64::from(*tam_width));
                 write_uv(out, *makespan);
                 write_uv(out, *cost_bits);
-                write_uv(out, schedule.len() as u64);
-                for e in schedule {
-                    write_uv(out, e.job);
-                    write_uv(out, u64::from(e.width));
-                    write_uv(out, e.start);
-                    write_uv(out, e.end);
-                }
+                write_seq(out, schedule, |e, out| {
+                    for v in [e.job, u64::from(e.width), e.start, e.end] {
+                        write_uv(out, v);
+                    }
+                });
             }
             WireResult::Table {
                 config,
@@ -1101,11 +627,9 @@ impl WireResult {
             } => {
                 out.push(1);
                 write_string(out, config);
-                write_uv(out, u64::from(*winner_width));
-                write_uv(out, *winner_makespan);
-                write_uv(out, *cost_bits);
-                write_uv(out, *cells);
-                write_uv(out, *packed);
+                for v in [u64::from(*winner_width), *winner_makespan, *cost_bits, *cells, *packed] {
+                    write_uv(out, v);
+                }
             }
             WireResult::BestWidth { config, width, makespan } => {
                 out.push(2);
@@ -1143,24 +667,27 @@ impl WireResult {
 
 impl WireStats {
     fn encode(&self, out: &mut Vec<u8>) {
-        write_uv(out, self.shard);
-        write_uv(out, self.jobs_submitted);
-        write_uv(out, self.jobs_shed);
-        write_uv(out, self.jobs_failed);
-        write_uv(out, self.schedule_hits);
-        write_uv(out, self.schedule_misses);
-        write_uv(out, self.session_hits);
-        write_uv(out, self.session_misses);
-        write_uv(out, self.live_sessions);
-        write_uv(out, self.snapshots_persisted);
-        write_uv(out, self.shard_exports_reused);
-        write_uv(out, self.latency.len() as u64);
-        for l in &self.latency {
-            write_string(out, &l.outcome);
-            write_uv(out, l.count);
-            write_uv(out, l.p50_us);
-            write_uv(out, l.p99_us);
+        for v in [
+            self.shard,
+            self.jobs_submitted,
+            self.jobs_shed,
+            self.jobs_failed,
+            self.schedule_hits,
+            self.schedule_misses,
+            self.session_hits,
+            self.session_misses,
+            self.live_sessions,
+            self.snapshots_persisted,
+            self.shard_exports_reused,
+        ] {
+            write_uv(out, v);
         }
+        write_seq(out, &self.latency, |l, out| {
+            write_string(out, &l.outcome);
+            for v in [l.count, l.p50_us, l.p99_us] {
+                write_uv(out, v);
+            }
+        });
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
@@ -1201,19 +728,13 @@ impl Request {
             Request::Submit { tenant, jobs } => {
                 write_uv(&mut out, 2);
                 write_string(&mut out, tenant);
-                write_uv(&mut out, jobs.len() as u64);
-                for job in jobs {
-                    job.encode(&mut out);
-                }
+                write_seq(&mut out, jobs, WireJob::encode);
             }
             Request::Revise { tenant, soc_id, edits } => {
                 write_uv(&mut out, 3);
                 write_string(&mut out, tenant);
                 write_uv(&mut out, *soc_id);
-                write_uv(&mut out, edits.len() as u64);
-                for edit in edits {
-                    edit.encode(&mut out);
-                }
+                write_seq(&mut out, edits, CoreEdit::encode);
             }
             Request::Stats { tenant } => {
                 write_uv(&mut out, 4);
@@ -1233,12 +754,12 @@ impl Request {
     pub fn decode_payload(payload: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(payload);
         let request = match r.uv()? {
-            1 => Request::Register { tenant: r.string()?, soc: WireSoc::decode(&mut r)? },
+            1 => Request::Register { tenant: r.string()?, soc: MixedSignalSoc::decode(&mut r)? },
             2 => Request::Submit { tenant: r.string()?, jobs: r.seq(2, WireJob::decode)? },
             3 => Request::Revise {
                 tenant: r.string()?,
                 soc_id: r.uv()?,
-                edits: r.seq(2, WireEdit::decode)?,
+                edits: r.seq(2, CoreEdit::decode)?,
             },
             4 => Request::Stats { tenant: r.string()? },
             5 => Request::SnapshotNow,
@@ -1261,10 +782,7 @@ impl Response {
             }
             Response::Outcomes(outcomes) => {
                 write_uv(&mut out, 2);
-                write_uv(&mut out, outcomes.len() as u64);
-                for o in outcomes {
-                    o.encode(&mut out);
-                }
+                write_seq(&mut out, outcomes, WireOutcome::encode);
             }
             Response::Revised { soc_id, revision } => {
                 write_uv(&mut out, 3);
@@ -1426,31 +944,33 @@ pub fn frame_response(response: &Response) -> Vec<u8> {
 
 #[cfg(test)]
 mod tests {
+    use msoc_analog::paper_cores;
+
     use super::*;
 
-    fn demo_soc() -> WireSoc {
-        WireSoc::from_soc(&MixedSignalSoc::d695m())
-    }
-
     fn demo_job() -> WireJob {
-        let mut job = WireJob::new(WireSocRef::Inline(demo_soc()), WireSpec::Single { width: 16 });
-        job.priority = 2;
+        let mut job = WireJob::new(
+            WireSocRef::Inline(MixedSignalSoc::d695m()),
+            JobSpec::Single { width: 16 },
+        );
+        job.priority = Priority::High;
         job.deadline_checks = Some(10_000);
         job
     }
 
     #[test]
     fn requests_roundtrip_through_frames() {
+        let module = MixedSignalSoc::d695m().digital.modules[2].clone();
         let requests = vec![
-            Request::Register { tenant: "acme".into(), soc: demo_soc() },
+            Request::Register { tenant: "acme".into(), soc: MixedSignalSoc::d695m() },
             Request::Submit { tenant: "acme".into(), jobs: vec![demo_job()] },
             Request::Revise {
                 tenant: "acme".into(),
                 soc_id: 7,
-                edits: vec![WireEdit::ReplaceAnalog {
-                    index: 0,
-                    core: WireAnalogCore::from_core(&paper_cores()[2]),
-                }],
+                edits: vec![
+                    CoreEdit::ReplaceAnalog { index: 0, core: paper_cores()[2].clone() },
+                    CoreEdit::ReplaceDigital { id: module.id, module },
+                ],
             },
             Request::Stats { tenant: "acme".into() },
             Request::SnapshotNow,
@@ -1507,28 +1027,60 @@ mod tests {
     #[test]
     fn inline_socs_resolve_back_to_core_types() {
         let soc = MixedSignalSoc::d695m();
-        let wire = WireSoc::from_soc(&soc);
-        let back = wire.to_soc().expect("catalog names resolve");
-        assert_eq!(back.name, soc.name);
-        assert_eq!(back.digital, soc.digital);
-        assert_eq!(back.analog, soc.analog);
+        let job = WireJob::new(WireSocRef::Inline(soc), JobSpec::BestWidth { widths: vec![24] });
+        let request = Request::Submit { tenant: "acme".into(), jobs: vec![job] };
+        assert_eq!(Request::decode_payload(&request.encode_payload()), Ok(request));
+    }
+
+    #[test]
+    fn valid_configs_and_weights_convert() {
+        let mut job = WireJob::new(WireSocRef::Registered(1), JobSpec::Table { widths: vec![8] });
+        job.configs = Some(vec![SharingConfig::new(3, vec![vec![0, 2], vec![1]])]);
+        job.weights = CostWeights::area_heavy();
+        job.priority = Priority::Low;
+        let request = Request::Submit { tenant: "acme".into(), jobs: vec![job] };
+        assert_eq!(Request::decode_payload(&request.encode_payload()), Ok(request));
+    }
+
+    /// `bytes` with the one occurrence of `from` replaced by `to`.
+    fn patch(bytes: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
+        let at: Vec<usize> =
+            (0..=bytes.len() - from.len()).filter(|&i| bytes[i..].starts_with(from)).collect();
+        assert_eq!(at.len(), 1, "{from:?} must occur exactly once");
+        [&bytes[..at[0]], to, &bytes[at[0] + from.len()..]].concat()
+    }
+
+    fn corrupt_with(payload: &[u8], what: &str) {
+        match Request::decode_payload(payload) {
+            Err(WireError::Corrupt(message)) => assert!(message.contains(what), "{message}"),
+            other => panic!("expected a corrupt payload ({what}), got {other:?}"),
+        }
     }
 
     #[test]
     fn hostile_values_decode_to_structured_errors() {
-        // Unknown catalog name.
-        let mut core = WireAnalogCore::from_core(&paper_cores()[0]);
-        core.name = "not a paper core".into();
-        assert!(matches!(core.to_core(), Err(WireError::Corrupt(_))));
-        // Bad weights and bad partitions fail instead of panicking.
-        assert!(checked_weights(0.9, 0.2).is_err());
-        assert!(checked_weights(-0.5, 1.5).is_err());
-        let config = WireConfig { n_cores: 3, groups: vec![vec![0, 1], vec![1, 2]] };
-        assert!(matches!(config.to_config(), Err(WireError::Corrupt(_))));
-        let config = WireConfig { n_cores: 3, groups: vec![vec![0, 1]] };
-        assert!(config.to_config().is_err());
-        let config = WireConfig { n_cores: u64::MAX, groups: vec![] };
-        assert!(config.to_config().is_err());
+        // A non-catalog analog core name.
+        let mut soc = MixedSignalSoc::d695m();
+        soc.analog[0].name = "not a paper core";
+        let register = Request::Register { tenant: "acme".into(), soc };
+        corrupt_with(&register.encode_payload(), "unknown analog core name");
+
+        // Bad weights and bad partitions, spliced into a valid job's
+        // bytes, fail the decode instead of panicking a constructor.
+        let mut job = WireJob::new(WireSocRef::Registered(3), JobSpec::Table { widths: vec![16] });
+        job.configs = Some(vec![SharingConfig::new(3, vec![vec![0, 1], vec![2]])]);
+        let payload = Request::Submit { tenant: "acme".into(), jobs: vec![job] }.encode_payload();
+        let weights = |t: f64, a: f64| [t.to_le_bytes(), a.to_le_bytes()].concat();
+        for (t, a) in [(0.9, 0.2), (-0.5, 1.5)] {
+            corrupt_with(&patch(&payload, &weights(0.5, 0.5), &weights(t, a)), "weights must");
+        }
+        let config = [3, 2, 2, 0, 1, 1, 2];
+        corrupt_with(&patch(&payload, &config, &[3, 2, 2, 0, 1, 1, 1]), "core 1 in two groups");
+        corrupt_with(&patch(&payload, &config, &[4, 2, 2, 0, 1, 1, 2]), "every core");
+        let mut huge = vec![0xff; 9];
+        huge.extend_from_slice(&[0x01, 2, 2, 0, 1, 1, 2]);
+        corrupt_with(&patch(&payload, &config, &huge), "implausible core count");
+
         // A frame claiming more payload than the cap is rejected before
         // any allocation.
         let mut bytes = frame_request(&Request::SnapshotNow);
@@ -1563,10 +1115,12 @@ mod tests {
     }
 
     #[test]
-    fn valid_configs_and_weights_convert() {
-        let config = WireConfig::from_config(&SharingConfig::new(3, vec![vec![0, 2], vec![1]]));
-        let back = config.to_config().expect("valid partition");
-        assert_eq!(WireConfig::from_config(&back), config);
-        assert_eq!(checked_weights(0.5, 0.5).unwrap(), CostWeights::balanced());
+    fn a_payload_cut_inside_a_record_is_corrupt() {
+        let payload = Request::Stats { tenant: "acme".into() }.encode_payload();
+        let cut = Request::decode_payload(&payload[..payload.len() - 2]);
+        assert!(matches!(cut, Err(WireError::Corrupt(_))), "{cut:?}");
+        let payload = Response::Registered { soc_id: 300 }.encode_payload();
+        let cut = Response::decode_payload(&payload[..payload.len() - 1]);
+        assert!(matches!(cut, Err(WireError::Corrupt(_))), "{cut:?}");
     }
 }

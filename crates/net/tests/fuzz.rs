@@ -6,35 +6,41 @@
 //! mutation to decode to a structured [`WireError`]: no panic, no
 //! unbounded allocation, no wrong-type success.
 
-use msoc_core::MixedSignalSoc;
+use msoc_core::{CoreEdit, CostWeights, JobSpec, MixedSignalSoc, Priority, SharingConfig};
 use msoc_net::wire::{
-    frame_request, frame_response, read_request, read_response, Request, Response, WireAnalogCore,
-    WireEdit, WireEntry, WireError, WireJob, WireLatency, WireOutcome, WireResult, WireSoc,
-    WireSocRef, WireSpec, WireStats,
+    frame_request, frame_response, read_request, read_response, Request, Response, WireEntry,
+    WireError, WireJob, WireLatency, WireOutcome, WireResult, WireSocRef, WireStats, WIRE_VERSION,
 };
+use msoc_tam::{Effort, StableHasher};
 
+/// One request of each kind. The `Submit` carries an inline SOC,
+/// explicit configs, a deadline, a pre-cancelled job and every spec
+/// shape; the `Revise` carries both edit kinds.
 fn corpus_requests() -> Vec<Request> {
-    let soc = WireSoc::from_soc(&MixedSignalSoc::d695m());
+    let soc = MixedSignalSoc::d695m();
     let mut job =
-        WireJob::new(WireSocRef::Inline(soc.clone()), WireSpec::Table { widths: vec![16, 24] });
-    job.priority = 2;
+        WireJob::new(WireSocRef::Inline(soc.clone()), JobSpec::Table { widths: vec![16, 24] });
+    let config = SharingConfig::new(5, vec![vec![4, 0], vec![1], vec![3, 2]]);
+    job.configs = Some(vec![config]);
+    job.weights = CostWeights::time_heavy();
+    job.effort = Effort::Thorough;
+    job.priority = Priority::High;
     job.deadline_checks = Some(500);
+    let mut cancelled = WireJob::new(WireSocRef::Registered(3), JobSpec::Single { width: 16 });
+    cancelled.priority = Priority::Low;
+    cancelled.cancelled = true;
+    let best = WireJob::new(WireSocRef::Registered(3), JobSpec::BestWidth { widths: vec![40] });
+    let module = soc.digital.modules[3].clone();
     vec![
         Request::Register { tenant: "acme".into(), soc: soc.clone() },
-        Request::Submit {
-            tenant: "acme".into(),
-            jobs: vec![
-                job,
-                WireJob::new(WireSocRef::Registered(3), WireSpec::Single { width: 16 }),
-            ],
-        },
+        Request::Submit { tenant: "acme".into(), jobs: vec![job, cancelled, best] },
         Request::Revise {
             tenant: "acme".into(),
             soc_id: 3,
-            edits: vec![WireEdit::ReplaceAnalog {
-                index: 1,
-                core: WireAnalogCore::from_core(&msoc_analog::paper_cores()[1]),
-            }],
+            edits: vec![
+                CoreEdit::ReplaceAnalog { index: 1, core: msoc_analog::paper_cores()[1].clone() },
+                CoreEdit::ReplaceDigital { id: module.id, module },
+            ],
         },
         Request::Stats { tenant: "acme".into() },
         Request::SnapshotNow,
@@ -42,6 +48,8 @@ fn corpus_requests() -> Vec<Request> {
     ]
 }
 
+/// One response of each kind; the `Outcomes` carries every outcome and
+/// result shape.
 fn corpus_responses() -> Vec<Response> {
     vec![
         Response::Registered { soc_id: 9 },
@@ -56,7 +64,23 @@ fn corpus_responses() -> Vec<Response> {
                     WireEntry { job: 1, width: 8, start: 100, end: 420 },
                 ],
             }),
+            WireOutcome::Completed(WireResult::Table {
+                config: "{A,B}".into(),
+                winner_width: 32,
+                winner_makespan: 9_000,
+                cost_bits: 61.5f64.to_bits(),
+                cells: 78,
+                packed: 12,
+            }),
+            WireOutcome::Completed(WireResult::BestWidth {
+                config: "no-sharing".into(),
+                width: 40,
+                makespan: 8_100,
+            }),
+            WireOutcome::DeadlineExceeded,
+            WireOutcome::Cancelled,
             WireOutcome::Overloaded { cap: 2, batch: 7 },
+            WireOutcome::Rejected { error: "unknown registered soc id 4".into() },
             WireOutcome::Failed { message: "panic: synthetic".into() },
         ]),
         Response::Revised { soc_id: 9, revision: 4 },
@@ -78,6 +102,45 @@ fn corpus_responses() -> Vec<Response> {
     ]
 }
 
+/// Every corpus message, framed.
+fn corpus_frames() -> Vec<Vec<u8>> {
+    let requests = corpus_requests().iter().map(frame_request).collect::<Vec<_>>();
+    requests.into_iter().chain(corpus_responses().iter().map(frame_response)).collect()
+}
+
+#[test]
+fn every_message_kind_keeps_its_pinned_frame_bytes() {
+    // `(length, stable digest)` of each corpus frame: a change to any
+    // record's layout moves a pin here, and `WIRE_VERSION` with it.
+    assert_eq!(WIRE_VERSION, 2);
+    let pins: Vec<(usize, u64)> = corpus_frames()
+        .iter()
+        .map(|frame| {
+            let mut h = StableHasher::new();
+            h.write_bytes(frame);
+            (frame.len(), h.finish())
+        })
+        .collect();
+    assert_eq!(
+        pins,
+        [
+            (848, 0x992baa7484ac90c5), // Register
+            (963, 0x2569893237a0df53), // Submit
+            (226, 0x7f93ef28719926c3), // Revise
+            (13, 0x213b8d97d5c3f87e),  // Stats
+            (8, 0x7e3cfb567a751710),   // SnapshotNow
+            (8, 0x7e3cfe567a751c29),   // Shutdown
+            (9, 0x3ccca7e9b014138d),   // Registered
+            (138, 0x143d19cb347fba16), // Outcomes
+            (10, 0xe642f70def53849c),  // Revised
+            (35, 0xc560a07c6ab8ba5f),  // Stats
+            (9, 0x3cda35e9b01f8f33),   // SnapshotDone
+            (8, 0x758cb35675875060),   // ShuttingDown
+            (36, 0xdeb50bbed9a27c2a),  // Error
+        ]
+    );
+}
+
 /// Drives both decoders over one mutated frame. Either may fail — both
 /// must fail *structurally*. Successful decodes are fine too (a bit
 /// flip inside a string payload can still be a valid message); what
@@ -90,11 +153,7 @@ fn decode_both(bytes: &[u8]) {
 
 #[test]
 fn every_truncation_offset_decodes_to_a_structured_error() {
-    let frames: Vec<Vec<u8>> = corpus_requests()
-        .iter()
-        .map(frame_request)
-        .chain(corpus_responses().iter().map(frame_response))
-        .collect();
+    let frames = corpus_frames();
     // Debug builds walk a stride to keep the suite quick; release (the
     // tier-1 configuration) visits every offset of every frame.
     let stride = if cfg!(debug_assertions) { 37 } else { 1 };
@@ -117,11 +176,7 @@ fn every_truncation_offset_decodes_to_a_structured_error() {
 
 #[test]
 fn strided_bit_flips_never_panic_the_decoders() {
-    let frames: Vec<Vec<u8>> = corpus_requests()
-        .iter()
-        .map(frame_request)
-        .chain(corpus_responses().iter().map(frame_response))
-        .collect();
+    let frames = corpus_frames();
     let stride = if cfg!(debug_assertions) { 37 } else { 1 };
     for frame in &frames {
         for offset in (0..frame.len()).step_by(stride) {

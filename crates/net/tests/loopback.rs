@@ -8,11 +8,10 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
 use msoc_analog::paper_cores;
-use msoc_core::MixedSignalSoc;
-use msoc_net::wire::{frame_request, read_response, Request, Response, WireEdit};
+use msoc_core::{CoreEdit, JobSpec, MixedSignalSoc, SharingConfig};
+use msoc_net::wire::{frame_request, read_response, Request, Response};
 use msoc_net::{
-    build_trace, run_loopback, Client, ServerConfig, ServerReport, WireAnalogCore, WireJob,
-    WireOutcome, WireSoc, WireSocRef, WireSpec,
+    build_trace, run_loopback, Client, ServerConfig, ServerReport, WireJob, WireOutcome, WireSocRef,
 };
 use msoc_tam::Effort;
 
@@ -27,6 +26,17 @@ fn with_server<T>(config: ServerConfig, f: impl FnOnce(SocketAddr) -> T) -> (Ser
     let mut control = Client::connect(addr, "control").expect("control client");
     control.shutdown().expect("graceful shutdown");
     (server.join().expect("server thread"), out)
+}
+
+/// Sends `frame` on a fresh raw connection and requires the server to
+/// answer it with an error naming `what`.
+fn answers_with_error(addr: SocketAddr, frame: &[u8], what: &str) {
+    let mut raw = TcpStream::connect(addr).expect("raw connect");
+    raw.write_all(frame).expect("send a hostile frame");
+    match read_response(&mut raw) {
+        Ok(Response::Error { message }) => assert!(message.contains(what), "{message}"),
+        other => panic!("a hostile frame must be answered with an error ({what}), got {other:?}"),
+    }
 }
 
 #[test]
@@ -55,17 +65,15 @@ fn concurrent_tcp_load_is_bit_identical_to_serial_replay() {
 fn register_submit_revise_stats_round_trip() {
     let (server_report, ()) = with_server(ServerConfig::default(), |addr| {
         let mut client = Client::connect(addr, "tenant-a").expect("connect");
-        let soc_id = client
-            .register(WireSoc::from_soc(&MixedSignalSoc::d695m()))
-            .expect("register the paper SOC");
+        let soc_id = client.register(MixedSignalSoc::d695m()).expect("register the paper SOC");
 
         // Submit against the registered id: one plan, one pre-cancelled.
         let mut cancelled =
-            WireJob::new(WireSocRef::Registered(soc_id), WireSpec::Single { width: 24 });
+            WireJob::new(WireSocRef::Registered(soc_id), JobSpec::Single { width: 24 });
         cancelled.cancelled = true;
         let outcomes = client
             .submit(vec![
-                WireJob::new(WireSocRef::Registered(soc_id), WireSpec::Single { width: 16 }),
+                WireJob::new(WireSocRef::Registered(soc_id), JobSpec::Single { width: 16 }),
                 cancelled,
             ])
             .expect("submit");
@@ -75,16 +83,16 @@ fn register_submit_revise_stats_round_trip() {
 
         // Revise core C, resubmit — the revision plans fine and the id
         // stays stable.
-        let mut replacement = WireAnalogCore::from_core(&paper_cores()[2]);
+        let mut replacement = paper_cores()[2].clone();
         replacement.resolution_bits += 2;
         let revision = client
-            .revise(soc_id, vec![WireEdit::ReplaceAnalog { index: 2, core: replacement }])
+            .revise(soc_id, vec![CoreEdit::ReplaceAnalog { index: 2, core: replacement }])
             .expect("revise");
         assert_eq!(revision, 1, "first revision of a fresh registration");
         let outcomes = client
             .submit(vec![WireJob::new(
                 WireSocRef::Registered(soc_id),
-                WireSpec::Single { width: 16 },
+                JobSpec::Single { width: 16 },
             )])
             .expect("submit revised");
         assert!(matches!(outcomes[0], WireOutcome::Completed(_)), "{:?}", outcomes[0]);
@@ -103,7 +111,7 @@ fn register_submit_revise_stats_round_trip() {
 
         // Unknown ids and malformed jobs answer structurally.
         let outcomes = client
-            .submit(vec![WireJob::new(WireSocRef::Registered(999), WireSpec::Single { width: 16 })])
+            .submit(vec![WireJob::new(WireSocRef::Registered(999), JobSpec::Single { width: 16 })])
             .expect("submit with unknown id still answers");
         assert!(
             matches!(&outcomes[0], WireOutcome::Rejected { error } if error.contains("999")),
@@ -115,7 +123,7 @@ fn register_submit_revise_stats_round_trip() {
         // the server keeps serving.
         let submit = |effort| {
             let mut job =
-                WireJob::new(WireSocRef::Registered(soc_id), WireSpec::Single { width: 16 });
+                WireJob::new(WireSocRef::Registered(soc_id), JobSpec::Single { width: 16 });
             job.effort = effort;
             frame_request(&Request::Submit { tenant: "tenant-a".into(), jobs: vec![job] })
         };
@@ -124,12 +132,7 @@ fn register_submit_revise_stats_round_trip() {
         for code in [3u8, 4, 0xff] {
             let mut frame = quick.clone();
             frame[at] = code;
-            let mut raw = TcpStream::connect(addr).expect("raw connect");
-            raw.write_all(&frame).expect("send hostile frame");
-            match read_response(&mut raw) {
-                Ok(Response::Error { message }) => assert!(message.contains("effort"), "{message}"),
-                other => panic!("effort code {code} must be answered with an error, got {other:?}"),
-            }
+            answers_with_error(addr, &frame, "effort");
         }
         assert_eq!(client.stats().expect("stats after hostile frames").jobs_submitted, 3);
     });
@@ -146,12 +149,11 @@ fn latency_classes_record_each_jobs_own_wall_time() {
     // (the histogram's lowest bucket reports as 1), not the batch's wall.
     with_server(ServerConfig::default(), |addr| {
         let mut client = Client::connect(addr, "tenant-walls").expect("connect");
-        let soc_id =
-            client.register(WireSoc::from_soc(&MixedSignalSoc::d695m())).expect("register");
+        let soc_id = client.register(MixedSignalSoc::d695m()).expect("register");
         let outcomes = client
             .submit(vec![
-                WireJob::new(WireSocRef::Registered(soc_id), WireSpec::Single { width: 16 }),
-                WireJob::new(WireSocRef::Registered(999), WireSpec::Single { width: 16 }),
+                WireJob::new(WireSocRef::Registered(soc_id), JobSpec::Single { width: 16 }),
+                WireJob::new(WireSocRef::Registered(999), JobSpec::Single { width: 16 }),
             ])
             .expect("submit");
         assert!(matches!(outcomes[0], WireOutcome::Completed(_)), "{:?}", outcomes[0]);
@@ -173,14 +175,14 @@ fn an_unknown_id_rejects_only_its_own_job() {
     // inline jobs is rejected alone, and every sibling answers exactly
     // like the same job with its SOC inline, in a batch of its own.
     let soc = MixedSignalSoc::d695m();
-    let inline = || WireSocRef::Inline(WireSoc::from_soc(&soc));
-    let specs = [WireSpec::Single { width: 16 }, WireSpec::BestWidth { widths: vec![32, 24] }];
+    let inline = || WireSocRef::Inline(soc.clone());
+    let specs = [JobSpec::Single { width: 16 }, JobSpec::BestWidth { widths: vec![32, 24] }];
     let oracle: Vec<Vec<u8>> = msoc_net::serial_replay(
         &specs.iter().map(|spec| vec![WireJob::new(inline(), spec.clone())]).collect::<Vec<_>>(),
     );
     with_server(ServerConfig::default(), |addr| {
         let mut client = Client::connect(addr, "tenant-ids").expect("connect");
-        let soc_id = client.register(WireSoc::from_soc(&soc)).expect("register");
+        let soc_id = client.register(soc.clone()).expect("register");
         let batch = vec![
             WireJob::new(WireSocRef::Registered(soc_id), specs[0].clone()),
             WireJob::new(WireSocRef::Registered(soc_id + 1), specs[0].clone()),
@@ -220,8 +222,8 @@ fn shutdown_flushes_snapshots_and_boot_recovers_them() {
         let mut client = Client::connect(addr, "persist-me").expect("connect");
         let outcomes = client
             .submit(vec![WireJob::new(
-                WireSocRef::Inline(WireSoc::from_soc(&MixedSignalSoc::d695m())),
-                WireSpec::Single { width: 20 },
+                WireSocRef::Inline(MixedSignalSoc::d695m()),
+                JobSpec::Single { width: 20 },
             )])
             .expect("submit");
         assert!(matches!(outcomes[0], WireOutcome::Completed(_)));
@@ -236,8 +238,8 @@ fn shutdown_flushes_snapshots_and_boot_recovers_them() {
         let mut client = Client::connect(addr, "persist-me").expect("reconnect");
         let outcomes = client
             .submit(vec![WireJob::new(
-                WireSocRef::Inline(WireSoc::from_soc(&MixedSignalSoc::d695m())),
-                WireSpec::Single { width: 20 },
+                WireSocRef::Inline(MixedSignalSoc::d695m()),
+                JobSpec::Single { width: 20 },
             )])
             .expect("warm resubmit");
         assert!(matches!(outcomes[0], WireOutcome::Completed(_)));
@@ -251,4 +253,68 @@ fn shutdown_flushes_snapshots_and_boot_recovers_them() {
     assert!(replayed >= 1, "{report:?}");
 
     let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_payload_that_ends_inside_a_record_is_answered() {
+    // A complete frame whose payload stops two bytes into the tenant
+    // string: the frame arrived whole, so this is a corrupt payload, not
+    // a disconnect — the server must answer it, and keep serving.
+    with_server(ServerConfig::default(), |addr| {
+        let mut frame = frame_request(&Request::Stats { tenant: "tenant-cut".into() });
+        frame.truncate(frame.len() - 2);
+        frame[6] -= 2; // the one-byte payload length
+        answers_with_error(addr, &frame, "payload ends inside a record");
+        let mut client = Client::connect(addr, "tenant-cut").expect("connect");
+        assert_eq!(client.stats().expect("the server still serves").jobs_submitted, 0);
+    });
+}
+
+#[test]
+fn tenants_on_one_shard_cannot_use_each_others_soc_ids() {
+    with_server(ServerConfig { shards: 1, ..ServerConfig::default() }, |addr| {
+        let mut owner = Client::connect(addr, "tenant-a").expect("connect owner");
+        let soc_id = owner.register(MixedSignalSoc::d695m()).expect("register");
+        let job = || WireJob::new(WireSocRef::Registered(soc_id), JobSpec::Single { width: 16 });
+
+        let mut other = Client::connect(addr, "tenant-b").expect("connect other");
+        let outcomes = other.submit(vec![job()]).expect("submit answers");
+        let unknown = format!("unknown registered soc id {soc_id}");
+        assert!(
+            matches!(&outcomes[0], WireOutcome::Rejected { error } if error.contains(&unknown)),
+            "another tenant's id must be unknown: {:?}",
+            outcomes[0],
+        );
+        let revised = other.revise(
+            soc_id,
+            vec![CoreEdit::ReplaceAnalog { index: 2, core: paper_cores()[2].clone() }],
+        );
+        assert!(
+            matches!(&revised, Err(e) if e.to_string().contains(&unknown)),
+            "another tenant cannot revise the id: {revised:?}",
+        );
+
+        let outcomes = owner.submit(vec![job()]).expect("owner submits");
+        assert!(matches!(outcomes[0], WireOutcome::Completed(_)), "{:?}", outcomes[0]);
+        assert_eq!(owner.revise(soc_id, vec![]).expect("owner revises"), 1);
+    });
+}
+
+#[test]
+fn an_invalid_partition_is_refused_for_the_whole_frame() {
+    // Sharing configs are validated when the frame is decoded: a Submit
+    // whose config puts core 2 in two groups gets one error frame, not a
+    // per-job outcome, and the server keeps serving new connections.
+    with_server(ServerConfig::default(), |addr| {
+        let mut job = WireJob::new(WireSocRef::Registered(1), JobSpec::Table { widths: vec![16] });
+        job.configs = Some(vec![SharingConfig::new(5, vec![vec![0, 1], vec![2, 3, 4]])]);
+        let mut frame =
+            frame_request(&Request::Submit { tenant: "tenant-p".into(), jobs: vec![job] });
+        let valid = [5, 2, 3, 2, 3, 4, 2, 0, 1];
+        let at = (0..frame.len()).find(|&i| frame[i..].starts_with(&valid)).expect("config bytes");
+        frame[at + valid.len() - 1] = 2;
+        answers_with_error(addr, &frame, "core 2 in two groups");
+        let mut client = Client::connect(addr, "tenant-p").expect("connect");
+        assert_eq!(client.stats().expect("the server still serves").jobs_submitted, 0);
+    });
 }

@@ -297,24 +297,13 @@ pub enum Effort {
 }
 
 impl Effort {
-    /// The stable one-byte code fingerprints, snapshots and the wire
-    /// protocol carry for this effort.
-    pub fn code(self) -> u8 {
-        match self {
-            Effort::Quick => 0,
-            Effort::Standard => 1,
-            Effort::Thorough => 2,
-        }
-    }
+    /// Every effort in declaration order, so `ALL[e.code() as usize] == e`.
+    pub const ALL: [Effort; 3] = [Effort::Quick, Effort::Standard, Effort::Thorough];
 
-    /// Inverts [`Self::code`]; `None` for a code naming no effort.
-    pub fn from_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(Effort::Quick),
-            1 => Some(Effort::Standard),
-            2 => Some(Effort::Thorough),
-            _ => None,
-        }
+    /// The stable one-byte code fingerprints, snapshots and the wire
+    /// protocol carry for this effort: its index in [`Self::ALL`].
+    pub fn code(self) -> u8 {
+        self as u8
     }
 
     fn shuffles(self) -> u64 {

@@ -12,8 +12,7 @@ use std::error::Error;
 use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
 
-use msoc::net::wire::WireEdit;
-use msoc::net::{ServerReport, WireAnalogCore};
+use msoc::net::ServerReport;
 use msoc::prelude::*;
 
 fn boot(
@@ -44,15 +43,15 @@ fn main() -> Result<(), Box<dyn Error>> {
     let mut client = Client::connect(addr, "example-tenant")?;
 
     // Register the paper's mixed-signal SOC once; plan against the id.
-    let soc_id = client.register(WireSoc::from_soc(&MixedSignalSoc::d695m()))?;
+    let soc_id = client.register(MixedSignalSoc::d695m())?;
     println!("registered the d695m SOC as id {soc_id}");
 
     let outcomes = client.submit(vec![
-        WireJob::new(WireSocRef::Registered(soc_id), WireSpec::Single { width: 16 }),
-        WireJob::new(WireSocRef::Registered(soc_id), WireSpec::Single { width: 24 }),
+        WireJob::new(WireSocRef::Registered(soc_id), JobSpec::Single { width: 16 }),
+        WireJob::new(WireSocRef::Registered(soc_id), JobSpec::Single { width: 24 }),
         WireJob::new(
             WireSocRef::Registered(soc_id),
-            WireSpec::BestWidth { widths: vec![16, 24, 32] },
+            JobSpec::BestWidth { widths: vec![16, 24, 32] },
         ),
     ])?;
     for (i, outcome) in outcomes.iter().enumerate() {
@@ -65,14 +64,14 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // Revise analog core C to a higher-resolution variant and replan:
     // the id survives, the revision counter moves.
-    let mut replacement = WireAnalogCore::from_core(&paper_cores()[2]);
+    let mut replacement = paper_cores()[2].clone();
     replacement.resolution_bits += 2;
     let revision =
-        client.revise(soc_id, vec![WireEdit::ReplaceAnalog { index: 2, core: replacement }])?;
+        client.revise(soc_id, vec![CoreEdit::ReplaceAnalog { index: 2, core: replacement }])?;
     println!("revised soc {soc_id} to revision {revision}");
     let outcomes = client.submit(vec![WireJob::new(
         WireSocRef::Registered(soc_id),
-        WireSpec::Single { width: 16 },
+        JobSpec::Single { width: 16 },
     )])?;
     assert!(matches!(outcomes[0], WireOutcome::Completed(_)), "{:?}", outcomes[0]);
 
@@ -108,8 +107,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     let (addr, server) = boot(config)?;
     let mut client = Client::connect(addr, "example-tenant")?;
     let outcomes = client.submit(vec![WireJob::new(
-        WireSocRef::Inline(WireSoc::from_soc(&MixedSignalSoc::d695m())),
-        WireSpec::Single { width: 16 },
+        WireSocRef::Inline(MixedSignalSoc::d695m()),
+        JobSpec::Single { width: 16 },
     )])?;
     assert!(matches!(outcomes[0], WireOutcome::Completed(_)), "{:?}", outcomes[0]);
     let stats = client.stats()?;

@@ -63,9 +63,7 @@ pub mod prelude {
         SnapshotStore, SocHandle,
     };
     pub use msoc_itc02::{Module, Soc};
-    pub use msoc_net::{
-        serve, Client, ServerConfig, WireJob, WireOutcome, WireSoc, WireSocRef, WireSpec,
-    };
+    pub use msoc_net::{serve, Client, ServerConfig, WireJob, WireOutcome, WireSocRef};
     pub use msoc_tam::{schedule, Schedule, ScheduleProblem, TestJob};
     pub use msoc_wrapper::{Staircase, WrapperDesign};
 }
