@@ -95,12 +95,14 @@ const SCHEDULE_CACHE_CAP: usize = 4096;
 
 /// Default bound on live pack sessions in the service's session cache.
 ///
-/// Each session retains its skeleton jobs plus up to a few MB of packed
-/// checkpoints, so an unbounded cache would grow without limit under
-/// multi-tenant traffic (every distinct digital SOC × width × effort is a
-/// new session). Above the cap the least recently *requested* session is
-/// dropped; results never change — an evicted session is rebuilt cold on
-/// its next request.
+/// Each session retains its skeleton jobs plus its checkpoint trie: a
+/// placement log of about 80 bytes per node and full pack states
+/// only at its skeleton-run anchors. An unbounded cache would still grow
+/// without limit under multi-tenant traffic (every distinct digital SOC ×
+/// width × effort is a new session). Above the cap the least recently
+/// *requested* session is dropped and, unless a planner still holds it,
+/// freed inline; results never change — an evicted session is rebuilt
+/// cold on its next request.
 const SESSION_CACHE_CAP: usize = 256;
 
 /// Number of cache shards (power of two; the shard index is the low bits
@@ -128,8 +130,7 @@ fn shard_index(fp: u64) -> usize {
 /// collision between two sessions with different skeletons must degrade to
 /// a miss, never to a schedule packed against the wrong skeleton. The key
 /// is all an entry holds of its session, so an evicted session's
-/// checkpoint trie is freed (see [`PlanService::retire`]) while the
-/// schedule stays servable.
+/// checkpoint trie is freed with it while the schedule stays servable.
 #[derive(Debug)]
 struct ScheduleEntry {
     key: Arc<SessionKey>,
@@ -205,9 +206,10 @@ struct ShardState {
 
 impl ShardState {
     /// Removes the least recently used session (LRU over request ticks)
-    /// and returns it for [`PlanService::retire`]. Planners mid-sweep keep
-    /// their `Arc` handle until they finish; schedule-cache entries hold
-    /// only the session's [`SessionKey`], so they do not keep it alive.
+    /// and returns it, for the caller to drop once it has released the
+    /// shard lock. Planners mid-sweep keep their `Arc` handle until they
+    /// finish; schedule-cache entries hold only the session's
+    /// [`SessionKey`], so they do not keep it alive.
     fn evict_lru_session(&mut self) -> Option<Arc<PackSession>> {
         let victim = self
             .sessions
@@ -366,9 +368,6 @@ pub struct PlanService {
     /// Jobs currently dispatched and not yet finished (the queue-depth
     /// reservation counter).
     pub(crate) inflight: AtomicU64,
-    /// Sessions evicted since the last snapshot export (see
-    /// [`Self::retire`]).
-    retired: Mutex<Vec<Arc<PackSession>>>,
 }
 
 impl Default for PlanService {
@@ -411,7 +410,6 @@ impl PlanService {
             admission_cap: None,
             queue_depth_cap: None,
             inflight: AtomicU64::new(0),
-            retired: Mutex::new(Vec::new()),
         }
     }
 
@@ -525,37 +523,12 @@ impl PlanService {
         while state.session_count > self.session_cap {
             evicted.extend(state.evict_lru_session());
         }
+        // Evicted sessions are freed here, after the shard lock: a trie is
+        // a node arena, a child map and a few anchors, so the free is a
+        // handful of `Vec` drops.
         drop(state);
-        if !evicted.is_empty() {
-            self.retire(evicted);
-        }
+        drop(evicted);
         created
-    }
-
-    /// Parks evicted sessions until the next snapshot export frees them.
-    ///
-    /// Freeing a checkpoint trie costs about 1.5 µs per stored checkpoint,
-    /// up to milliseconds per session, and the request that evicts is
-    /// about to plan on a cold session; an export runs between requests.
-    /// At most the service's session cap of evicted sessions wait, so a
-    /// service that never exports frees the oldest right here and holds
-    /// at most twice its cap.
-    fn retire(&self, evicted: Vec<Arc<PackSession>>) {
-        let mut retired = self.retired.lock().expect("retired sessions lock");
-        retired.extend(evicted);
-        let excess = retired.len().saturating_sub(self.session_cap * SHARDS);
-        let freed: Vec<_> = retired.drain(..excess).collect();
-        drop(retired);
-        drop(freed);
-    }
-
-    /// Frees the sessions evicted since the last call (see
-    /// [`Self::retire`]).
-    fn free_retired(&self) {
-        // Taken under the lock, freed after it: evicting requests need not
-        // wait for the frees.
-        let retired = std::mem::take(&mut *self.retired.lock().expect("retired sessions lock"));
-        drop(retired);
     }
 
     /// The schedule-cache key of a delta with fingerprint `delta_fp` on
@@ -879,38 +852,36 @@ mod tests {
             .unwrap_or_else(|| service.pack_miss(session, delta, fp).expect("feasible"))
     }
 
-    #[test]
-    fn evicted_sessions_free_their_tries_while_their_schedules_still_hit() {
-        // One session per shard: two keys homed in the same shard evict
-        // each other, whatever the schedule cache still holds.
-        let service = PlanService::with_caps(SCHEDULE_CACHE_CAP, 1);
+    /// A two-job skeleton, a one-job delta and two TAM widths whose
+    /// sessions share a shard: with one session per shard, requesting the
+    /// second evicts the first.
+    fn shard_mates(effort: Effort) -> (Vec<TestJob>, Vec<TestJob>, u32, u32) {
         let point = |width, time| {
             msoc_wrapper::Staircase::from_points(vec![msoc_wrapper::StaircasePoint { width, time }])
         };
         let skeleton = vec![TestJob::new("d0", point(2, 100)), TestJob::new("d1", point(1, 80))];
         let delta = vec![TestJob::delta_in_group("a0", point(1, 40), 0)];
-        let effort = Effort::Quick;
         let home = |w| shard_index(msoc_tam::session_fingerprint(w, effort, &skeleton));
         let first = 4;
         let second = (first + 1..).find(|&w| home(w) == home(first)).expect("a shard-mate");
+        (skeleton, delta, first, second)
+    }
+
+    #[test]
+    fn evicted_sessions_free_their_tries_while_their_schedules_still_hit() {
+        let service = PlanService::with_caps(SCHEDULE_CACHE_CAP, 1);
+        let effort = Effort::Quick;
+        let (skeleton, delta, first, second) = shard_mates(effort);
 
         let session = service.session(first, effort, skeleton.clone(), false);
         let schedule = pack(&service, &session, &delta);
-        assert!(session.stats().skeleton_misses > 0, "the pack fills the trie");
-        let probe = Arc::downgrade(&session);
         drop(session);
-        assert!(probe.upgrade().is_some(), "the session cache holds the session");
-
         let other = service.session(second, effort, skeleton.clone(), false);
         pack(&service, &other, &delta);
         assert_eq!(service.stats().session_evictions, 1, "{:?}", service.stats());
-        // The export names the evicted session by key only, then frees it.
+        // The export names the evicted session by key only.
         let snapshot = service.export_snapshot();
         assert_eq!(snapshot.tries.iter().filter(|t| t.is_none()).count(), 1);
-        assert!(
-            probe.upgrade().is_none(),
-            "an evicted session must be freed, trie included, though a cached schedule names it"
-        );
 
         // The cached schedule still answers a rebuilt session of equal
         // content, without packing.
@@ -920,6 +891,26 @@ mod tests {
         let after = service.stats();
         assert_eq!(after.schedule_hits, before.schedule_hits + 1, "{after:?}");
         assert_eq!(rebuilt.stats().delta_packs, 0, "a hit packs nothing: {after:?}");
+    }
+
+    #[test]
+    fn the_evicting_request_frees_an_unheld_session_inline() {
+        let service = PlanService::with_caps(SCHEDULE_CACHE_CAP, 1);
+        let effort = Effort::Quick;
+        let (skeleton, delta, first, second) = shard_mates(effort);
+        let session = service.session(first, effort, skeleton.clone(), false);
+        pack(&service, &session, &delta);
+        assert!(session.stats().skeleton_misses > 0, "the pack fills the trie");
+        let probe = Arc::downgrade(&session);
+        drop(session);
+        assert!(probe.upgrade().is_some(), "the session cache holds the session");
+
+        let _other = service.session(second, effort, skeleton, false);
+        assert_eq!(service.stats().session_evictions, 1, "{:?}", service.stats());
+        assert!(
+            probe.upgrade().is_none(),
+            "no planner holds the evicted session, so its request must free it, trie included"
+        );
     }
 
     #[test]

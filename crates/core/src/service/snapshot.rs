@@ -814,7 +814,6 @@ impl PlanService {
                 entries: entries.clone(),
             })
             .collect();
-        self.free_retired();
         (ServiceSnapshot { sessions: keys, tries, schedules: records }, reused)
     }
 

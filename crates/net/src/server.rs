@@ -33,7 +33,7 @@ use std::time::Duration;
 
 use msoc_core::{
     recover, Deadline, DirStore, ExportOutcome, JobBuilder, LatencyHistogram, PlanService,
-    ServiceStats, SnapshotDaemon, SocHandle,
+    RecoveryReport, ServiceStats, SnapshotDaemon, SocHandle,
 };
 use msoc_tam::StableHasher;
 
@@ -235,13 +235,27 @@ fn build_job(handle: Option<&SocHandle>, job: &WireJob) -> Result<msoc_core::Job
     builder.build().map_err(|e| WireError::Corrupt(e.to_string()))
 }
 
+/// The boot log line of shard `shard`'s recovery: the generation it
+/// booted from (or `cold`), the generations scanned and quarantined, and
+/// the checkpoints the import restored and dropped.
+fn recovery_line(shard: usize, report: &RecoveryReport) -> String {
+    let generation = report.generation.map_or_else(|| "cold".to_owned(), |g| g.to_string());
+    format!(
+        "shard {shard}: generation {generation} scanned {} quarantined {} restored {} dropped {}",
+        report.scanned, report.quarantined, report.import_restored, report.import_dropped
+    )
+}
+
 /// Serves the protocol on `listener` until a [`Request::Shutdown`]
 /// frame arrives, then reports what every shard did.
 ///
 /// Boot recovers each shard from `store_root/shard-<i>/` (newest intact
-/// generation; tampered ones are quarantined), serving resumes with
-/// warm caches, and graceful shutdown flushes one final generation per
-/// shard unless `flush_on_shutdown` is off.
+/// generation; tampered ones are quarantined) and prints one line per
+/// shard to stderr (`shard <i>: generation <g|cold> scanned <n>
+/// quarantined <q> restored <r> dropped <d>`), serving resumes with warm
+/// caches, and graceful shutdown flushes one final generation per shard
+/// unless `flush_on_shutdown` is off. A server without a store prints
+/// nothing.
 ///
 /// # Errors
 ///
@@ -261,7 +275,9 @@ pub fn serve(listener: TcpListener, config: &ServerConfig) -> Result<ServerRepor
             Some(root) => {
                 let store = DirStore::open(root.join(format!("shard-{i}")))
                     .map_err(|e| WireError::Io(e.to_string()))?;
-                (recover(&store).service, Some(store))
+                let report = recover(&store);
+                eprintln!("{}", recovery_line(i, &report));
+                (report.service, Some(store))
             }
             None => (PlanService::new(), None),
         };
@@ -480,5 +496,39 @@ fn dispatch(request: Request, shards: &[ShardRuntime<'_, '_>]) -> Response {
             Response::SnapshotDone { persisted }
         }
         Request::Shutdown => Response::ShuttingDown,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use msoc_core::service::MemStore;
+    use msoc_core::{CostWeights, MixedSignalSoc};
+
+    #[test]
+    fn recovery_lines_name_the_generation_and_the_import_counts() {
+        let store = MemStore::new();
+        assert_eq!(
+            recovery_line(0, &recover(&store)),
+            "shard 0: generation cold scanned 0 quarantined 0 restored 0 dropped 0"
+        );
+        let service = PlanService::new();
+        let soc = service.register(MixedSignalSoc::d695m());
+        let job = JobBuilder::for_handle(&soc)
+            .single(16)
+            .weights(CostWeights::balanced())
+            .build()
+            .expect("a valid job");
+        service.submit(&[job]);
+        SnapshotDaemon::new(&service, &store).export_now();
+        let report = recover(&store);
+        assert!(report.import_restored > 0, "a warm generation restores checkpoints");
+        assert_eq!(
+            recovery_line(1, &report),
+            format!(
+                "shard 1: generation 1 scanned 1 quarantined 0 restored {} dropped 0",
+                report.import_restored
+            )
+        );
     }
 }

@@ -14,11 +14,11 @@
 //! and their order — never on the candidate's
 //! [`Delta`](crate::JobKind::Delta) jobs. [`SessionCore`] exploits this:
 //! every distinct skeleton-only prefix it encounters is packed exactly
-//! once into a [`PackState`] checkpoint (placed entries, group intervals,
+//! once into a [`PackState`] *anchor* (placed entries, group intervals,
 //! the capacity index, and the prune accounting), and any pass whose
-//! ordering starts with that prefix clones the checkpoint and continues
-//! from there. The multi-start phase pairs per-phase orderings as
-//! `skeleton ++ delta`, so its passes reuse full-skeleton checkpoints; a
+//! ordering starts with that prefix copies the anchor and continues from
+//! there. The multi-start phase pairs per-phase orderings as
+//! `skeleton ++ delta`, so its passes reuse full-skeleton anchors; a
 //! sweep over wrapper-sharing candidates, whose problems all share the
 //! digital skeleton, therefore re-packs only the analog delta per
 //! candidate. One additional *joint* chains-first pass per candidate (and
@@ -29,7 +29,7 @@
 //! scratch scheduling routes through a transient session, which makes
 //! session packs and from-scratch packs bit-identical by construction.
 //!
-//! # The delta-prefix trie
+//! # The delta-prefix trie: checkpoints as placement logs
 //!
 //! Candidates of a sharing sweep differ only in the serialization groups of
 //! their delta jobs, and the phase-partitioned orderings enumerate the
@@ -39,13 +39,22 @@
 //! placements — greedy packing is deterministic, and the state after a
 //! prefix depends only on the `(job index, job content)` sequence packed so
 //! far. The session exploits this with a prefix *trie*: every step is keyed
-//! by the interned `(combined job index, full job content)` pair, skeleton
-//! checkpoints live at the skeleton-run nodes (as before), and the phase
-//! orderings additionally snapshot after every delta step. A new candidate
-//! restores the **longest common packed prefix** with any earlier
-//! candidate instead of delta-packing from the bare skeleton. Stored
-//! states are LRU-evicted above a cap, and [`SessionStats`] exposes
-//! prefix hit/depth/eviction counters.
+//! by the interned `(combined job index, full job content)` pair, and the
+//! phase orderings store a checkpoint after every delta step. A new
+//! candidate restores the **longest common packed prefix** with any
+//! earlier candidate instead of delta-packing from the bare skeleton.
+//!
+//! The trie has one layout in memory and in its export: a flat node arena
+//! where each node holds its parent, its step, the placement that step
+//! committed, its LRU tick and whether it is *stored* (a restore target),
+//! plus one trie-wide `(parent, step) → child` map. Full states are kept
+//! only as anchors at stored skeleton-only nodes. A restore picks the
+//! deepest stored node on its path under the trie lock, together with the
+//! nearest anchor above it and the logged placements in between; outside
+//! the lock it copies the anchor (or starts empty when none survives) and
+//! commits the logged placements without searching for them. Stored nodes
+//! are LRU-evicted above a cap, and [`SessionStats`] exposes prefix
+//! hit/depth/eviction counters.
 //!
 //! [`SessionStats`]: super::SessionStats
 //!
@@ -53,12 +62,12 @@
 //! parallel and abandons passes whose area/width lower bound already
 //! exceeds the incumbent; both are result-preserving (the reduction is a
 //! deterministic `(makespan, order index)` min and the prune is strict),
-//! so effort levels stay bit-for-bit deterministic. Skeleton checkpoints
-//! are packed without pruning: a checkpoint is shared by every candidate
-//! of the session, so it must not depend on any candidate's incumbent.
-//! Delta-step snapshots *may* be taken during pruned passes — a snapshot
-//! is the deterministic pack of its own prefix and stays valid even if
-//! the pass that minted it is later abandoned.
+//! so effort levels stay bit-for-bit deterministic. Skeleton anchors are
+//! packed without pruning: an anchor is shared by every candidate of the
+//! session, so it must not depend on any candidate's incumbent. Delta
+//! steps *may* be stored from pruned passes — each is the deterministic
+//! pack of its own prefix and stays valid even if the pass that placed it
+//! is later abandoned.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,10 +82,13 @@ use super::{Effort, Schedule, ScheduleError, ScheduledTest, XorShift64};
 ///
 /// The canonical multi-start orderings stay far below this; the bound
 /// exists because improvement rounds mint candidate-specific rip-up
-/// prefixes and every candidate's delta path adds snapshot nodes for the
-/// session's whole lifetime. At ~a few KB per checkpoint this caps
-/// retention at a few MB per session without affecting results (an
-/// evicted checkpoint is simply re-packed on its next use).
+/// prefixes and every candidate's delta path adds stored nodes for the
+/// session's whole lifetime. A stored delta step is a logged placement of
+/// about 80 bytes (node plus child-map entry); only skeleton-run
+/// anchors hold a full state of a few KB. Structure is capped at four
+/// nodes per checkpoint, so the cap bounds a session's trie at a few
+/// hundred KB plus its anchors, without affecting results (an evicted
+/// checkpoint is simply re-packed on its next use).
 pub(crate) const CHECKPOINT_CACHE_CAP: usize = 1024;
 
 /// Upper bound on interned delta-step keys per session.
@@ -183,9 +195,9 @@ struct Placement {
 /// Incremental packing state: the placed entries, the per-group intervals,
 /// the engine's capacity index, and the running prune accounting.
 ///
-/// Cloning a `PackState` is the checkpoint/restore operation of the
-/// session pipeline: the state reached after packing a skeleton ordering
-/// is cached once and every delta pack continues on a clone.
+/// Cloning a `PackState` takes a skeleton anchor: the state reached after
+/// packing a skeleton ordering is cached once, and every delta pack
+/// continues on a copy of it plus the replayed placement log.
 #[derive(Clone)]
 pub(crate) struct PackState<C> {
     entries: Vec<ScheduledTest>,
@@ -313,6 +325,14 @@ impl<C: PackEngine> PackState<C> {
         self.latest_end = self.latest_end.max(placed.end);
         placed
     }
+
+    /// Commits a logged placement of `job` without searching for it: the
+    /// replay half of a trie restore.
+    fn commit(&mut self, job: &TestJob, placed: &ScheduledTest) {
+        let p =
+            Placement { width: placed.width, time: placed.end - placed.start, start: placed.start };
+        self.place_job(placed.job, job, p);
+    }
 }
 
 /// Problem-wide constants for the lower-bound prune.
@@ -336,13 +356,8 @@ impl PruneCtx {
 /// remaining wire-cycles spread over the full TAM width — *strictly*
 /// exceeds the shared incumbent makespan. A pruned pack provably cannot
 /// beat (or even tie) the final best, so pruning never changes the search
-/// result, only the time it takes.
-///
-/// `after_step(pos, state)` observes the state after each placement
-/// (before the prune decision for that step) — the session's delta-step
-/// snapshots hang off this hook, so the placement/prune logic exists in
-/// exactly one place and scratch packs stay bit-identical to session
-/// packs by construction.
+/// result, only the time it takes. A pruned pack still leaves every step
+/// it placed in `state`: each is the deterministic pack of its prefix.
 fn pack_order<C: PackEngine>(
     jobs: &JobSet<'_>,
     tam_width: u32,
@@ -350,16 +365,14 @@ fn pack_order<C: PackEngine>(
     order: &[usize],
     prune: Option<(&AtomicU64, &PruneCtx)>,
     scratch: &mut PassScratch,
-    mut after_step: impl FnMut(usize, &PackState<C>),
 ) -> bool {
     let w = u64::from(tam_width.max(1));
     let mut remaining_min_area =
         prune.map_or(0, |(_, ctx)| order.iter().map(|&i| ctx.min_area[i]).sum());
 
-    for (pos, &job_idx) in order.iter().enumerate() {
+    for &job_idx in order {
         let placement = state.best_placement(jobs, tam_width, job_idx, scratch);
         state.place(jobs, job_idx, placement);
-        after_step(pos, state);
         if let Some((incumbent, ctx)) = prune {
             remaining_min_area -= ctx.min_area[job_idx];
             let bound = state.latest_end.max((state.placed_area + remaining_min_area).div_ceil(w));
@@ -436,38 +449,71 @@ fn chains_first_order(jobs: &JobSet<'_>, indices: &[usize], tam_width: u32) -> V
 /// A step on a trie path: the dense id of an interned
 /// `(combined job index, job content)` pair.
 ///
-/// Keying by the *pair* is what makes restored states safe to share:
-/// entries inside a [`PackState`] record combined job indices, so a state
-/// may only be replayed for an order whose steps carry both the same
-/// content (same placement decisions) *and* the same indices (same entry
-/// labels). Skeleton steps intern to their index directly (the skeleton is
-/// fixed per session); delta steps intern through the session's content
+/// Keying by the *pair* is what makes logged placements safe to share:
+/// a logged [`ScheduledTest`] records a combined job index, so a log may
+/// only be replayed for an order whose steps carry both the same content
+/// (same placement decisions) *and* the same indices (same entry labels).
+/// Skeleton steps intern to their index directly (the skeleton is fixed
+/// per session); delta steps intern through the session's content
 /// interner.
 type StepId = u32;
 
-/// One node of the prefix trie. Nodes without a stored state are pure
-/// structure (a path that was walked but whose checkpoint was evicted or
-/// never taken).
+/// One node of the prefix trie: the step that reaches it from its parent
+/// and the placement that step committed. Every node carries its
+/// placement, so the state after any path is recoverable by replaying the
+/// log from an anchor (or from the empty state); only `stored` nodes are
+/// restore targets.
 struct TrieNode<C> {
-    children: HashMap<StepId, usize>,
-    state: Option<Arc<PackState<C>>>,
+    /// Parent node index (the root points at itself).
+    parent: u32,
+    /// The step from the parent.
+    step: StepId,
+    /// The placement this node's step committed.
+    placed: ScheduledTest,
     /// LRU clock value of the last hit or store.
     last_used: u64,
-    /// Steps from the root (== packed order prefix length).
-    depth: u32,
+    /// Whether the node is a restore target (counted against the cap).
+    stored: bool,
+    /// Full state, kept only at stored nodes whose whole path is
+    /// skeleton steps: the shared skeleton runs every candidate restores.
+    anchor: Option<Anchor<C>>,
 }
 
-impl<C> TrieNode<C> {
-    fn new(depth: u32) -> Self {
-        TrieNode { children: HashMap::new(), state: None, last_used: 0, depth }
+/// A full state kept at a stored skeleton-only node. Shared so a restore
+/// clones a pointer under the trie lock and copies the state outside it.
+type Anchor<C> = Arc<PackState<C>>;
+
+/// What a restore needs, taken under the trie lock and applied outside
+/// it: the nearest anchor at or above the chosen node (or none: replay
+/// from the empty state) and the logged placements below that anchor.
+struct Restore<C> {
+    /// Steps from the root to the restored node.
+    depth: usize,
+    anchor: Option<Anchor<C>>,
+    log: Vec<ScheduledTest>,
+}
+
+impl<C: PackEngine> Restore<C> {
+    /// Rebuilds the restored node's state into `state` (a reset state):
+    /// copies the anchor and commits the logged placements, without
+    /// [`PackState::best_placement`]'s search.
+    fn apply(&self, state: &mut PackState<C>, jobs: &JobSet<'_>) {
+        if let Some(anchor) = &self.anchor {
+            state.copy_from(anchor);
+        }
+        for placed in &self.log {
+            state.commit(jobs.get(placed.job), placed);
+        }
     }
 }
 
-/// The delta-prefix trie: packed checkpoints addressed by step paths, with
-/// LRU eviction of stored states above `cap`.
+/// The delta-prefix trie: a flat node arena of logged placements plus one
+/// trie-wide child map, with LRU eviction of stored nodes above `cap`.
 struct PrefixTrie<C> {
     nodes: Vec<TrieNode<C>>,
-    /// Nodes currently holding a state.
+    /// `(parent, step) -> child`.
+    children: HashMap<(u32, StepId), u32>,
+    /// Nodes currently stored.
     stored: usize,
     /// Monotonic LRU clock.
     tick: u64,
@@ -479,98 +525,157 @@ impl<C> PrefixTrie<C> {
     const ROOT: usize = 0;
 
     fn new(cap: usize) -> Self {
-        PrefixTrie { nodes: vec![TrieNode::new(0)], stored: 0, tick: 0, cap, evictions: 0 }
+        let root = TrieNode {
+            parent: Self::ROOT as u32,
+            step: 0,
+            placed: ScheduledTest { job: 0, width: 0, start: 0, end: 0 },
+            last_used: 0,
+            stored: false,
+            anchor: None,
+        };
+        PrefixTrie {
+            nodes: vec![root],
+            children: HashMap::new(),
+            stored: 0,
+            tick: 0,
+            cap,
+            evictions: 0,
+        }
     }
 
-    /// Structural nodes are bounded too: evicted states leave their nodes
-    /// behind, and unbounded rip-up paths would otherwise grow the arena
+    /// Structural nodes are bounded too: evicted nodes stay behind as
+    /// structure, and unbounded rip-up paths would otherwise grow the arena
     /// for the session's lifetime. Beyond the bound, paths simply stop
-    /// being extended (their checkpoints are re-packed on next use).
+    /// being extended (their prefixes are re-packed on next use).
     fn node_cap(&self) -> usize {
         self.cap.saturating_mul(4).max(64)
     }
 
-    /// Deepest node along `steps` holding a state; returns a clone of the
-    /// `Arc` (the state copy happens outside the lock) and its depth.
-    fn deepest_state(&mut self, steps: &[StepId]) -> Option<(Arc<PackState<C>>, u32)> {
-        let mut node = Self::ROOT;
-        let mut best: Option<usize> = None;
-        for step in steps {
-            let Some(&child) = self.nodes[node].children.get(step) else { break };
-            node = child;
-            if self.nodes[node].state.is_some() {
-                best = Some(node);
-            }
-        }
-        let best = best?;
-        self.tick += 1;
-        self.nodes[best].last_used = self.tick;
-        let depth = self.nodes[best].depth;
-        Some((self.nodes[best].state.as_ref().expect("selected for state").clone(), depth))
+    fn child(&self, node: usize, step: StepId) -> Option<usize> {
+        self.children.get(&(node as u32, step)).map(|&c| c as usize)
     }
 
-    /// Stores `state` at the node for `steps[..depth]`, creating structure
-    /// as needed (subject to the node cap) and LRU-evicting above the
-    /// state cap. Never overwrites: the first stored state for a prefix is
-    /// as good as any later one (packing is deterministic).
-    fn store(&mut self, steps: &[StepId], depth: usize, state: Arc<PackState<C>>) {
+    /// Deepest stored node along `steps` and its depth; bumps its LRU
+    /// tick.
+    fn deepest_stored(&mut self, steps: &[StepId]) -> Option<(usize, usize)> {
+        let mut node = Self::ROOT;
+        let mut best = None;
+        for (depth, &step) in steps.iter().enumerate() {
+            let Some(child) = self.child(node, step) else { break };
+            node = child;
+            if self.nodes[node].stored {
+                best = Some((node, depth + 1));
+            }
+        }
+        let (best, depth) = best?;
+        self.tick += 1;
+        self.nodes[best].last_used = self.tick;
+        Some((best, depth))
+    }
+
+    /// The restore of the deepest stored node along `steps` (see
+    /// [`Restore`]); the state copy and replay happen outside the lock.
+    fn restore(&mut self, steps: &[StepId]) -> Option<Restore<C>> {
+        let (node, depth) = self.deepest_stored(steps)?;
+        Some(self.restore_at(node, depth))
+    }
+
+    /// The restore of `node`, which sits `depth` steps below the root.
+    fn restore_at(&self, mut node: usize, depth: usize) -> Restore<C> {
+        let mut log = Vec::new();
+        let anchor = loop {
+            if let Some(anchor) = &self.nodes[node].anchor {
+                break Some(Arc::clone(anchor));
+            }
+            if node == Self::ROOT {
+                break None;
+            }
+            log.push(self.nodes[node].placed);
+            node = self.nodes[node].parent as usize;
+        };
+        log.reverse();
+        Restore { depth, anchor, log }
+    }
+
+    /// Stores the node for `steps[..depth]`, creating structure as needed
+    /// (subject to the node cap; `entries[i]` is the placement step `i`
+    /// committed) and LRU-evicting above the cap. `anchor` is the full
+    /// state at that depth, passed exactly when the path is skeleton-only.
+    /// Never overwrites: the first store of a prefix is as good as any
+    /// later one (packing is deterministic).
+    fn store(
+        &mut self,
+        steps: &[StepId],
+        depth: usize,
+        entries: &[ScheduledTest],
+        anchor: Option<Anchor<C>>,
+    ) {
         if depth == 0 {
             return; // an empty prefix is a fresh state; nothing to cache
         }
         let mut node = Self::ROOT;
-        for step in &steps[..depth] {
-            if let Some(&child) = self.nodes[node].children.get(step) {
+        for (i, &step) in steps[..depth].iter().enumerate() {
+            if let Some(child) = self.child(node, step) {
                 node = child;
                 continue;
             }
             if self.nodes.len() >= self.node_cap() {
                 return;
             }
-            let d = self.nodes[node].depth + 1;
             let child = self.nodes.len();
-            self.nodes.push(TrieNode::new(d));
-            self.nodes[node].children.insert(*step, child);
+            self.nodes.push(TrieNode {
+                parent: node as u32,
+                step,
+                placed: entries[i],
+                last_used: 0,
+                stored: false,
+                anchor: None,
+            });
+            self.children.insert((node as u32, step), child as u32);
             node = child;
         }
-        if self.nodes[node].state.is_some() {
+        if self.nodes[node].stored {
             return;
         }
         if self.stored >= self.cap {
             self.evict_lru_batch();
         }
         self.tick += 1;
-        self.nodes[node].state = Some(state);
-        self.nodes[node].last_used = self.tick;
+        let target = &mut self.nodes[node];
+        target.stored = true;
+        target.anchor = anchor;
+        target.last_used = self.tick;
         self.stored += 1;
     }
 
     /// Whether the trie can still grow structure. Saturated tries make
-    /// callers skip the per-step snapshot clones entirely instead of
-    /// cloning states that `store` would silently drop.
+    /// callers skip the anchor clones they would otherwise hand to
+    /// `store`.
     fn has_node_capacity(&self) -> bool {
         self.nodes.len() < self.node_cap()
     }
 
-    /// Drops a batch of least-recently-used stored states (structure
-    /// stays).
+    /// Un-stores a batch of least-recently-used nodes, dropping their
+    /// anchors (structure and logged placements stay).
     ///
     /// Eviction needs a scan over the node arena, which happens under the
     /// session's trie mutex; evicting a batch per scan amortizes that cost
     /// to ~1/batch per store, so a cap-saturated session does not
     /// serialize its parallel delta passes behind one full scan per
-    /// snapshot. Results never depend on which checkpoints survive.
+    /// store. Results never depend on which nodes stay stored.
     fn evict_lru_batch(&mut self) {
         let batch = (self.cap / 32).clamp(1, self.stored);
         let mut stored: Vec<(u64, usize)> = self
             .nodes
             .iter()
             .enumerate()
-            .filter(|(_, n)| n.state.is_some())
+            .filter(|(_, n)| n.stored)
             .map(|(i, n)| (n.last_used, i))
             .collect();
         stored.sort_unstable();
         for &(_, i) in stored.iter().take(batch) {
-            self.nodes[i].state = None;
+            self.nodes[i].stored = false;
+            self.nodes[i].anchor = None;
             self.stored -= 1;
             self.evictions += 1;
         }
@@ -601,8 +706,8 @@ pub struct CheckpointNode {
     pub start: u64,
     /// End time of the committed placement.
     pub end: u64,
-    /// Whether a checkpoint state is stored at this node (`false` nodes
-    /// are structure on the path to a stored descendant).
+    /// Whether the node is a stored checkpoint (`false` nodes are
+    /// structure on the path to a stored descendant).
     pub stored: bool,
     /// LRU rank among the export's stored nodes (0 = least recently
     /// used); 0 for structure nodes.
@@ -624,7 +729,7 @@ pub struct TrieExport {
 }
 
 impl TrieExport {
-    /// Stored checkpoint states among the exported nodes.
+    /// Stored checkpoints among the exported nodes.
     pub fn checkpoint_count(&self) -> usize {
         self.nodes.iter().filter(|n| n.stored).count()
     }
@@ -663,7 +768,7 @@ fn content_order(a: &TestJob, b: &TestJob) -> std::cmp::Ordering {
 /// [`PackSession::import_checkpoints`]: crate::PackSession::import_checkpoints
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CheckpointImportStats {
-    /// Checkpoint states restored into the session's tries.
+    /// Stored checkpoints restored into the session's tries.
     pub restored: u64,
     /// Exported checkpoints dropped: their persisted placements did not
     /// equal the deterministic re-pack of their own prefix (or their step
@@ -674,17 +779,18 @@ pub struct CheckpointImportStats {
 /// The engine-generic heart of a pack session (see the module docs).
 ///
 /// Owns the skeleton jobs of a sweep plus the prefix trie of packed
-/// checkpoints: skeleton-run checkpoints exactly as before, plus per-step
-/// snapshots along the phase orderings' delta paths so candidates sharing
-/// wrapper groups restore their longest common packed prefix. The public
+/// checkpoints: skeleton-run anchors, plus per-step placement logs along
+/// the phase orderings' delta paths so candidates sharing wrapper groups
+/// restore their longest common packed prefix. The public
 /// wrapper is [`crate::PackSession`]; from-scratch scheduling builds a
 /// transient core per call.
 pub(crate) struct SessionCore<C> {
     /// The session's immutable content (shared with its `PackSession`).
     key: Arc<SessionKey>,
-    /// The checkpoint store. `Arc` so lookups clone a pointer under the
-    /// lock and copy the state outside it — concurrent delta passes must
-    /// not serialize on a treap-arena memcpy inside the critical section.
+    /// The checkpoint store. Anchors are `Arc`s so a restore clones a
+    /// pointer and a short log under the lock and copies and replays
+    /// outside it — concurrent delta passes must not serialize on a
+    /// treap-arena memcpy inside the critical section.
     trie: Mutex<PrefixTrie<C>>,
     /// Dense ids for delta-step keys: `(combined index, content) -> id`,
     /// ids starting after the skeleton indices.
@@ -785,17 +891,15 @@ impl<C: PackEngine> SessionCore<C> {
         steps
     }
 
-    /// Exports the trie's checkpoint paths (see [`TrieExport`]).
+    /// Exports the trie's stored paths (see [`TrieExport`]).
     ///
-    /// Only nodes on a path to a stored state are kept, emitted in
+    /// Only nodes on a path to a stored node are kept, emitted in
     /// deterministic pre-order: children are visited in ascending
     /// `(job index, job content)` order, a key intrinsic to the steps
     /// themselves (interner step ids depend on discovery order, which an
     /// import does not replay), so export → import → export is a fixed
     /// point and equal tries export equal byte-for-byte structures. Each
-    /// node's committed placement is recovered from a stored descendant's
-    /// entry list — entry `depth - 1` of any state below a node is the
-    /// placement its step committed.
+    /// node exports the placement it logged.
     pub(crate) fn export_trie(&self) -> TrieExport {
         let trie = self.trie.lock().expect("checkpoint trie lock");
         let interner = self.interner.lock().expect("step interner lock");
@@ -804,30 +908,16 @@ impl<C: PackEngine> SessionCore<C> {
             interner.iter().map(|((idx, job), &id)| (id, (*idx, job))).collect();
 
         // Children always follow their parent in the arena, so one reverse
-        // scan folds every subtree into `keep` (on a path to a stored
-        // state) and `repr` (a stored node in the subtree, self included).
+        // scan keeps every node on a path to a stored node and lists the
+        // kept children of each.
         let n = trie.nodes.len();
-        let mut parent = vec![usize::MAX; n];
-        for (i, node) in trie.nodes.iter().enumerate() {
-            for &child in node.children.values() {
-                parent[child] = i;
-            }
-        }
-        let mut keep = vec![false; n];
-        let mut repr: Vec<Option<usize>> = vec![None; n];
-        for i in 0..n {
-            if trie.nodes[i].state.is_some() {
-                keep[i] = true;
-                repr[i] = Some(i);
-            }
-        }
+        let mut keep: Vec<bool> = trie.nodes.iter().map(|node| node.stored).collect();
+        let mut kids: Vec<Vec<usize>> = vec![Vec::new(); n];
         for i in (1..n).rev() {
-            if keep[i] && parent[i] != usize::MAX {
-                let p = parent[i];
+            if keep[i] {
+                let p = trie.nodes[i].parent as usize;
                 keep[p] = true;
-                if repr[p].is_none() {
-                    repr[p] = repr[i];
-                }
+                kids[p].push(i);
             }
         }
 
@@ -837,7 +927,7 @@ impl<C: PackEngine> SessionCore<C> {
             .nodes
             .iter()
             .enumerate()
-            .filter(|(_, node)| node.state.is_some())
+            .filter(|(_, node)| node.stored)
             .map(|(i, node)| (node.last_used, i))
             .collect();
         stored_order.sort_unstable();
@@ -848,9 +938,6 @@ impl<C: PackEngine> SessionCore<C> {
 
         let mut export = TrieExport::default();
         let mut content_ids: HashMap<&TestJob, u32> = HashMap::new();
-        // Pre-order DFS from the root over kept nodes; the stack holds
-        // `(trie node, step from parent, exported parent index)`.
-        let mut stack: Vec<(usize, StepId, Option<u32>)> = Vec::new();
         let step_key = |step: StepId| -> (u32, Option<&TestJob>) {
             if (step as usize) < skeleton_len {
                 (step, None)
@@ -859,179 +946,195 @@ impl<C: PackEngine> SessionCore<C> {
                 (idx, Some(job))
             }
         };
-        let push_children =
-            |stack: &mut Vec<(usize, StepId, Option<u32>)>, node: usize, me: Option<u32>| {
-                let mut kids: Vec<(StepId, usize)> = trie.nodes[node]
-                    .children
-                    .iter()
-                    .filter(|&(_, &child)| keep[child])
-                    .map(|(&step, &child)| (step, child))
-                    .collect();
-                kids.sort_unstable_by(|&(a, _), &(b, _)| {
-                    let ((ja, ca), (jb, cb)) = (step_key(a), step_key(b));
-                    ja.cmp(&jb).then_with(|| match (ca, cb) {
-                        (None, None) => std::cmp::Ordering::Equal,
-                        (None, Some(_)) => std::cmp::Ordering::Less,
-                        (Some(_), None) => std::cmp::Ordering::Greater,
-                        (Some(x), Some(y)) => content_order(x, y),
-                    })
-                });
-                for (step, child) in kids.into_iter().rev() {
-                    stack.push((child, step, me));
+        for children in &mut kids {
+            children.sort_unstable_by(|&a, &b| {
+                let ((ja, ca), (jb, cb)) =
+                    (step_key(trie.nodes[a].step), step_key(trie.nodes[b].step));
+                ja.cmp(&jb).then_with(|| match (ca, cb) {
+                    (None, None) => std::cmp::Ordering::Equal,
+                    (None, Some(_)) => std::cmp::Ordering::Less,
+                    (Some(_), None) => std::cmp::Ordering::Greater,
+                    (Some(x), Some(y)) => content_order(x, y),
+                })
+            });
+        }
+        // Pre-order DFS from the root over kept nodes; the stack holds
+        // `(trie node, exported parent index)`.
+        let mut stack: Vec<(usize, Option<u32>)> = Vec::new();
+        stack.extend(kids[PrefixTrie::<C>::ROOT].iter().rev().map(|&child| (child, None)));
+        while let Some((i, parent_idx)) = stack.pop() {
+            let node = &trie.nodes[i];
+            let (job, content) = match step_key(node.step) {
+                (idx, None) => (idx, None),
+                (idx, Some(content_job)) => {
+                    let cid = *content_ids.entry(content_job).or_insert_with(|| {
+                        export.contents.push(content_job.clone());
+                        (export.contents.len() - 1) as u32
+                    });
+                    (idx, Some(cid))
                 }
             };
-        push_children(&mut stack, PrefixTrie::<C>::ROOT, None);
-        while let Some((i, step, parent_idx)) = stack.pop() {
-            let node = &trie.nodes[i];
-            let depth = node.depth as usize;
-            let r = repr[i].expect("kept nodes have a stored representative");
-            let entry = trie.nodes[r].state.as_ref().expect("representatives are stored").entries
-                [depth - 1];
-            let (job, content) = if (step as usize) < skeleton_len {
-                (step, None)
-            } else {
-                let (idx, content_job) = *rev.get(&step).expect("delta steps are interned");
-                let cid = *content_ids.entry(content_job).or_insert_with(|| {
-                    export.contents.push(content_job.clone());
-                    (export.contents.len() - 1) as u32
-                });
-                (idx, Some(cid))
-            };
-            debug_assert_eq!(entry.job, job as usize, "step/entry job mismatch in trie export");
-            let stored = node.state.is_some();
+            debug_assert_eq!(node.placed.job, job as usize, "step/placement job mismatch");
             let me = export.nodes.len() as u32;
             export.nodes.push(CheckpointNode {
                 parent: parent_idx,
                 job,
                 content,
-                width: entry.width,
-                start: entry.start,
-                end: entry.end,
-                stored,
-                lru: if stored { lru_rank[i] } else { 0 },
+                width: node.placed.width,
+                start: node.placed.start,
+                end: node.placed.end,
+                stored: node.stored,
+                lru: if node.stored { lru_rank[i] } else { 0 },
             });
-            push_children(&mut stack, i, Some(me));
+            stack.extend(kids[i].iter().rev().map(|&child| (child, Some(me))));
         }
         export
     }
 
     /// Imports an exported trie, re-packing every step and verifying the
     /// recomputed placement against the persisted one; returns
-    /// `(restored, dropped)` checkpoint counts.
+    /// `(restored, dropped)` stored-node counts.
     ///
-    /// A restored checkpoint is therefore *equal to the deterministic pack
-    /// of its own prefix by construction* — the importer never trusts
-    /// persisted coordinates, it only uses them to detect disagreement. A
-    /// node that fails verification (or references malformed structure)
-    /// invalidates its whole subtree; each stored node lost that way
-    /// counts as one drop. Stored states are committed in exported LRU
-    /// order, so the imported trie evicts in the same order the exporter
-    /// would have.
+    /// A restored node's log is therefore *the deterministic pack of its
+    /// own prefix by construction* — the importer never trusts persisted
+    /// coordinates, it only uses them to detect disagreement. A node that
+    /// fails verification (or references malformed structure) invalidates
+    /// its whole subtree; each stored node lost that way counts as one
+    /// drop. Re-packed states live only until their node's last child is
+    /// verified (skeleton-only stored nodes keep theirs as anchors), and
+    /// stored nodes are committed in exported LRU order, so the imported
+    /// trie evicts in the same order the exporter would have.
     pub(crate) fn import_trie(&self, export: &TrieExport) -> (u64, u64) {
-        let skeleton_len = self.key.skeleton().len();
-        let n = export.nodes.len();
-        let mut dropped = 0u64;
-        let mut paths: Vec<Vec<StepId>> = Vec::with_capacity(n.min(1 << 16));
-        let mut states: Vec<Option<Arc<PackState<C>>>> = Vec::with_capacity(n.min(1 << 16));
-        // `(lru rank, node)` of every verified stored node.
-        let mut stores: Vec<(u32, usize)> = Vec::new();
-        {
-            let mut interner = self.interner.lock().expect("step interner lock");
-            for (i, node) in export.nodes.iter().enumerate() {
-                paths.push(Vec::new());
-                states.push(None);
-                let drop_stored = |dropped: &mut u64| {
-                    if node.stored {
-                        *dropped += 1;
-                    }
-                };
-                // A dead parent (malformed index, forward reference, or a
-                // dropped subtree) invalidates the node.
-                let (base_path, base_state) = match node.parent {
-                    None => (Vec::new(), None),
-                    Some(p) => {
-                        let p = p as usize;
-                        match states.get(p).and_then(|s| s.as_ref()) {
-                            Some(state) if p < i => (paths[p].clone(), Some(Arc::clone(state))),
-                            _ => {
-                                drop_stored(&mut dropped);
-                                continue;
-                            }
-                        }
-                    }
-                };
-                let job = node.job as usize;
-                let (step, content) = if job < skeleton_len {
-                    // An over-wide job has no feasible placement at all —
-                    // reject it here (a session built from corrupt bytes
-                    // may carry one), the re-pack below assumes
-                    // feasibility.
-                    if node.content.is_some()
-                        || self.key.skeleton()[job].staircase.min_width() > self.key.tam_width()
-                    {
-                        drop_stored(&mut dropped);
-                        continue;
-                    }
-                    (node.job as StepId, &self.key.skeleton()[job])
-                } else {
-                    let content = node
-                        .content
-                        .and_then(|cid| export.contents.get(cid as usize))
-                        .filter(|c| c.staircase.min_width() <= self.key.tam_width());
-                    let Some(content) = content else {
-                        drop_stored(&mut dropped);
-                        continue;
-                    };
-                    let key = (node.job, content.clone());
-                    let id = match interner.get(&key) {
-                        Some(&id) => id,
-                        None if interner.len() < INTERNER_CAP => {
-                            let id = skeleton_len as StepId + interner.len() as StepId;
-                            interner.insert(key, id);
-                            id
-                        }
-                        None => {
-                            drop_stored(&mut dropped);
-                            continue;
-                        }
-                    };
-                    (id, content)
-                };
-                // Re-pack the step on a copy of the parent state and keep
-                // the node only if the deterministic placement agrees with
-                // the persisted one.
-                let mut state = self.take_state(base_path.len() + 1);
-                if let Some(base) = &base_state {
-                    state.copy_from(base);
-                }
-                let placement = self.with_pass_scratch(|scratch| {
-                    state.best_placement_for(content, self.key.tam_width(), scratch)
-                });
-                let placed = state.place_job(job, content, placement);
-                let expected =
-                    ScheduledTest { job, width: node.width, start: node.start, end: node.end };
-                if placed != expected {
-                    self.retire_state(state);
-                    drop_stored(&mut dropped);
-                    continue;
-                }
-                let mut path = base_path;
-                path.push(step);
-                if node.stored {
-                    stores.push((node.lru, i));
-                }
-                paths[i] = path;
-                states[i] = Some(Arc::new(state));
+        let skeleton = self.key.skeleton();
+        let tam_width = self.key.tam_width();
+        let nodes = &export.nodes;
+        // Parents precede their children, so one pass finds each node's
+        // last child.
+        let mut last_child: Vec<Option<usize>> = vec![None; nodes.len()];
+        for (i, node) in nodes.iter().enumerate() {
+            if let Some(p) = node.parent.map(|p| p as usize).filter(|&p| p < i) {
+                last_child[p] = Some(i);
             }
         }
-        stores.sort_unstable();
+        // `(step, placement, skeleton-only path)` per verified node.
+        let mut verified: Vec<Option<(StepId, ScheduledTest, bool)>> =
+            Vec::with_capacity(nodes.len());
+        // Re-packed states of verified nodes whose last child is pending.
+        let mut states: Vec<Option<PackState<C>>> = Vec::with_capacity(nodes.len());
+        // `(lru rank, node, anchor)` of every verified stored node.
+        let mut stores: Vec<(u32, usize, Option<Anchor<C>>)> = Vec::new();
+        let mut dropped = 0u64;
+        {
+            let mut interner = self.interner.lock().expect("step interner lock");
+            for (i, node) in nodes.iter().enumerate() {
+                let parent = node.parent.map(|p| p as usize);
+                // The last child takes its parent's state, whatever its
+                // own outcome: nothing else needs it.
+                let inherited = parent
+                    .filter(|&p| p < i && last_child[p] == Some(i))
+                    .and_then(|p| states[p].take());
+                let outcome = 'node: {
+                    // A dead parent (malformed index, forward reference, or
+                    // a dropped subtree) invalidates the node.
+                    if parent.is_some_and(|p| p >= i || verified[p].is_none()) {
+                        break 'node None;
+                    }
+                    let job = node.job as usize;
+                    let (step, content) = if job < skeleton.len() {
+                        // An over-wide job has no feasible placement at all
+                        // — reject it here (a session built from corrupt
+                        // bytes may carry one), the re-pack below assumes
+                        // feasibility.
+                        if node.content.is_some() || skeleton[job].staircase.min_width() > tam_width
+                        {
+                            break 'node None;
+                        }
+                        (node.job as StepId, &skeleton[job])
+                    } else {
+                        let content = node
+                            .content
+                            .and_then(|cid| export.contents.get(cid as usize))
+                            .filter(|c| c.staircase.min_width() <= tam_width);
+                        let Some(content) = content else { break 'node None };
+                        let key = (node.job, content.clone());
+                        let id = match interner.get(&key) {
+                            Some(&id) => id,
+                            None if interner.len() < INTERNER_CAP => {
+                                let id = skeleton.len() as StepId + interner.len() as StepId;
+                                interner.insert(key, id);
+                                id
+                            }
+                            None => break 'node None,
+                        };
+                        (id, content)
+                    };
+                    // Re-pack the step on the parent's state (inherited by
+                    // its last child, copied for the others) and keep the
+                    // node only if the deterministic placement agrees with
+                    // the persisted one.
+                    let mut state = match (inherited, parent) {
+                        (Some(state), _) => state,
+                        (None, Some(p)) => {
+                            let mut state = self.take_state(skeleton.len());
+                            state.copy_from(states[p].as_ref().expect("verified parent state"));
+                            state
+                        }
+                        (None, None) => self.take_state(skeleton.len()),
+                    };
+                    let placement = self.with_pass_scratch(|scratch| {
+                        state.best_placement_for(content, tam_width, scratch)
+                    });
+                    let placed = state.place_job(job, content, placement);
+                    let expected =
+                        ScheduledTest { job, width: node.width, start: node.start, end: node.end };
+                    if placed != expected {
+                        self.retire_state(state);
+                        break 'node None;
+                    }
+                    let skeleton_only = job < skeleton.len()
+                        && parent.is_none_or(|p| verified[p].is_some_and(|v| v.2));
+                    Some((step, placed, skeleton_only, state))
+                };
+                let Some((step, placed, skeleton_only, state)) = outcome else {
+                    if node.stored {
+                        dropped += 1;
+                    }
+                    verified.push(None);
+                    states.push(None);
+                    continue;
+                };
+                if node.stored {
+                    let anchor = skeleton_only.then(|| Arc::new(state.clone()));
+                    stores.push((node.lru, i, anchor));
+                }
+                verified.push(Some((step, placed, skeleton_only)));
+                if last_child[i].is_some() {
+                    states.push(Some(state));
+                } else {
+                    self.retire_state(state);
+                    states.push(None);
+                }
+            }
+        }
+        stores.sort_unstable_by_key(|&(lru, i, _)| (lru, i));
         let restored = stores.len() as u64;
         if restored > 0 {
             let mut trie = self.trie.lock().expect("checkpoint trie lock");
-            for &(_, i) in &stores {
-                let path = &paths[i];
-                let state = Arc::clone(states[i].as_ref().expect("verified nodes keep a state"));
-                trie.store(path, path.len(), state);
+            let (mut path, mut entries) = (Vec::new(), Vec::new());
+            for (_, i, anchor) in stores {
+                path.clear();
+                entries.clear();
+                let mut node = Some(i);
+                while let Some(n) = node {
+                    let (step, placed, _) =
+                        verified[n].expect("verified nodes have verified parents");
+                    path.push(step);
+                    entries.push(placed);
+                    node = nodes[n].parent.map(|p| p as usize);
+                }
+                path.reverse();
+                entries.reverse();
+                trie.store(&path, path.len(), &entries, anchor);
             }
         }
         (restored, dropped)
@@ -1059,8 +1162,7 @@ impl<C: PackEngine> SessionCore<C> {
             let mut trie = self.trie.lock().expect("checkpoint trie lock");
             for order in orders {
                 let steps: Vec<StepId> = order.iter().map(|&i| i as StepId).collect();
-                let full_depth =
-                    trie.deepest_state(&steps).is_some_and(|(_, d)| d as usize == order.len());
+                let full_depth = trie.deepest_stored(&steps).is_some_and(|(_, d)| d == order.len());
                 if !full_depth && !missing.contains(&order) {
                     missing.push(order);
                 }
@@ -1072,15 +1174,7 @@ impl<C: PackEngine> SessionCore<C> {
         let pack_one = |order: &Vec<usize>| {
             self.with_pass_scratch(|scratch| {
                 let mut state = self.take_state(jobs.len());
-                pack_order(
-                    &jobs,
-                    self.key.tam_width(),
-                    &mut state,
-                    order,
-                    None,
-                    scratch,
-                    |_, _| {},
-                );
+                pack_order(&jobs, self.key.tam_width(), &mut state, order, None, scratch);
                 Arc::new(state)
             })
         };
@@ -1093,24 +1187,24 @@ impl<C: PackEngine> SessionCore<C> {
         let mut trie = self.trie.lock().expect("checkpoint trie lock");
         for (order, state) in missing.into_iter().zip(packed) {
             let steps: Vec<StepId> = order.iter().map(|&i| i as StepId).collect();
-            trie.store(&steps, steps.len(), state);
+            trie.store(&steps, steps.len(), &state.entries, Some(Arc::clone(&state)));
         }
         counters.evictions.store(trie.evictions, Ordering::Relaxed);
     }
 
-    /// Packs one full ordering, restoring the deepest cached prefix from
+    /// Packs one full ordering, restoring the deepest stored prefix from
     /// the trie and packing the remainder as a continuation.
     ///
     /// The leading skeleton-only run is packed without pruning (its
-    /// checkpoint is shared across candidates and must not depend on any
-    /// incumbent) and its endpoint is always stored. With
-    /// `snapshot_deltas`, the tail additionally snapshots after every
-    /// step — the phase-partitioned orderings pass this, which is what
-    /// populates the cross-candidate delta-prefix paths. Snapshots taken
-    /// before a prune abandons the pass are kept: each is the
-    /// deterministic pack of its own prefix, valid regardless of how the
-    /// minting pass ends. Returns `None` when the continuation is
-    /// abandoned by the prune.
+    /// anchor is shared across candidates and must not depend on any
+    /// incumbent) and its endpoint is always stored, with the full state
+    /// as the anchor. With `snapshot_deltas`, every further placed step is
+    /// stored too, as the logged placement alone — the phase-partitioned
+    /// orderings pass this, which is what populates the cross-candidate
+    /// delta-prefix paths. Steps placed before a prune abandons the pass
+    /// are stored as well: each is the deterministic pack of its own
+    /// prefix, valid regardless of how the minting pass ends. Returns
+    /// `None` when the continuation is abandoned by the prune.
     fn pack_via_prefix(
         &self,
         jobs: &JobSet<'_>,
@@ -1126,16 +1220,16 @@ impl<C: PackEngine> SessionCore<C> {
         let steps = self.steps_for(jobs, order);
         let (restored, can_store) = {
             let mut trie = self.trie.lock().expect("checkpoint trie lock");
-            (trie.deepest_state(&steps), trie.has_node_capacity())
+            (trie.restore(&steps), trie.has_node_capacity())
         };
-        // Recycle a retired state's allocations for this pass; a restored
-        // checkpoint copies into the recycled buffers instead of cloning
-        // a fresh arena.
+        // Recycle a retired state's allocations for this pass; a restore
+        // copies its anchor into the recycled buffers instead of cloning
+        // a fresh arena, then replays the logged placements.
         let mut state = self.take_state(jobs.len());
         let start = match restored {
-            Some((arc, depth)) => {
-                state.copy_from(&arc);
-                depth as usize
+            Some(restore) => {
+                restore.apply(&mut state, jobs);
+                restore.depth
             }
             None => 0,
         };
@@ -1152,8 +1246,8 @@ impl<C: PackEngine> SessionCore<C> {
             }
         }
 
-        let (completed, snapshots) = self.with_pass_scratch(|scratch| {
-            let mut snapshots: Vec<(usize, Arc<PackState<C>>)> = Vec::new();
+        let (completed, anchor) = self.with_pass_scratch(|scratch| {
+            let mut anchor = None;
             if start < run {
                 pack_order(
                     jobs,
@@ -1162,24 +1256,14 @@ impl<C: PackEngine> SessionCore<C> {
                     &order[start..run],
                     None,
                     scratch,
-                    |_, _| {},
                 );
                 if can_store {
-                    snapshots.push((run, Arc::new(state.clone())));
+                    anchor = Some(Arc::new(state.clone()));
                 }
             }
-
-            // The tail beyond the restored prefix and the skeleton run:
-            // pruned when requested, snapshotted per cacheable step when
-            // requested (only while the trie can actually accept new paths
-            // — a saturated trie must not cost a discarded state clone per
-            // step).
+            // The tail beyond the restored prefix and the skeleton run,
+            // pruned when requested.
             let tail_from = start.max(run);
-            let snapshot_to = if snapshot_deltas && can_store {
-                steps.len().min(order.len().saturating_sub(1))
-            } else {
-                0
-            };
             let completed = pack_order(
                 jobs,
                 self.key.tam_width(),
@@ -1187,22 +1271,28 @@ impl<C: PackEngine> SessionCore<C> {
                 &order[tail_from..],
                 prune,
                 scratch,
-                |pos, state| {
-                    let depth = tail_from + pos + 1;
-                    if depth <= snapshot_to {
-                        snapshots.push((depth, Arc::new(state.clone())));
-                    }
-                },
             );
-            (completed, snapshots)
+            (completed, anchor)
         });
         if !completed {
             counters.pruned_passes.fetch_add(1, Ordering::Relaxed);
         }
-        if !snapshots.is_empty() {
+        // Stored delta depths: every placed, cacheable step past the
+        // restore and the run, short of the full order (only while the
+        // trie can still accept new paths).
+        let last_delta_depth = if snapshot_deltas && can_store {
+            steps.len().min(order.len().saturating_sub(1)).min(state.entries.len())
+        } else {
+            0
+        };
+        let delta_depths = start.max(run) + 1..=last_delta_depth;
+        if anchor.is_some() || !delta_depths.is_empty() {
             let mut trie = self.trie.lock().expect("checkpoint trie lock");
-            for (depth, snap) in snapshots {
-                trie.store(&steps, depth, snap);
+            if anchor.is_some() {
+                trie.store(&steps, run, &state.entries, anchor);
+            }
+            for depth in delta_depths {
+                trie.store(&steps, depth, &state.entries, None);
             }
             counters.evictions.store(trie.evictions, Ordering::Relaxed);
         }
@@ -1468,4 +1558,179 @@ pub(crate) fn run<C: PackEngine>(
     let mut remapped = Schedule::from_parts(w, schedule.makespan(), entries);
     remapped.sort_entries();
     Ok(remapped)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::naive::NaiveIndex;
+    use super::super::skyline::SkylineIndex;
+    use super::*;
+    use msoc_itc02::synth::{random_soc, RandomSocParams};
+    use msoc_wrapper::{Staircase, StaircasePoint};
+
+    impl<C: PackEngine> SessionCore<C> {
+        /// Replays every stored node of the trie and compares it with a
+        /// fresh pack of its prefix; asserts that full states sit only at
+        /// stored skeleton-only nodes. Returns `(stored nodes, stored
+        /// nodes whose restore replays from the root)`.
+        fn check_stored_nodes(&self) -> (usize, usize) {
+            let trie = self.trie.lock().expect("checkpoint trie lock");
+            let interner = self.interner.lock().expect("step interner lock");
+            let skeleton = self.key.skeleton();
+            let rev: HashMap<StepId, (usize, &TestJob)> =
+                interner.iter().map(|((idx, job), &id)| (id, (*idx as usize, job))).collect();
+            let step_job = |step: StepId| {
+                if (step as usize) < skeleton.len() {
+                    (step as usize, &skeleton[step as usize])
+                } else {
+                    rev[&step]
+                }
+            };
+            let (mut stored, mut from_root) = (0, 0);
+            for (i, node) in trie.nodes.iter().enumerate().skip(1) {
+                let mut path = Vec::new();
+                let mut n = i;
+                while n != PrefixTrie::<C>::ROOT {
+                    path.push(trie.nodes[n].step);
+                    n = trie.nodes[n].parent as usize;
+                }
+                path.reverse();
+                let skeleton_only = path.iter().all(|&step| (step as usize) < skeleton.len());
+                assert_eq!(
+                    node.anchor.is_some(),
+                    node.stored && skeleton_only,
+                    "full states sit exactly at stored skeleton-only nodes"
+                );
+                if !node.stored {
+                    continue;
+                }
+                stored += 1;
+                let restore = trie.restore_at(i, path.len());
+                if restore.anchor.is_none() {
+                    from_root += 1;
+                }
+                // The delta slots this path uses; the rest are never read.
+                let mut delta: Vec<TestJob> = Vec::new();
+                for &step in &path {
+                    let (idx, job) = step_job(step);
+                    if idx >= skeleton.len() {
+                        let slot = idx - skeleton.len();
+                        if delta.len() <= slot {
+                            delta.resize(slot + 1, job.clone());
+                        }
+                        delta[slot] = job.clone();
+                    }
+                }
+                let jobs = JobSet { skeleton, delta: &delta };
+                let mut replayed = PackState::<C>::new(path.len());
+                restore.apply(&mut replayed, &jobs);
+                let mut fresh = PackState::<C>::new(path.len());
+                let mut scratch = PassScratch::default();
+                for &step in &path {
+                    let (idx, job) = step_job(step);
+                    let p = fresh.best_placement_for(job, self.key.tam_width(), &mut scratch);
+                    fresh.place_job(idx, job, p);
+                }
+                assert_eq!(replayed.entries, fresh.entries, "replayed entries at node {i}");
+                assert_eq!(replayed.latest_end, fresh.latest_end, "latest end at node {i}");
+                assert_eq!(replayed.placed_area, fresh.placed_area, "placed area at node {i}");
+            }
+            (stored, from_root)
+        }
+    }
+
+    /// A random sweep: a synthetic digital skeleton, a TAM width, and
+    /// wrapper-sharing candidates that share their analog jobs and differ
+    /// only in how those jobs group.
+    fn random_sweep(seed: u64) -> (Vec<TestJob>, u32, Vec<Vec<TestJob>>) {
+        let mut rng = XorShift64::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let mut below = |n: u64| rng.next_u64() % n;
+        let params = RandomSocParams {
+            cores: 3 + below(4) as usize,
+            chains: (1, 6),
+            chain_len: (10, 120),
+            patterns: (5, 60),
+            terminals: (2, 40),
+        };
+        let width = 6 + below(12) as u32;
+        let soc = random_soc(seed, params);
+        let skeleton = crate::ScheduleProblem::from_soc(&soc, width).jobs;
+        let analog: Vec<Staircase> = (0..2 + below(4))
+            .map(|_| {
+                let (w, t) = (1 + below(2) as u32, 200 + below(4000));
+                let mut points = vec![StaircasePoint { width: w, time: t }];
+                if below(2) == 0 {
+                    points.push(StaircasePoint { width: w + 1 + below(2) as u32, time: t / 2 });
+                }
+                Staircase::from_points(points)
+            })
+            .collect();
+        let candidates = (0..3 + below(4))
+            .map(|_| {
+                analog
+                    .iter()
+                    .enumerate()
+                    .map(|(i, stairs)| {
+                        TestJob::delta_in_group(format!("a{i}"), stairs.clone(), below(3) as u32)
+                    })
+                    .collect()
+            })
+            .collect();
+        (skeleton, width, candidates)
+    }
+
+    /// Packs every candidate of `seed`'s sweep through one session with
+    /// engine `C` and checkpoint cap `cap`, checking each pack against a
+    /// from-scratch pack and every stored node after each pack, then the
+    /// trie's export → import round trip. Returns the schedules and the
+    /// replays from the root seen.
+    fn sweep_with<C: PackEngine>(seed: u64, effort: Effort, cap: usize) -> (Vec<Schedule>, usize) {
+        let (skeleton, width, candidates) = random_sweep(seed);
+        let key = Arc::new(SessionKey::new(width, skeleton, effort));
+        let core = SessionCore::<C>::with_checkpoint_cap(Arc::clone(&key), cap);
+        let counters = SessionCounters::default();
+        let mut schedules = Vec::new();
+        let mut from_root = 0;
+        for round in 0..2 {
+            for delta in &candidates {
+                let packed = core.pack(delta, &counters).expect("feasible");
+                let scratch = run::<C>(&key.problem_for(delta), effort).expect("feasible");
+                assert_eq!(
+                    packed, scratch,
+                    "seed {seed} cap {cap} round {round}: session diverged"
+                );
+                let (stored, root_replays) = core.check_stored_nodes();
+                assert!(stored <= cap, "seed {seed}: {stored} stored nodes above cap {cap}");
+                from_root += root_replays;
+                schedules.push(packed);
+            }
+        }
+        // The trie survives export → import: nothing is dropped, the
+        // imported nodes replay like the originals, and a second export
+        // is byte for byte the first.
+        let export = core.export_trie();
+        let imported = SessionCore::<C>::with_checkpoint_cap(key, cap);
+        let (restored, dropped) = imported.import_trie(&export);
+        assert_eq!((restored as usize, dropped), (export.checkpoint_count(), 0), "seed {seed}");
+        imported.check_stored_nodes();
+        assert_eq!(imported.export_trie(), export, "seed {seed} cap {cap}: no fixed point");
+        (schedules, from_root)
+    }
+
+    #[test]
+    fn random_sweeps_replay_placement_logs_bit_identically() {
+        let mut root_replays = 0;
+        for seed in 0..10u64 {
+            let effort = if seed % 2 == 0 { Effort::Quick } else { Effort::Standard };
+            for cap in [CHECKPOINT_CACHE_CAP, 2] {
+                let (fast, fast_root) = sweep_with::<SkylineIndex>(seed, effort, cap);
+                let (reference, _) = sweep_with::<NaiveIndex>(seed, effort, cap);
+                assert_eq!(fast, reference, "seed {seed} cap {cap}: engines diverged");
+                if cap == 2 {
+                    root_replays += fast_root;
+                }
+            }
+        }
+        assert!(root_replays > 0, "cap 2 must evict anchors and replay logs from the root");
+    }
 }

@@ -5,8 +5,8 @@
 //! width, and every candidate's scheduling problem contains the *same*
 //! digital jobs — only the analog wrapper grouping changes. A
 //! [`PackSession`] captures that structure: it owns the sweep-invariant
-//! *skeleton* jobs, packs each skeleton ordering exactly once into a
-//! checkpoint (placed entries + the skyline capacity index), and lets
+//! *skeleton* jobs, packs each skeleton ordering exactly once into an
+//! anchor checkpoint (placed entries + the skyline capacity index), and lets
 //! every candidate *delta-pack* its per-configuration jobs on a restored
 //! snapshot. Session packs are **bit-identical** to from-scratch
 //! [`schedule_with_engine`](super::schedule_with_engine) calls on the
@@ -83,7 +83,7 @@ pub struct SessionStats {
     pub max_prefix_depth: u64,
     /// Checkpoints evicted by the LRU cap.
     pub evictions: u64,
-    /// Checkpoint states restored by [`PackSession::import_checkpoints`]
+    /// Checkpoints restored by [`PackSession::import_checkpoints`]
     /// (each one re-packed and verified against its persisted placement).
     pub import_restored: u64,
     /// Exported checkpoints an import dropped because they did not equal
@@ -238,8 +238,8 @@ impl PackSession {
 
     /// [`Self::new`] with an explicit checkpoint-cache capacity.
     ///
-    /// The cap bounds how many packed checkpoints (skeleton runs plus
-    /// delta-prefix snapshots) the session retains; above it the least
+    /// The cap bounds how many packed checkpoints (skeleton-run anchors
+    /// plus logged delta-prefix steps) the session retains; above it the least
     /// recently used checkpoint is evicted (counted in
     /// [`SessionStats::evictions`]). Results never depend on the cap — an
     /// evicted checkpoint is simply re-packed on its next use — so even a
