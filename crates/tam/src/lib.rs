@@ -22,18 +22,18 @@
 //!
 //! # The event-skyline packer
 //!
-//! The optimizer's hot path is the capacity query "peak TAM usage over
-//! `[t, t + d)`", asked for every candidate start of every staircase point
-//! of every job in every greedy pass. The skyline engine answers it from
-//! an incrementally maintained **capacity skyline**: the
-//! piecewise-constant usage profile, stored as coordinate-compressed
-//! capacity events in a treap keyed by event time whose nodes carry the
-//! segment usage, a lazy pending range-addition, and the subtree usage
-//! maximum. Placing a `w × d` rectangle is a ranged `+w` update (two event
-//! insertions plus an O(log n) expected range add) and a window-peak query
-//! is an O(log n) expected range-max descent — versus the O(n log n)
-//! rebuild-sort-scan per *query* of the original packer, which survives
-//! only as the reference oracle [`Engine::Naive`]: differential tests
+//! The optimizer's hot path is the placement query "earliest start whose
+//! window `[t, t + d)` stays under the TAM capacity", asked for every
+//! staircase point of every job in every greedy pass. The skyline engine
+//! answers it from an incrementally maintained **capacity skyline**: the
+//! piecewise-constant usage profile, stored as a flat, time-sorted vector
+//! of `(time, usage)` capacity events. Placing a `w × d` rectangle splits
+//! at most two segments and adds `w` to the segments between them. A query
+//! walks the candidate starts once, skipping every candidate whose window
+//! provably overlaps the same over-capacity segment or forbidden interval
+//! as a blocked one, so it costs O(events + candidates) — versus the
+//! O(n log n) rebuild-sort-scan per *probe* of the original packer, which
+//! survives only as the reference oracle [`Engine::Naive`]: differential tests
 //! compare sessions, planners and from-scratch packs against it through
 //! [`schedule_with_engine`]. Everything else packs with the skyline. On
 //! top of the skyline, the search layer abandons greedy passes whose
@@ -50,8 +50,8 @@
 //! digital job — go through a [`PackSession`]: jobs carry a [`JobKind`]
 //! splitting them into the sweep-invariant *skeleton* and the
 //! per-candidate *delta*, the search packs every skeleton ordering exactly
-//! once into a checkpoint (the skyline treap checkpoints with a flat
-//! clone), and each candidate delta-packs on a restored snapshot. Session
+//! once into a checkpoint (the skyline's event vector checkpoints with a
+//! flat clone), and each candidate delta-packs on a restored snapshot. Session
 //! packs are bit-identical to from-scratch [`schedule_with_engine`] calls,
 //! and [`SessionStats`] exposes the hit/miss/prune counters that prove the
 //! reuse happens.

@@ -11,9 +11,9 @@
 //! * [`session`] — [`PackSession`], the public handle that shares packed
 //!   skeleton checkpoints across a whole sweep of candidate
 //!   configurations, with hit/miss/prune counters,
-//! * [`skyline`] — the event-based capacity skyline: O(log n) placement
-//!   queries over an incrementally maintained capacity profile whose treap
-//!   arena checkpoints with a flat clone,
+//! * [`skyline`] — the event-based capacity skyline: O(events +
+//!   candidates) placement queries over an incrementally maintained,
+//!   time-sorted event vector that checkpoints with a flat clone,
 //! * [`naive`] — the original O(n log n)-per-query reference engine, kept
 //!   as the oracle differential tests compare against.
 //!
@@ -32,9 +32,8 @@ mod skyline;
 pub use search::{CheckpointImportStats, CheckpointNode, TrieExport};
 pub use session::{PackSession, SessionKey, SessionStats};
 
-/// Small deterministic PRNG shared by the shuffle restarts and the
-/// skyline treap priorities (keeps `rand` out of the public dependency
-/// set of this crate).
+/// Small deterministic PRNG for the shuffle restarts (keeps `rand` out of
+/// the public dependency set of this crate).
 #[derive(Debug, Clone)]
 struct XorShift64 {
     state: u64,
@@ -345,8 +344,8 @@ impl Effort {
 /// services always pack with [`Engine::Skyline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
-    /// Incremental event skyline: O(log n) placement queries, lower-bound
-    /// pruning, parallel multi-start.
+    /// Incremental event skyline: O(events + candidates) placement
+    /// queries, lower-bound pruning, parallel multi-start.
     Skyline,
     /// The original rebuild-sort-scan reference path, serial and unpruned.
     Naive,

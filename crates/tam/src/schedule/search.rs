@@ -70,6 +70,8 @@
 //! is later abandoned.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -236,7 +238,7 @@ impl<C: PackEngine> PackState<C> {
 
     /// Allocation-reusing checkpoint restore: field-wise `clone_from`, so
     /// restoring into a recycled state re-fills existing buffers instead
-    /// of allocating a fresh treap arena per pass.
+    /// of allocating fresh event vectors per pass.
     fn copy_from(&mut self, other: &Self) {
         self.entries.clone_from(&other.entries);
         self.group_intervals.clone_from(&other.group_intervals);
@@ -458,6 +460,60 @@ fn chains_first_order(jobs: &JobSet<'_>, indices: &[usize], tam_width: u32) -> V
 /// interner.
 type StepId = u32;
 
+/// Dense ids for delta-step keys: `(combined index, content) -> id`, ids
+/// starting after the skeleton indices and counting up in insertion order.
+///
+/// The map holds each key's content *hash*, so a lookup borrows the content
+/// and only an insert clones it. Different contents with equal hashes take
+/// the next free hash value (linear probing; keys are never removed).
+struct StepInterner {
+    /// The first delta-step id: the session's skeleton length.
+    base: StepId,
+    /// `(combined index, probed content hash) -> id`.
+    slots: HashMap<(u32, u64), StepId>,
+    /// Interned keys in id order, from `base`.
+    keys: Vec<(u32, TestJob)>,
+    /// Randomly keyed, like the map's own hasher, so contents from a
+    /// snapshot or the wire cannot be crafted into long probe chains.
+    hasher: RandomState,
+}
+
+impl StepInterner {
+    fn new(skeleton_len: usize) -> Self {
+        StepInterner {
+            base: skeleton_len as StepId,
+            slots: HashMap::new(),
+            keys: Vec::new(),
+            hasher: RandomState::new(),
+        }
+    }
+
+    /// The id of `(idx, job)`, interning it when new; `None` when it is new
+    /// and the interner is full (see [`INTERNER_CAP`]).
+    fn intern(&mut self, idx: u32, job: &TestJob) -> Option<StepId> {
+        let mut hash = self.hasher.hash_one(job);
+        while let Some(&id) = self.slots.get(&(idx, hash)) {
+            if self.keys[(id - self.base) as usize].1 == *job {
+                return Some(id);
+            }
+            hash = hash.wrapping_add(1);
+        }
+        if self.keys.len() >= INTERNER_CAP {
+            return None;
+        }
+        let id = self.base + self.keys.len() as StepId;
+        self.slots.insert((idx, hash), id);
+        self.keys.push((idx, job.clone()));
+        Some(id)
+    }
+
+    /// The `(combined index, content)` of an interned delta-step id.
+    fn key(&self, id: StepId) -> Option<(u32, &TestJob)> {
+        let (idx, job) = self.keys.get(id.checked_sub(self.base)? as usize)?;
+        Some((*idx, job))
+    }
+}
+
 /// One node of the prefix trie: the step that reaches it from its parent
 /// and the placement that step committed. Every node carries its
 /// placement, so the state after any path is recoverable by replaying the
@@ -597,43 +653,74 @@ impl<C> PrefixTrie<C> {
         Restore { depth, anchor, log }
     }
 
-    /// Stores the node for `steps[..depth]`, creating structure as needed
-    /// (subject to the node cap; `entries[i]` is the placement step `i`
-    /// committed) and LRU-evicting above the cap. `anchor` is the full
-    /// state at that depth, passed exactly when the path is skeleton-only.
-    /// Never overwrites: the first store of a prefix is as good as any
-    /// later one (packing is deterministic).
+    /// Stores a pass's checkpoints in one walk down `steps`: the node for
+    /// `steps[..depth]` at the anchor's depth (with the anchor, the full
+    /// state there, passed exactly when that prefix is skeleton-only) and
+    /// then at every depth of `deltas`, which must all lie deeper. Creates
+    /// structure as needed (subject to the node cap; `entries[i]` is the
+    /// placement step `i` committed) and LRU-evicts above the cap. Never
+    /// overwrites: the first store of a prefix is as good as any later one
+    /// (packing is deterministic).
+    ///
+    /// Nodes are created and marked in the same order as one walk per depth
+    /// would create and mark them, and the walk goes no deeper than the
+    /// last depth stored, so the trie, its LRU ticks and its evictions do
+    /// not depend on how a pass batches its stores.
     fn store(
         &mut self,
         steps: &[StepId],
-        depth: usize,
         entries: &[ScheduledTest],
-        anchor: Option<Anchor<C>>,
+        anchor: Option<(usize, Anchor<C>)>,
+        deltas: RangeInclusive<usize>,
     ) {
-        if depth == 0 {
-            return; // an empty prefix is a fresh state; nothing to cache
-        }
-        let mut node = Self::ROOT;
-        for (i, &step) in steps[..depth].iter().enumerate() {
-            if let Some(child) = self.child(node, step) {
+        let anchor = anchor.map(|(depth, anchor)| (depth, Some(anchor)));
+        let marks = anchor.into_iter().chain(deltas.map(|depth| (depth, None)));
+        let (mut node, mut depth) = (Self::ROOT, 0);
+        for (target, anchor) in marks {
+            if target == 0 {
+                continue; // an empty prefix is a fresh state; nothing to cache
+            }
+            while depth < target {
+                let Some(child) = self.child_or_insert(node, steps[depth], entries[depth]) else {
+                    return;
+                };
                 node = child;
-                continue;
+                depth += 1;
             }
-            if self.nodes.len() >= self.node_cap() {
-                return;
-            }
-            let child = self.nodes.len();
-            self.nodes.push(TrieNode {
-                parent: node as u32,
-                step,
-                placed: entries[i],
-                last_used: 0,
-                stored: false,
-                anchor: None,
-            });
-            self.children.insert((node as u32, step), child as u32);
-            node = child;
+            self.mark_stored(node, anchor);
         }
+    }
+
+    /// The child of `node` along `step`, created with its logged placement
+    /// when missing; `None` once the node cap is reached.
+    fn child_or_insert(
+        &mut self,
+        node: usize,
+        step: StepId,
+        placed: ScheduledTest,
+    ) -> Option<usize> {
+        if let Some(child) = self.child(node, step) {
+            return Some(child);
+        }
+        if self.nodes.len() >= self.node_cap() {
+            return None;
+        }
+        let child = self.nodes.len();
+        self.nodes.push(TrieNode {
+            parent: node as u32,
+            step,
+            placed,
+            last_used: 0,
+            stored: false,
+            anchor: None,
+        });
+        self.children.insert((node as u32, step), child as u32);
+        Some(child)
+    }
+
+    /// Makes `node` a restore target holding `anchor`, LRU-evicting first
+    /// when the trie is at its cap; a node already stored is left as is.
+    fn mark_stored(&mut self, node: usize, anchor: Option<Anchor<C>>) {
         if self.nodes[node].stored {
             return;
         }
@@ -790,22 +877,21 @@ pub(crate) struct SessionCore<C> {
     /// The checkpoint store. Anchors are `Arc`s so a restore clones a
     /// pointer and a short log under the lock and copies and replays
     /// outside it — concurrent delta passes must not serialize on a
-    /// treap-arena memcpy inside the critical section.
+    /// state memcpy inside the critical section.
     trie: Mutex<PrefixTrie<C>>,
-    /// Dense ids for delta-step keys: `(combined index, content) -> id`,
-    /// ids starting after the skeleton indices.
-    interner: Mutex<HashMap<(u32, TestJob), StepId>>,
+    /// Dense ids for delta-step keys.
+    interner: Mutex<StepInterner>,
     /// Recycled per-pass scratch buffers (candidate times, placement
     /// alternatives), checked out once per greedy pass.
     pass_scratch: Mutex<Vec<PassScratch>>,
-    /// Retired pack states whose allocations (entry vectors, treap
-    /// arenas) future passes reuse instead of re-allocating.
+    /// Retired pack states whose allocations (entry vectors, skyline
+    /// event vectors) future passes reuse instead of re-allocating.
     retired_states: Mutex<Vec<PackState<C>>>,
 }
 
 /// Upper bound on recycled [`PackState`]s retained per session. Each
-/// retired state holds an entry vector plus a treap arena (a few KB on
-/// real SOCs); the cap keeps a long-lived service session's recycle pool
+/// retired state holds an entry vector plus the skyline's event vectors
+/// (a few KB on real SOCs); the cap keeps a long-lived service session's recycle pool
 /// at worst-case a couple hundred KB while still covering the widest
 /// realistic multi-start fan-out.
 const RETIRED_STATE_CAP: usize = 32;
@@ -817,9 +903,9 @@ impl<C: PackEngine> SessionCore<C> {
 
     pub(crate) fn with_checkpoint_cap(key: Arc<SessionKey>, cap: usize) -> Self {
         SessionCore {
+            interner: Mutex::new(StepInterner::new(key.skeleton().len())),
             key,
             trie: Mutex::new(PrefixTrie::new(cap.max(1))),
-            interner: Mutex::new(HashMap::new()),
             pass_scratch: Mutex::new(Vec::new()),
             retired_states: Mutex::new(Vec::new()),
         }
@@ -877,16 +963,10 @@ impl<C: PackEngine> SessionCore<C> {
                 steps.push(idx as StepId);
                 continue;
             }
-            let key = (idx as u32, jobs.get(idx).clone());
-            if let Some(&id) = interner.get(&key) {
-                steps.push(id);
-            } else if interner.len() < INTERNER_CAP {
-                let id = skeleton_len as StepId + interner.len() as StepId;
-                interner.insert(key, id);
-                steps.push(id);
-            } else {
+            let Some(id) = interner.intern(idx as u32, jobs.get(idx)) else {
                 break;
-            }
+            };
+            steps.push(id);
         }
         steps
     }
@@ -904,8 +984,6 @@ impl<C: PackEngine> SessionCore<C> {
         let trie = self.trie.lock().expect("checkpoint trie lock");
         let interner = self.interner.lock().expect("step interner lock");
         let skeleton_len = self.key.skeleton().len();
-        let rev: HashMap<StepId, (u32, &TestJob)> =
-            interner.iter().map(|((idx, job), &id)| (id, (*idx, job))).collect();
 
         // Children always follow their parent in the arena, so one reverse
         // scan keeps every node on a path to a stored node and lists the
@@ -942,7 +1020,7 @@ impl<C: PackEngine> SessionCore<C> {
             if (step as usize) < skeleton_len {
                 (step, None)
             } else {
-                let (idx, job) = *rev.get(&step).expect("delta steps are interned");
+                let (idx, job) = interner.key(step).expect("delta steps are interned");
                 (idx, Some(job))
             }
         };
@@ -1026,6 +1104,10 @@ impl<C: PackEngine> SessionCore<C> {
         let mut dropped = 0u64;
         {
             let mut interner = self.interner.lock().expect("step interner lock");
+            let mut scratch = PassScratch::default();
+            // Step ids per `(job, content index)`, so each exported content
+            // is hashed into the interner once, not once per node.
+            let mut step_ids: HashMap<(u32, u32), Option<StepId>> = HashMap::new();
             for (i, node) in nodes.iter().enumerate() {
                 let parent = node.parent.map(|p| p as usize);
                 // The last child takes its parent's state, whatever its
@@ -1051,21 +1133,17 @@ impl<C: PackEngine> SessionCore<C> {
                         }
                         (node.job as StepId, &skeleton[job])
                     } else {
-                        let content = node
-                            .content
-                            .and_then(|cid| export.contents.get(cid as usize))
-                            .filter(|c| c.staircase.min_width() <= tam_width);
-                        let Some(content) = content else { break 'node None };
-                        let key = (node.job, content.clone());
-                        let id = match interner.get(&key) {
-                            Some(&id) => id,
-                            None if interner.len() < INTERNER_CAP => {
-                                let id = skeleton.len() as StepId + interner.len() as StepId;
-                                interner.insert(key, id);
-                                id
-                            }
-                            None => break 'node None,
+                        let Some(cid) = node.content else { break 'node None };
+                        let content = export.contents.get(cid as usize);
+                        let Some(content) =
+                            content.filter(|c| c.staircase.min_width() <= tam_width)
+                        else {
+                            break 'node None;
                         };
+                        let id = *step_ids
+                            .entry((node.job, cid))
+                            .or_insert_with(|| interner.intern(node.job, content));
+                        let Some(id) = id else { break 'node None };
                         (id, content)
                     };
                     // Re-pack the step on the parent's state (inherited by
@@ -1081,9 +1159,7 @@ impl<C: PackEngine> SessionCore<C> {
                         }
                         (None, None) => self.take_state(skeleton.len()),
                     };
-                    let placement = self.with_pass_scratch(|scratch| {
-                        state.best_placement_for(content, tam_width, scratch)
-                    });
+                    let placement = state.best_placement_for(content, tam_width, &mut scratch);
                     let placed = state.place_job(job, content, placement);
                     let expected =
                         ScheduledTest { job, width: node.width, start: node.start, end: node.end };
@@ -1119,22 +1195,35 @@ impl<C: PackEngine> SessionCore<C> {
         stores.sort_unstable_by_key(|&(lru, i, _)| (lru, i));
         let restored = stores.len() as u64;
         if restored > 0 {
+            // Commits each stored node as a `store` of its full path would,
+            // in the same order, but creates only the suffix of its path
+            // that no earlier commit reached: `arena[i]` is the trie node of
+            // export node `i` once a commit has walked it.
             let mut trie = self.trie.lock().expect("checkpoint trie lock");
-            let (mut path, mut entries) = (Vec::new(), Vec::new());
-            for (_, i, anchor) in stores {
-                path.clear();
-                entries.clear();
-                let mut node = Some(i);
-                while let Some(n) = node {
+            let mut arena: Vec<Option<usize>> = vec![None; nodes.len()];
+            let mut pending = Vec::new();
+            'stores: for (_, i, anchor) in stores {
+                pending.clear();
+                let mut cursor = Some(i);
+                let mut node = PrefixTrie::<C>::ROOT;
+                while let Some(n) = cursor {
+                    if let Some(known) = arena[n] {
+                        node = known;
+                        break;
+                    }
+                    pending.push(n);
+                    cursor = nodes[n].parent.map(|p| p as usize);
+                }
+                for &n in pending.iter().rev() {
                     let (step, placed, _) =
                         verified[n].expect("verified nodes have verified parents");
-                    path.push(step);
-                    entries.push(placed);
-                    node = nodes[n].parent.map(|p| p as usize);
+                    let Some(child) = trie.child_or_insert(node, step, placed) else {
+                        continue 'stores;
+                    };
+                    arena[n] = Some(child);
+                    node = child;
                 }
-                path.reverse();
-                entries.reverse();
-                trie.store(&path, path.len(), &entries, anchor);
+                trie.mark_stored(node, anchor);
             }
         }
         (restored, dropped)
@@ -1187,7 +1276,9 @@ impl<C: PackEngine> SessionCore<C> {
         let mut trie = self.trie.lock().expect("checkpoint trie lock");
         for (order, state) in missing.into_iter().zip(packed) {
             let steps: Vec<StepId> = order.iter().map(|&i| i as StepId).collect();
-            trie.store(&steps, steps.len(), &state.entries, Some(Arc::clone(&state)));
+            // The full skeleton order's anchor, and no delta depths.
+            let anchor = Some((steps.len(), Arc::clone(&state)));
+            trie.store(&steps, &state.entries, anchor, RangeInclusive::new(1, 0));
         }
         counters.evictions.store(trie.evictions, Ordering::Relaxed);
     }
@@ -1288,12 +1379,7 @@ impl<C: PackEngine> SessionCore<C> {
         let delta_depths = start.max(run) + 1..=last_delta_depth;
         if anchor.is_some() || !delta_depths.is_empty() {
             let mut trie = self.trie.lock().expect("checkpoint trie lock");
-            if anchor.is_some() {
-                trie.store(&steps, run, &state.entries, anchor);
-            }
-            for depth in delta_depths {
-                trie.store(&steps, depth, &state.entries, None);
-            }
+            trie.store(&steps, &state.entries, anchor.map(|a| (run, a)), delta_depths);
             counters.evictions.store(trie.evictions, Ordering::Relaxed);
         }
         if completed {
@@ -1577,14 +1663,9 @@ mod tests {
             let trie = self.trie.lock().expect("checkpoint trie lock");
             let interner = self.interner.lock().expect("step interner lock");
             let skeleton = self.key.skeleton();
-            let rev: HashMap<StepId, (usize, &TestJob)> =
-                interner.iter().map(|((idx, job), &id)| (id, (*idx as usize, job))).collect();
-            let step_job = |step: StepId| {
-                if (step as usize) < skeleton.len() {
-                    (step as usize, &skeleton[step as usize])
-                } else {
-                    rev[&step]
-                }
+            let step_job = |step: StepId| match interner.key(step) {
+                Some((idx, job)) => (idx as usize, job),
+                None => (step as usize, &skeleton[step as usize]),
             };
             let (mut stored, mut from_root) = (0, 0);
             for (i, node) in trie.nodes.iter().enumerate().skip(1) {
@@ -1637,6 +1718,48 @@ mod tests {
             }
             (stored, from_root)
         }
+    }
+
+    /// The trie an import of `export` into `core` commits, built the
+    /// reference way: one store of each stored node's full path, in
+    /// exported LRU order, and without anchors. Every node must verify, and
+    /// `core` must have imported `export` already (so its interner holds
+    /// every step).
+    fn reference_import<C: PackEngine>(
+        core: &SessionCore<C>,
+        export: &TrieExport,
+    ) -> PrefixTrie<C> {
+        let mut interner = core.interner.lock().expect("step interner lock");
+        let mut trie = PrefixTrie::new(core.trie.lock().expect("checkpoint trie lock").cap);
+        let mut stored: Vec<(u32, usize)> = export
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| n.stored)
+            .map(|(i, n)| (n.lru, i))
+            .collect();
+        stored.sort_unstable();
+        for (_, i) in stored {
+            let (mut steps, mut entries) = (Vec::new(), Vec::new());
+            let mut cursor = Some(i);
+            while let Some(n) = cursor {
+                let node = &export.nodes[n];
+                steps.push(match node.content {
+                    None => node.job,
+                    Some(cid) => {
+                        let content = &export.contents[cid as usize];
+                        interner.intern(node.job, content).expect("interned by the import")
+                    }
+                });
+                let (job, width) = (node.job as usize, node.width);
+                entries.push(ScheduledTest { job, width, start: node.start, end: node.end });
+                cursor = node.parent.map(|p| p as usize);
+            }
+            steps.reverse();
+            entries.reverse();
+            trie.store_depth(&steps, steps.len(), &entries, None);
+        }
+        trie
     }
 
     /// A random sweep: a synthetic digital skeleton, a TAM width, and
@@ -1709,12 +1832,157 @@ mod tests {
         // imported nodes replay like the originals, and a second export
         // is byte for byte the first.
         let export = core.export_trie();
-        let imported = SessionCore::<C>::with_checkpoint_cap(key, cap);
+        let imported = SessionCore::<C>::with_checkpoint_cap(Arc::clone(&key), cap);
         let (restored, dropped) = imported.import_trie(&export);
         assert_eq!((restored as usize, dropped), (export.checkpoint_count(), 0), "seed {seed}");
         imported.check_stored_nodes();
         assert_eq!(imported.export_trie(), export, "seed {seed} cap {cap}: no fixed point");
+        // Into a session with a smaller cap (and so a smaller node cap), the
+        // import commits what one store per stored node's full path would.
+        let small = SessionCore::<C>::with_checkpoint_cap(key, 1);
+        small.import_trie(&export);
+        let committed = small.trie.lock().expect("checkpoint trie lock").layout();
+        let reference = reference_import(&small, &export).layout();
+        let unanchored = |(nodes, counts, children): Layout| {
+            let nodes: Vec<_> =
+                nodes.into_iter().map(|(p, s, e, t, st, _)| (p, s, e, t, st)).collect();
+            (nodes, counts, children)
+        };
+        assert_eq!(unanchored(committed), unanchored(reference), "seed {seed} cap {cap}");
         (schedules, from_root)
+    }
+
+    /// Two contents whose hashes collide get distinct ids, and each keeps
+    /// its own id on later lookups.
+    #[test]
+    fn interner_probes_past_hash_collisions() {
+        let job = |label: &str| {
+            let stairs = Staircase::from_points(vec![StaircasePoint { width: 1, time: 10 }]);
+            TestJob::delta_in_group(label, stairs, 0)
+        };
+        let (a, b) = (job("a"), job("b"));
+        let mut interner = StepInterner::new(5);
+        assert_eq!(interner.intern(7, &a), Some(5));
+        // Make `b`'s hash slot point at `a`, as a collision would.
+        let hash_b = interner.hasher.hash_one(&b);
+        interner.slots.insert((7, hash_b), 5);
+        assert_eq!(interner.intern(7, &b), Some(6));
+        assert_eq!(interner.intern(7, &b), Some(6));
+        assert_eq!(interner.intern(7, &a), Some(5));
+        assert_eq!(interner.intern(8, &a), Some(7), "the index is part of the key");
+        assert_eq!(interner.key(6), Some((7, &b)));
+        assert_eq!(interner.key(4), None, "skeleton ids are not interned");
+    }
+
+    /// Per node `(parent, step, placed, last_used, stored, anchor address)`,
+    /// then `[stored, tick, evictions]` and the child-map size.
+    type Layout = (Vec<(u32, StepId, ScheduledTest, u64, bool, Option<usize>)>, [u64; 3], usize);
+
+    impl<C> PrefixTrie<C> {
+        /// The reference store: one walk from the root per stored depth.
+        fn store_depth(
+            &mut self,
+            steps: &[StepId],
+            depth: usize,
+            entries: &[ScheduledTest],
+            anchor: Option<Anchor<C>>,
+        ) {
+            if depth == 0 {
+                return;
+            }
+            let mut node = Self::ROOT;
+            for (i, &step) in steps[..depth].iter().enumerate() {
+                if let Some(child) = self.child(node, step) {
+                    node = child;
+                    continue;
+                }
+                if self.nodes.len() >= self.node_cap() {
+                    return;
+                }
+                let child = self.nodes.len();
+                self.nodes.push(TrieNode {
+                    parent: node as u32,
+                    step,
+                    placed: entries[i],
+                    last_used: 0,
+                    stored: false,
+                    anchor: None,
+                });
+                self.children.insert((node as u32, step), child as u32);
+                node = child;
+            }
+            if self.nodes[node].stored {
+                return;
+            }
+            if self.stored >= self.cap {
+                self.evict_lru_batch();
+            }
+            self.tick += 1;
+            let target = &mut self.nodes[node];
+            target.stored = true;
+            target.anchor = anchor;
+            target.last_used = self.tick;
+            self.stored += 1;
+        }
+
+        /// Everything a trie's behaviour depends on, anchors by identity.
+        fn layout(&self) -> Layout {
+            let nodes = self
+                .nodes
+                .iter()
+                .map(|n| {
+                    let anchor = n.anchor.as_ref().map(|a| Arc::as_ptr(a) as usize);
+                    (n.parent, n.step, n.placed, n.last_used, n.stored, anchor)
+                })
+                .collect();
+            (nodes, [self.stored as u64, self.tick, self.evictions], self.children.len())
+        }
+    }
+
+    /// The one-walk store builds the same trie as one walk per stored
+    /// depth, through node-cap and stored-cap saturation, including passes
+    /// whose delta range is empty.
+    #[test]
+    fn one_walk_store_matches_per_depth_stores() {
+        let mut rng = XorShift64::new(0x0ea1_57e5);
+        let mut saturated = (false, false);
+        for round in 0..60 {
+            let mut below = |n: u64| rng.next_u64() % n;
+            let cap = 1 + below(24) as usize;
+            let mut batched = PrefixTrie::<SkylineIndex>::new(cap);
+            let mut reference = PrefixTrie::<SkylineIndex>::new(cap);
+            for pass in 0..200u64 {
+                // Few distinct steps per position, so paths share prefixes.
+                let len = 1 + below(12) as usize;
+                let steps: Vec<StepId> = (0..len).map(|_| below(3) as StepId).collect();
+                let entries: Vec<ScheduledTest> = (0..len)
+                    .map(|i| ScheduledTest { job: i, width: 1, start: pass, end: pass + 1 })
+                    .collect();
+                if below(4) == 0 {
+                    // A restore between passes reorders the LRU ticks.
+                    let probe: Vec<StepId> = (0..len).map(|_| below(3) as StepId).collect();
+                    assert_eq!(batched.deepest_stored(&probe), reference.deepest_stored(&probe));
+                }
+                let run = below(len as u64 + 1) as usize;
+                let anchor =
+                    (run > 0 && below(2) == 0).then(|| Arc::new(PackState::<SkylineIndex>::new(0)));
+                // Delta depths start past the run (or a restored depth) and
+                // end anywhere from before their start to the full path.
+                let first = run.max(below(len as u64 + 1) as usize) + 1;
+                let last = if below(3) == 0 { first - 1 } else { below(len as u64 + 1) as usize };
+                if let Some(anchor) = &anchor {
+                    reference.store_depth(&steps, run, &entries, Some(Arc::clone(anchor)));
+                }
+                for depth in first..=last {
+                    reference.store_depth(&steps, depth, &entries, None);
+                }
+                batched.store(&steps, &entries, anchor.map(|a| (run, a)), first..=last);
+                assert_eq!(batched.layout(), reference.layout(), "round {round} pass {pass}");
+            }
+            saturated.0 |= !batched.has_node_capacity();
+            saturated.1 |= batched.evictions > 0;
+        }
+        assert_eq!(saturated, (true, true), "the node cap and the stored cap must both saturate");
     }
 
     #[test]

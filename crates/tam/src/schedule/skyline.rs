@@ -1,338 +1,104 @@
 //! The event-based capacity skyline.
 //!
-//! The packer's hot query is "what is the peak TAM usage over the window
-//! `[t, t + d)`?", asked once per candidate start per staircase point per
-//! job. The naive packer answers it by scanning (and sorting) every placed
-//! entry — O(n log n) per query. This module maintains the capacity
-//! profile incrementally instead: a piecewise-constant *skyline* of
-//! coordinate-compressed capacity events, stored in a treap keyed by event
-//! time, where every node carries
+//! The packer's hot query is "where is the earliest start `t` whose window
+//! `[t, t + d)` stays under the TAM capacity and overlaps no forbidden
+//! interval?", asked once per staircase point per job. The naive packer
+//! answers it by rebuilding its candidate list and scanning (and sorting)
+//! every placed entry per candidate — O(n log n) per probe. This module
+//! maintains the capacity profile incrementally instead: a
+//! piecewise-constant *skyline* stored as a flat, time-sorted vector of
+//! capacity events `(time, usage)`, where `usage` wires are in use from
+//! `time` up to the next event. A greedy pass places a few dozen jobs, so
+//! the profile holds at most about twice as many events, and inserting one
+//! is a short memmove.
 //!
-//! * `usage` — wires in use on the segment starting at its event time,
-//! * `max_usage` — the maximum `usage` over its subtree, and
-//! * `add` — a lazy pending addition for its subtree (range placement).
+//! Placing a `w × d` rectangle splits at most two segments and adds `w` to
+//! every segment between them. A query walks the ascending candidate starts
+//! (0, every placed end, every forbidden end) and skips blocked ones in
+//! bulk:
 //!
-//! Placing a `w × d` rectangle is a ranged `+w` over `[start, end)`
-//! (two point insertions plus an O(log n) expected range update), and a
-//! window-peak query is an O(log n) expected range-max descent. Treap
-//! priorities come from a deterministic xorshift stream, so schedules are
-//! reproducible run to run.
+//! * When a window is over capacity, every candidate before the end of the
+//!   window's *last* over-capacity segment is skipped. Such a candidate's
+//!   window starts no earlier than the blocked one, so it ends later than
+//!   that segment starts, and it starts before that segment ends: it
+//!   overlaps the same segment.
+//! * When a window overlaps forbidden intervals, every candidate before the
+//!   latest of their ends is skipped, by the same argument.
+//!
+//! Segments are scanned left to right and never rescanned: a skip lands
+//! past the last over-capacity segment seen, and every segment scanned
+//! after it is known to fit. A query is therefore O(events + candidates),
+//! and it returns exactly the first feasible candidate in ascending order —
+//! the naive reference engine's answer.
 //!
 //! # Checkpoint / restore
 //!
-//! The treap is stored as an index-linked arena (`Vec<Node>` plus a root
-//! index), so the whole profile — including the deterministic priority
-//! stream — is checkpointed by a plain [`Clone`] and restored by cloning
-//! the checkpoint back. [`crate::PackSession`] exploits this: the skeleton
-//! jobs of a sweep are packed once per ordering and every candidate
-//! configuration delta-packs on a restored snapshot, with the clone cost
-//! proportional to the number of capacity events (two per placed job), not
-//! to the work of re-packing.
+//! The whole profile is two flat vectors of plain values, so a checkpoint
+//! is a [`Clone`] and a restore into a recycled index
+//! ([`PackEngine::copy_from`]) is a memcpy into the existing buffers.
+//! [`crate::PackSession`] exploits this: the skeleton jobs of a sweep are
+//! packed once per ordering and every candidate configuration delta-packs
+//! on a restored snapshot, with the copy cost proportional to the number of
+//! capacity events (two per placed job), not to the work of re-packing.
 
 use super::search::PackEngine;
-use super::{ScheduledTest, XorShift64};
+use super::ScheduledTest;
 
-const NIL: u32 = u32::MAX;
-
-/// Seed of the deterministic treap-priority stream. [`Skyline::reset`]
-/// must restart the stream from this exact seed so a recycled arena packs
-/// bit-identically to a fresh one.
-const PRIO_SEED: u64 = 0x243f_6a88_85a3_08d3;
-
-#[derive(Debug, Clone)]
-struct Node {
-    /// Event time: this node's segment covers `[time, next event time)`.
-    time: u64,
-    /// Wires in use on the segment (lazy adds from ancestors excluded).
-    usage: u32,
-    /// Max `usage` over this subtree (lazy adds from ancestors excluded).
-    max_usage: u32,
-    /// Pending addition to every segment strictly below this node.
-    add: u32,
-    /// Treap heap priority.
-    prio: u64,
-    left: u32,
-    right: u32,
-}
-
-/// Incremental capacity profile over time (see the module docs).
-///
-/// `Clone` is the checkpoint operation: the arena layout makes a snapshot
-/// a flat memcpy of the node vector.
-#[derive(Debug, Clone)]
-pub(crate) struct Skyline {
-    nodes: Vec<Node>,
-    root: u32,
-    /// Deterministic treap priorities keep rebuilt schedules identical
-    /// across runs.
-    prio_rng: XorShift64,
-}
-
-impl Skyline {
-    /// An empty profile: zero usage everywhere.
-    pub(crate) fn new() -> Self {
-        let mut s = Skyline {
-            nodes: Vec::with_capacity(64),
-            root: NIL,
-            prio_rng: XorShift64::new(PRIO_SEED),
-        };
-        s.root = s.alloc(0, 0);
-        s
-    }
-
-    /// Clears back to the empty profile, keeping the node arena's
-    /// allocation. The priority stream restarts from the fixed seed, so a
-    /// reset skyline is indistinguishable from [`Skyline::new`].
-    pub(crate) fn reset(&mut self) {
-        self.nodes.clear();
-        self.prio_rng = XorShift64::new(PRIO_SEED);
-        self.root = self.alloc(0, 0);
-    }
-
-    /// Allocation-reusing checkpoint restore: `clone_from` semantics over
-    /// the arena, so a restore into a recycled skyline is a memcpy into
-    /// the existing buffer instead of a fresh allocation.
-    pub(crate) fn copy_from(&mut self, other: &Self) {
-        self.nodes.clone_from(&other.nodes);
-        self.root = other.root;
-        self.prio_rng = other.prio_rng.clone();
-    }
-
-    fn alloc(&mut self, time: u64, usage: u32) -> u32 {
-        let prio = self.prio_rng.next_u64();
-        let idx = u32::try_from(self.nodes.len()).expect("skyline node count fits u32");
-        self.nodes.push(Node {
-            time,
-            usage,
-            max_usage: usage,
-            add: 0,
-            prio,
-            left: NIL,
-            right: NIL,
-        });
-        idx
-    }
-
-    fn apply(&mut self, idx: u32, v: u32) {
-        if idx == NIL {
-            return;
-        }
-        let n = &mut self.nodes[idx as usize];
-        n.usage += v;
-        n.max_usage += v;
-        n.add += v;
-    }
-
-    fn push_down(&mut self, idx: u32) {
-        let pending = std::mem::take(&mut self.nodes[idx as usize].add);
-        if pending != 0 {
-            let (l, r) = {
-                let n = &self.nodes[idx as usize];
-                (n.left, n.right)
-            };
-            self.apply(l, pending);
-            self.apply(r, pending);
-        }
-    }
-
-    fn pull_up(&mut self, idx: u32) {
-        let (l, r, usage) = {
-            let n = &self.nodes[idx as usize];
-            (n.left, n.right, n.usage)
-        };
-        let mut m = usage;
-        if l != NIL {
-            m = m.max(self.nodes[l as usize].max_usage);
-        }
-        if r != NIL {
-            m = m.max(self.nodes[r as usize].max_usage);
-        }
-        self.nodes[idx as usize].max_usage = m;
-    }
-
-    /// Splits by key: left treap holds `time < key`, right holds `time >= key`.
-    fn split(&mut self, idx: u32, key: u64) -> (u32, u32) {
-        if idx == NIL {
-            return (NIL, NIL);
-        }
-        self.push_down(idx);
-        if self.nodes[idx as usize].time < key {
-            let right = self.nodes[idx as usize].right;
-            let (a, b) = self.split(right, key);
-            self.nodes[idx as usize].right = a;
-            self.pull_up(idx);
-            (idx, b)
-        } else {
-            let left = self.nodes[idx as usize].left;
-            let (a, b) = self.split(left, key);
-            self.nodes[idx as usize].left = b;
-            self.pull_up(idx);
-            (a, idx)
-        }
-    }
-
-    /// Joins two treaps where every key in `a` precedes every key in `b`.
-    fn join(&mut self, a: u32, b: u32) -> u32 {
-        if a == NIL {
-            return b;
-        }
-        if b == NIL {
-            return a;
-        }
-        if self.nodes[a as usize].prio > self.nodes[b as usize].prio {
-            self.push_down(a);
-            let joined = self.join(self.nodes[a as usize].right, b);
-            self.nodes[a as usize].right = joined;
-            self.pull_up(a);
-            a
-        } else {
-            self.push_down(b);
-            let joined = self.join(a, self.nodes[b as usize].left);
-            self.nodes[b as usize].left = joined;
-            self.pull_up(b);
-            b
-        }
-    }
-
-    /// Usage of the segment containing `t` (the floor event's usage).
-    pub(crate) fn usage_at(&self, t: u64) -> u32 {
-        let mut idx = self.root;
-        let mut acc = 0u32;
-        let mut found = 0u32;
-        while idx != NIL {
-            let n = &self.nodes[idx as usize];
-            if n.time <= t {
-                found = n.usage + acc;
-                acc += n.add;
-                idx = n.right;
-            } else {
-                acc += n.add;
-                idx = n.left;
-            }
-        }
-        found
-    }
-
-    /// Peak usage over the window `[from, to)`.
-    ///
-    /// The peak is the larger of the segment already covering `from` and
-    /// every event segment starting inside the window — an O(log n)
-    /// expected descent, never a scan over placed entries.
-    pub(crate) fn peak(&self, from: u64, to: u64) -> u32 {
-        let base = self.usage_at(from);
-        if to <= from.saturating_add(1) {
-            return base;
-        }
-        base.max(self.range_max(self.root, from + 1, to, 0))
-    }
-
-    /// Max usage over event nodes with `lo <= time < hi`.
-    fn range_max(&self, idx: u32, lo: u64, hi: u64, acc: u32) -> u32 {
-        if idx == NIL {
-            return 0;
-        }
-        let n = &self.nodes[idx as usize];
-        if n.time < lo {
-            return self.range_max(n.right, lo, hi, acc + n.add);
-        }
-        if n.time >= hi {
-            return self.range_max(n.left, lo, hi, acc + n.add);
-        }
-        let mut m = n.usage + acc;
-        m = m.max(self.suffix_max(n.left, lo, acc + n.add));
-        m.max(self.prefix_max(n.right, hi, acc + n.add))
-    }
-
-    /// Max usage over nodes with `time >= lo`.
-    fn suffix_max(&self, idx: u32, lo: u64, acc: u32) -> u32 {
-        if idx == NIL {
-            return 0;
-        }
-        let n = &self.nodes[idx as usize];
-        if n.time < lo {
-            return self.suffix_max(n.right, lo, acc + n.add);
-        }
-        let mut m = n.usage + acc;
-        if n.right != NIL {
-            m = m.max(self.nodes[n.right as usize].max_usage + acc + n.add);
-        }
-        m.max(self.suffix_max(n.left, lo, acc + n.add))
-    }
-
-    /// Max usage over nodes with `time < hi`.
-    fn prefix_max(&self, idx: u32, hi: u64, acc: u32) -> u32 {
-        if idx == NIL {
-            return 0;
-        }
-        let n = &self.nodes[idx as usize];
-        if n.time >= hi {
-            return self.prefix_max(n.left, hi, acc + n.add);
-        }
-        let mut m = n.usage + acc;
-        if n.left != NIL {
-            m = m.max(self.nodes[n.left as usize].max_usage + acc + n.add);
-        }
-        m.max(self.prefix_max(n.right, hi, acc + n.add))
-    }
-
-    /// Ensures an event node exists at exactly `t`.
-    fn ensure_event(&mut self, t: u64) {
-        // Exact-match probe, accumulating nothing: key comparisons only.
-        let mut idx = self.root;
-        while idx != NIL {
-            let n = &self.nodes[idx as usize];
-            match t.cmp(&n.time) {
-                std::cmp::Ordering::Equal => return,
-                std::cmp::Ordering::Less => idx = n.left,
-                std::cmp::Ordering::Greater => idx = n.right,
-            }
-        }
-        let usage = self.usage_at(t);
-        let fresh = self.alloc(t, usage);
-        let (l, r) = self.split(self.root, t);
-        let lf = self.join(l, fresh);
-        self.root = self.join(lf, r);
-    }
-
-    /// Adds `width` wires over `[from, to)` (a placed rectangle).
-    pub(crate) fn add(&mut self, from: u64, to: u64, width: u32) {
-        if from >= to || width == 0 {
-            return;
-        }
-        self.ensure_event(from);
-        self.ensure_event(to);
-        let (left, mid_right) = self.split(self.root, from);
-        let (mid, right) = self.split(mid_right, to);
-        self.apply(mid, width);
-        let lm = self.join(left, mid);
-        self.root = self.join(lm, right);
-    }
-}
-
-/// [`PackEngine`] backed by a [`Skyline`] plus a sorted candidate-start
-/// list (0 and every placed end), replacing the naive packer's per-query
-/// rebuild-sort-scan with O(log n) incremental queries. Cloning snapshots
-/// both the event treap and the candidate-start list (checkpoint/restore).
+/// [`PackEngine`] backed by the capacity skyline plus a sorted
+/// candidate-start list (0 and every placed end), replacing the naive
+/// packer's per-query rebuild-sort-scan with one forward walk (see the
+/// module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct SkylineIndex {
-    skyline: Skyline,
+    /// Capacity events `(time, usage)`, strictly ascending in time and
+    /// starting at 0: `usage` wires are in use from `time` up to the next
+    /// event. The last segment runs forever with usage 0, since every
+    /// placed rectangle ends at an event.
+    events: Vec<(u64, u32)>,
     /// Sorted, deduplicated candidate starts: 0 plus every placed end.
     starts: Vec<u64>,
 }
 
+impl SkylineIndex {
+    /// Adds `width` wires over `[from, to)` (a placed rectangle).
+    fn add(&mut self, from: u64, to: u64, width: u32) {
+        if from >= to || width == 0 {
+            return;
+        }
+        let lo = self.split_at(from);
+        let hi = self.split_at(to);
+        for event in &mut self.events[lo..hi] {
+            event.1 += width;
+        }
+    }
+
+    /// The index of the event at exactly `t`, splitting the segment that
+    /// covers `t` when no event starts there.
+    fn split_at(&mut self, t: u64) -> usize {
+        let i = self.events.partition_point(|&(time, _)| time < t);
+        if self.events.get(i).is_none_or(|&(time, _)| time != t) {
+            // The first event sits at 0 <= t, so a split has a predecessor.
+            let usage = self.events[i - 1].1;
+            self.events.insert(i, (t, usage));
+        }
+        i
+    }
+}
+
 impl PackEngine for SkylineIndex {
     fn new() -> Self {
-        SkylineIndex { skyline: Skyline::new(), starts: vec![0] }
+        SkylineIndex { events: vec![(0, 0)], starts: vec![0] }
     }
 
     fn reset(&mut self) {
-        self.skyline.reset();
+        self.events.clear();
+        self.events.push((0, 0));
         self.starts.clear();
         self.starts.push(0);
     }
 
     fn copy_from(&mut self, other: &Self) {
-        self.skyline.copy_from(&other.skyline);
+        self.events.clone_from(&other.events);
         self.starts.clone_from(&other.starts);
     }
 
@@ -356,44 +122,57 @@ impl PackEngine for SkylineIndex {
         forbidden_ends.extend(forbidden.iter().map(|&(_, e)| e));
         forbidden_ends.sort_unstable();
 
-        // Merge the two sorted candidate streams, ascending and deduped.
-        let mut i = 0;
-        let mut j = 0;
-        let mut last: Option<u64> = None;
-        'candidate: loop {
-            let t = match (self.starts.get(i), forbidden_ends.get(j)) {
-                (Some(&a), Some(&b)) if a <= b => {
-                    i += 1;
-                    a
-                }
-                (_, Some(&b)) => {
-                    j += 1;
-                    b
-                }
-                (Some(&a), None) => {
-                    i += 1;
-                    a
-                }
+        let (events, starts) = (&self.events, &self.starts);
+        // No candidate below `next` is feasible. Every segment from the one
+        // after the last over-capacity segment seen up to `scanned`
+        // (exclusive) fits, and no candidate at or above `next` starts
+        // before that first fitting segment.
+        let (mut next, mut scanned) = (0u64, 0usize);
+        let (mut i, mut j) = (0, 0);
+        loop {
+            // The smallest candidate at or after `next`, from the merge of
+            // the two sorted candidate streams.
+            while starts.get(i).is_some_and(|&a| a < next) {
+                i += 1;
+            }
+            while forbidden_ends.get(j).is_some_and(|&b| b < next) {
+                j += 1;
+            }
+            let t = match (starts.get(i), forbidden_ends.get(j)) {
+                (Some(&a), Some(&b)) => a.min(b),
+                (Some(&a), None) => a,
+                (None, Some(&b)) => b,
                 (None, None) => unreachable!("a start after every placement is always feasible"),
             };
-            if last == Some(t) {
+            let end = t + time;
+            let blocked_until =
+                forbidden.iter().filter(|&&(fs, fe)| t < fe && fs < end).map(|&(_, fe)| fe).max();
+            if let Some(fe) = blocked_until {
+                next = fe;
                 continue;
             }
-            last = Some(t);
-            let end = t + time;
-            for &(fs, fe) in forbidden {
-                if t < fe && fs < end {
-                    continue 'candidate;
-                }
+            // Segments that end by `t` lie before the window.
+            while events.get(scanned + 1).is_some_and(|&(et, _)| et <= t) {
+                scanned += 1;
             }
-            if self.skyline.peak(t, end) + width <= tam_width {
-                return t;
+            let mut last_over = None;
+            while events.get(scanned).is_some_and(|&(et, _)| et < end) {
+                if events[scanned].1 + width > tam_width {
+                    last_over = Some(scanned);
+                }
+                scanned += 1;
+            }
+            match last_over {
+                None => return t,
+                // The last segment has usage 0, so it is over capacity only
+                // for a job wider than the TAM, which has no feasible start.
+                Some(k) => next = events.get(k + 1).map_or(u64::MAX, |&(et, _)| et),
             }
         }
     }
 
     fn on_place(&mut self, placed: &ScheduledTest) {
-        self.skyline.add(placed.start, placed.end, placed.width);
+        self.add(placed.start, placed.end, placed.width);
         if let Err(pos) = self.starts.binary_search(&placed.end) {
             self.starts.insert(pos, placed.end);
         }
@@ -401,8 +180,29 @@ impl PackEngine for SkylineIndex {
 }
 
 #[cfg(test)]
+impl SkylineIndex {
+    /// Usage of the segment containing `t`.
+    fn usage_at(&self, t: u64) -> u32 {
+        self.events[self.events.partition_point(|&(time, _)| time <= t) - 1].1
+    }
+
+    /// Peak usage over the window `[from, to)`; the usage at `from` for an
+    /// empty window.
+    fn peak(&self, from: u64, to: u64) -> u32 {
+        let inside = self.events.iter().filter(|&&(time, _)| from < time && time < to);
+        inside.map(|&(_, usage)| usage).fold(self.usage_at(from), u32::max)
+    }
+}
+
+#[cfg(test)]
 mod tests {
+    use super::super::naive::NaiveIndex;
+    use super::super::XorShift64;
     use super::*;
+
+    /// Randomized rounds of the differential test against the naive
+    /// engine: the full size in release builds, fewer in debug builds.
+    const ROUNDS: usize = if cfg!(debug_assertions) { 300 } else { 3000 };
 
     /// Brute-force reference profile for differential testing.
     #[derive(Default)]
@@ -429,9 +229,13 @@ mod tests {
         }
     }
 
+    fn placed(start: u64, end: u64, width: u32) -> ScheduledTest {
+        ScheduledTest { job: 0, width, start, end }
+    }
+
     #[test]
     fn empty_skyline_is_zero_everywhere() {
-        let s = Skyline::new();
+        let s = SkylineIndex::new();
         assert_eq!(s.usage_at(0), 0);
         assert_eq!(s.usage_at(1_000_000), 0);
         assert_eq!(s.peak(0, u64::MAX / 2), 0);
@@ -439,8 +243,9 @@ mod tests {
 
     #[test]
     fn single_rectangle_profile() {
-        let mut s = Skyline::new();
+        let mut s = SkylineIndex::new();
         s.add(10, 20, 3);
+        assert_eq!(s.events, [(0, 0), (10, 3), (20, 0)]);
         assert_eq!(s.usage_at(9), 0);
         assert_eq!(s.usage_at(10), 3);
         assert_eq!(s.usage_at(19), 3);
@@ -453,9 +258,10 @@ mod tests {
 
     #[test]
     fn overlapping_rectangles_stack() {
-        let mut s = Skyline::new();
+        let mut s = SkylineIndex::new();
         s.add(0, 100, 2);
         s.add(50, 150, 4);
+        assert_eq!(s.events, [(0, 2), (50, 6), (100, 4), (150, 0)]);
         assert_eq!(s.peak(0, 50), 2);
         assert_eq!(s.peak(0, 51), 6);
         assert_eq!(s.usage_at(99), 6);
@@ -466,53 +272,63 @@ mod tests {
 
     #[test]
     fn zero_length_window_reads_point_usage() {
-        let mut s = Skyline::new();
+        let mut s = SkylineIndex::new();
         s.add(5, 10, 7);
         assert_eq!(s.peak(6, 6), 7);
         assert_eq!(s.peak(10, 10), 0);
+        // A zero-duration job fits at 0 even on a full TAM, like the naive
+        // engine's zero-window scan.
+        s.on_place(&placed(0, 5, 8));
+        assert_eq!(s.place_start(&[], 8, 8, 0, &[(0, 9)], &mut Vec::new()), 0);
     }
 
     #[test]
     fn reset_and_copy_from_reproduce_fresh_state() {
-        let mut recycled = Skyline::new();
-        recycled.add(10, 20, 3);
-        recycled.add(5, 30, 2);
+        let mut recycled = SkylineIndex::new();
+        recycled.on_place(&placed(10, 20, 3));
+        recycled.on_place(&placed(5, 30, 2));
         recycled.reset();
-        let mut fresh = Skyline::new();
-        // Identical adds on a reset and a fresh skyline must agree
-        // everywhere (the priority stream restarted from the seed).
+        let mut fresh = SkylineIndex::new();
+        assert_eq!((&recycled.events, &recycled.starts), (&fresh.events, &fresh.starts));
+        // Identical placements on a reset and a fresh index agree
+        // everywhere.
         let mut rng = XorShift64::new(0xabcd);
         for _ in 0..30 {
             let s = rng.next_u64() % 300;
             let d = 1 + rng.next_u64() % 50;
             let w = 1 + (rng.next_u64() % 5) as u32;
-            recycled.add(s, s + d, w);
-            fresh.add(s, s + d, w);
+            recycled.on_place(&placed(s, s + d, w));
+            fresh.on_place(&placed(s, s + d, w));
         }
-        for t in 0..400 {
-            assert_eq!(recycled.usage_at(t), fresh.usage_at(t), "diverged at t={t}");
-        }
-        // copy_from restores a checkpoint into the recycled arena.
-        let mut target = Skyline::new();
-        target.add(0, 1000, 7);
+        assert_eq!((&recycled.events, &recycled.starts), (&fresh.events, &fresh.starts));
+        // copy_from restores a checkpoint into a used index.
+        let mut target = SkylineIndex::new();
+        target.on_place(&placed(0, 1000, 7));
         target.copy_from(&fresh);
-        for t in 0..400 {
-            assert_eq!(target.usage_at(t), fresh.usage_at(t), "copy diverged at t={t}");
-        }
+        assert_eq!((&target.events, &target.starts), (&fresh.events, &fresh.starts));
     }
 
+    /// `add` against a brute-force segment reference, zero durations and
+    /// zero widths included.
     #[test]
     fn differential_against_brute_force() {
         let mut rng = XorShift64::new(0xfeed_beef);
         for _round in 0..50 {
-            let mut sky = Skyline::new();
+            let mut sky = SkylineIndex::new();
             let mut reference = Reference::default();
             for _ in 0..40 {
                 let s = rng.next_u64() % 500;
-                let d = 1 + rng.next_u64() % 80;
-                let w = 1 + (rng.next_u64() % 8) as u32;
+                let d = rng.next_u64() % 80;
+                let w = (rng.next_u64() % 8) as u32;
                 sky.add(s, s + d, w);
                 reference.add(s, s + d, w);
+            }
+            let times: Vec<u64> = sky.events.iter().map(|&(t, _)| t).collect();
+            assert_eq!(times[0], 0, "the profile starts at 0");
+            assert!(times.windows(2).all(|w| w[0] < w[1]), "events strictly ascend");
+            assert_eq!(sky.events.last().map(|e| e.1), Some(0), "the last segment is empty");
+            for t in 0..600 {
+                assert_eq!(sky.usage_at(t), reference.usage_at(t), "usage_at({t}) diverged");
             }
             for _ in 0..60 {
                 let a = rng.next_u64() % 600;
@@ -523,7 +339,59 @@ mod tests {
                     "peak([{a}, {})) diverged",
                     a + d
                 );
-                assert_eq!(sky.usage_at(a), reference.usage_at(a), "usage_at({a}) diverged");
+            }
+        }
+    }
+
+    /// The skyline's earliest start equals the naive reference engine's on
+    /// random profiles built through `on_place`, random forbidden sets
+    /// (some unrelated to any placement) and zero durations.
+    #[test]
+    fn place_start_matches_the_naive_reference() {
+        let mut rng = XorShift64::new(0x5eed_cafe);
+        let mut scratch = Vec::new();
+        for round in 0..ROUNDS {
+            let mut below = |n: u64| rng.next_u64() % n;
+            let tam_width = 1 + below(12) as u32;
+            let mut index = SkylineIndex::new();
+            let mut entries = Vec::new();
+            for _ in 0..below(25) {
+                // Mostly arbitrary starts, so profiles also run over
+                // capacity.
+                let w = 1 + below(u64::from(tam_width)) as u32;
+                let d = below(60);
+                let s = if below(4) == 0 {
+                    index.place_start(&entries, tam_width, w, d, &[], &mut scratch)
+                } else {
+                    below(300)
+                };
+                let p = placed(s, s + d, w);
+                entries.push(p);
+                index.on_place(&p);
+            }
+            // Forbidden intervals: some copied from placements (a group's
+            // own intervals), some anywhere.
+            let mut forbidden = Vec::new();
+            for _ in 0..below(4) {
+                if !entries.is_empty() && below(2) == 0 {
+                    let e = entries[below(entries.len() as u64) as usize];
+                    forbidden.push((e.start, e.end));
+                } else {
+                    let s = below(400);
+                    forbidden.push((s, s + below(80)));
+                }
+            }
+            for _ in 0..20 {
+                let w = 1 + below(u64::from(tam_width)) as u32;
+                let d = if below(8) == 0 { 0 } else { 1 + below(120) };
+                let fast = index.place_start(&entries, tam_width, w, d, &forbidden, &mut scratch);
+                let naive =
+                    NaiveIndex.place_start(&entries, tam_width, w, d, &forbidden, &mut scratch);
+                assert_eq!(
+                    fast, naive,
+                    "round {round}: {w} x {d} at W={tam_width}, forbidden {forbidden:?}, \
+                     entries {entries:?}"
+                );
             }
         }
     }
